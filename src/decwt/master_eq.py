@@ -9,6 +9,24 @@ again. Both factors are exact, so the only time error is the O(dt^2)
 non-commutativity of the pair. The decay factor is unity on y = 0 and the
 kinetic multiplier is unity on k_z = 0, so the trace is conserved to round-off
 step by step.
+
+Segments. The decay factor acts on y alone, so it commutes with the Fourier
+transform along z. evolve_master_eq therefore advances each sample interval
+as one segment: decay half-step and z-FFT once, then per step a y-FFT pair
+around the kinetic multiplier and one fused full decay step, with the field
+held as a C-contiguous (k_z, y) array so the y-transforms run on the
+contiguous axis; the last step takes a decay half-step and the z-transform is
+undone once. A single-step segment is the plain 2-D Strang step. The scheme,
+dt and O(dt^2) error are those of step-by-step Strang; only the order of the
+transforms differs, which moves results by about 1e-14 relative.
+
+Resume contract. Segments end only at sample steps and at the final step,
+and the field leaves a segment C-contiguous (the observables sum in memory
+order). A checkpoint taken at a sample step is a segment boundary, so a run
+resumed from it reproduces the uninterrupted run's rows bit for bit, for any
+checkpoint cadence. A checkpoint inside a segment is a real-space copy of the
+segment's state; the segment goes on from its own state, so taking the copy
+does not perturb the run.
 """
 
 from __future__ import annotations
@@ -56,7 +74,11 @@ def init_gaussian_rho(p: GaussianParams, grid: GridSpec2D, t: float = 0.0) -> Co
 
 
 class MasterEqStepper:
-    """Precomputed Strang multipliers for one (scenario, grid, dt) triple."""
+    """Precomputed Strang multipliers for one (scenario, grid, dt) triple.
+
+    The kinetic multiplier is kept in both layouts: (k_y, k_z) for the plain
+    2-D step and (k_z, k_y) for segments, whose field is held as (k_z, y).
+    """
 
     def __init__(self, s: Scenario, grid: GridSpec2D, dt: float):
         if dt <= 0.0:
@@ -64,23 +86,60 @@ class MasterEqStepper:
         self.scenario = s
         self.grid = grid
         self.dt = dt
-        y = grid.axis_y.points()[:, None]
+        y = grid.axis_y.points()
         self._decay_half = np.exp(-(s.lam / s.hbar) * y * y * (0.5 * dt))
-        ky = grid.axis_y.wavenumbers()[:, None]
-        kz = grid.axis_z.wavenumbers()[None, :]
-        self._kinetic = np.exp(-1j * (2.0 * s.hbar / s.m) * ky * kz * dt)
+        self._decay = np.exp(-(s.lam / s.hbar) * y * y * dt)
+        ky = grid.axis_y.wavenumbers()[None, :]
+        kz = grid.axis_z.wavenumbers()[:, None]
+        self._kinetic_t = np.exp(-1j * (2.0 * s.hbar / s.m) * ky * kz * dt)
+        self._kinetic = np.ascontiguousarray(self._kinetic_t.T)
 
-    def _apply_decay_half(self, values: np.ndarray) -> np.ndarray:
-        return values * self._decay_half
+    def step(self, f: ComplexField2D, n: int = 1, leave=None,
+             leave_at=()) -> ComplexField2D:
+        """Advance n Strang steps as one segment (see the module docstring);
+        n = 1 is the plain 2-D Strang step.
 
-    def _apply_kinetic(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(self._kinetic * np.fft.fft2(values))
+        leave(j, field) gets a real-space copy of the field after each step j
+        in leave_at (0 < j < n), stamped f.t + j * dt.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        dh = self._decay_half
+        if n == 1:
+            # the 2-D pair reproduces step-by-step Strang bit for bit, so runs
+            # sampled every step keep their output bytes
+            v = np.fft.fft2(f.values * dh[:, None])
+            v *= self._kinetic
+            v = np.fft.ifft2(v)
+            v *= dh[:, None]
+            return ComplexField2D(v, f.grid, f.t + self.dt, f.flags)
+        v = f.values * dh[:, None]
+        np.fft.fft(v, axis=1, out=v)
+        m = np.ascontiguousarray(v.T)
+        for j in range(1, n):
+            self._kinetic_y(m)
+            if j in leave_at:
+                leave(j, ComplexField2D(_to_real(m * dh), f.grid,
+                                        f.t + j * self.dt, f.flags))
+            m *= self._decay
+        self._kinetic_y(m)
+        m *= dh
+        return ComplexField2D(_to_real(m), f.grid, f.t + n * self.dt, f.flags)
 
-    def step(self, f: ComplexField2D) -> ComplexField2D:
-        v = self._apply_decay_half(f.values)
-        v = self._apply_kinetic(v)
-        v = self._apply_decay_half(v)
-        return ComplexField2D(v, f.grid, f.t + self.dt, f.flags)
+    def _kinetic_y(self, m: np.ndarray) -> None:
+        """Kinetic step in place on a (k_z, y) field: y-FFT pair on the
+        contiguous axis around the transposed multiplier."""
+        np.fft.fft(m, axis=1, out=m)
+        m *= self._kinetic_t
+        np.fft.ifft(m, axis=1, out=m)
+
+
+def _to_real(m: np.ndarray) -> np.ndarray:
+    """(k_z, y) -> C-contiguous (y, z). The observables sum in memory order,
+    so a resumed run reproduces the rows bit for bit only in a fixed layout."""
+    v = np.ascontiguousarray(m.T)
+    np.fft.ifft(v, axis=1, out=v)
+    return v
 
 
 def step_master_eq(f: ComplexField2D, s: Scenario, dt: float) -> ComplexField2D:
@@ -128,7 +187,8 @@ def evolve_master_eq(
 
     observers: optional iterable of callables field -> dict, merged into each
     sample's extras. checkpoint_every > 0 hands the field to checkpoint_sink
-    (callable, gets the current ComplexField2D) every that many steps.
+    (callable, gets the current ComplexField2D) every that many steps. Each
+    sample interval is one stepper segment; the finite check runs at its end.
     """
     stepper = MasterEqStepper(s, f.grid, numerics.dt)
     n_steps = int(round((numerics.t_end - f.t) / numerics.dt))
@@ -142,15 +202,26 @@ def evolve_master_eq(
         return smp
 
     t_start = f.t
+    ckpt = checkpoint_every if checkpoint_sink else 0
     samples = [observe(f)]
-    for k in range(1, n_steps + 1):
-        f = stepper.step(f)
+    k = 0
+
+    def leave(j: int, c: ComplexField2D) -> None:
+        # runs inside stepper.step, while k is still the segment's first step
+        c.t = t_start + (k + j) * numerics.dt
+        checkpoint_sink(c)
+
+    while k < n_steps:
+        # one segment per sample interval; checkpoints inside it get copies
+        n = min(numerics.sample_every, n_steps - k)
+        inner = [j for j in range(1, n) if ckpt and (k + j) % ckpt == 0]
+        f = stepper.step(f, n, leave, inner)
+        k += n
         f.t = t_start + k * numerics.dt  # stamp from the step count, no drift
         if not np.isfinite(f.values[0, 0]):
             raise IntegrationError(f.t, "field blew up")
-        if k % numerics.sample_every == 0 or k == n_steps:
-            samples.append(observe(f))
-        if checkpoint_every and k % checkpoint_every == 0 and checkpoint_sink:
+        samples.append(observe(f))
+        if ckpt and k % ckpt == 0:
             checkpoint_sink(f)
 
     if boundary_leak(f.values) > ALIAS_THRESHOLD:
@@ -160,10 +231,13 @@ def evolve_master_eq(
 
 def suggest_extents(s: Scenario, alpha0: float, beta0: float, t_end: float) -> tuple[float, float]:
     """6-sigma box sized from the closed-form spread at t_end. The coherence
-    scale only shrinks, so the y extent follows the initial state."""
+    scale only shrinks, so the y extent follows the initial state. Both
+    extents are at least the initial 6-sigma minimum that init_gaussian_rho
+    checks, evaluated with the same expression, so they never round below it."""
     from .gaussian import build_cubic, eval_G
 
     g = build_cubic(s, alpha0, beta0)
-    ext_y = 6.0 / math.sqrt(alpha0)
-    ext_z = 6.0 * math.sqrt(float(eval_G(g, t_end)))
+    sig_y, sig_z = sigma_profile(GaussianParams(alpha=alpha0, beta=beta0, gamma=0.0, delta=0.0))
+    ext_y = 6.0 * sig_y
+    ext_z = 6.0 * max(math.sqrt(float(eval_G(g, t_end))), sig_z)
     return ext_y, ext_z

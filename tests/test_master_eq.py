@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from decwt.fields import ComplexField2D
+from decwt.fields import ComplexField2D, load_field_2d, save_field_2d
 from decwt.gaussian import GaussianParams, build_cubic, params_exact
 from decwt.marginal_dynamics import IntegrationError
 from decwt.master_eq import (
@@ -28,6 +28,11 @@ from decwt.scenario import GridSpec2D, NumericsSpec, Scenario
 def moderate():
     return Scenario(m=1.0, hbar=1.0, lam=1.0, b=1.0, sigma=1.0, t0=0.0,
                     label="moderate")
+
+
+def strong():
+    return Scenario(m=1.0, hbar=1.0, lam=10.0, b=1.0, sigma=1.0, t0=0.0,
+                    label="strong")
 
 
 def pure_params(alpha):
@@ -181,3 +186,69 @@ def test_stepper_rejects_bad_dt():
     _, grid = initial_state(s, n=64)
     with pytest.raises(ValueError):
         MasterEqStepper(s, grid, 0.0)
+
+
+def test_suggested_box_passes_init_guard_off_preset_b():
+    # 6/sqrt(alpha0) once rounded one ulp below the guard's 6*(1/sqrt(alpha0))
+    for b in [0.98012] + list(np.linspace(0.98, 1.02, 401)):
+        s = Scenario(lam=1.0, b=float(b), label="probe")
+        p0 = pure_params(s.alpha0)
+        for t_end in (0.0, 0.25):
+            ey, ez = suggest_extents(s, s.alpha0, 0.0, t_end)
+            grid = GridSpec2D(n_y=16, n_z=16, extent_y=ey, extent_z=ez)
+            init_gaussian_rho(p0, grid)  # raises GridSizeError if undersized
+
+
+def _row(smp):
+    return (smp.coherence_length, smp.ensemble_width, smp.purity, smp.norm)
+
+
+def test_resume_bit_identical_at_unaligned_checkpoint_cadence(tmp_path):
+    s = moderate()
+    f, _ = initial_state(s, n=128)
+    num = NumericsSpec(dt=1e-3, t_end=0.06, sample_every=5)
+
+    def sink(fld):
+        save_field_2d(tmp_path / f"{round(fld.t / num.dt)}.ckpt", fld)
+
+    def rows(samples):
+        return {round(smp.t / num.dt): _row(smp) for smp in samples}
+
+    full, _ = evolve_master_eq(f, s, num, checkpoint_every=7, checkpoint_sink=sink)
+    resumed, _ = evolve_master_eq(load_field_2d(tmp_path / "35.ckpt"), s, num)
+    got = rows(resumed)
+    assert sorted(got) == [35, 40, 45, 50, 55, 60]
+    assert got == {k: r for k, r in rows(full).items() if k >= 35}
+
+
+@pytest.mark.parametrize("scenario", [moderate, strong])
+def test_segment_matches_per_step_strang_reference(scenario):
+    s = scenario()
+    f, grid = initial_state(s, n=256)
+    dt = 1e-3
+    y = grid.axis_y.points()[:, None]
+    h = np.exp(-(s.lam / s.hbar) * y * y * (0.5 * dt))
+    ky = grid.axis_y.wavenumbers()[:, None]
+    kz = grid.axis_z.wavenumbers()[None, :]
+    kin = np.exp(-1j * (2.0 * s.hbar / s.m) * ky * kz * dt)
+    ref, v = {}, f.values
+    for k in range(1, 51):
+        v = h * np.fft.ifft2(kin * np.fft.fft2(h * v))
+        ref[k] = v
+    left = {}
+    out = MasterEqStepper(s, grid, dt).step(
+        f, 50, leave=lambda j, c: left.setdefault(j, c), leave_at=(20,))
+    for got, want in ((out.values, ref[50]), (left[20].values, ref[20])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert out.values.flags["C_CONTIGUOUS"]
+    assert out.t == pytest.approx(50 * dt) and left[20].t == pytest.approx(20 * dt)
+
+
+@pytest.mark.parametrize("sample_every", [1, 5])
+def test_nan_in_field_stops_run(sample_every):
+    s = moderate()
+    f, _ = initial_state(s, n=64)
+    f.values[20, 40] = np.nan
+    num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=sample_every)
+    with pytest.raises(IntegrationError):
+        evolve_master_eq(f, s, num)
