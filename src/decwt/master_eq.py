@@ -107,39 +107,37 @@ class MasterEqStepper:
         dh = self._decay_half
         if n == 1:
             # the 2-D pair reproduces step-by-step Strang bit for bit, so runs
-            # sampled every step keep their output bytes
+            # sampled every step keep their output bytes, and perfbench counts
+            # two fft2/ifft2 calls per step. Not kept for speed: the 1-D path
+            # below takes as long for one step (256^2 and 512^2 alike).
             v = np.fft.fft2(f.values * dh[:, None])
             v *= self._kinetic
             v = np.fft.ifft2(v)
             v *= dh[:, None]
             return ComplexField2D(v, f.grid, f.t + self.dt, f.flags)
-        v = f.values * dh[:, None]
-        np.fft.fft(v, axis=1, out=v)
-        m = np.ascontiguousarray(v.T)
+        m = np.ascontiguousarray(np.fft.fft(f.values * dh[:, None], axis=1).T)
         for j in range(1, n):
-            self._kinetic_y(m)
+            m = self._kinetic_y(m)
             if j in leave_at:
                 leave(j, ComplexField2D(_to_real(m * dh), f.grid,
                                         f.t + j * self.dt, f.flags))
             m *= self._decay
-        self._kinetic_y(m)
+        m = self._kinetic_y(m)
         m *= dh
         return ComplexField2D(_to_real(m), f.grid, f.t + n * self.dt, f.flags)
 
-    def _kinetic_y(self, m: np.ndarray) -> None:
-        """Kinetic step in place on a (k_z, y) field: y-FFT pair on the
-        contiguous axis around the transposed multiplier."""
-        np.fft.fft(m, axis=1, out=m)
+    def _kinetic_y(self, m: np.ndarray) -> np.ndarray:
+        """Kinetic step on a (k_z, y) field: y-FFT pair on the contiguous
+        axis around the transposed multiplier."""
+        m = np.fft.fft(m, axis=1)
         m *= self._kinetic_t
-        np.fft.ifft(m, axis=1, out=m)
+        return np.fft.ifft(m, axis=1)
 
 
 def _to_real(m: np.ndarray) -> np.ndarray:
     """(k_z, y) -> C-contiguous (y, z). The observables sum in memory order,
     so a resumed run reproduces the rows bit for bit only in a fixed layout."""
-    v = np.ascontiguousarray(m.T)
-    np.fft.ifft(v, axis=1, out=v)
-    return v
+    return np.ascontiguousarray(np.fft.ifft(np.ascontiguousarray(m.T), axis=1))
 
 
 def step_master_eq(f: ComplexField2D, s: Scenario, dt: float) -> ComplexField2D:
@@ -188,7 +186,8 @@ def evolve_master_eq(
     observers: optional iterable of callables field -> dict, merged into each
     sample's extras. checkpoint_every > 0 hands the field to checkpoint_sink
     (callable, gets the current ComplexField2D) every that many steps. Each
-    sample interval is one stepper segment; the finite check runs at its end.
+    sample interval is one stepper segment; the finite check runs at its end
+    and before each checkpoint, so no non-finite field reaches the sink.
     """
     stepper = MasterEqStepper(s, f.grid, numerics.dt)
     n_steps = int(round((numerics.t_end - f.t) / numerics.dt))
@@ -209,6 +208,8 @@ def evolve_master_eq(
     def leave(j: int, c: ComplexField2D) -> None:
         # runs inside stepper.step, while k is still the segment's first step
         c.t = t_start + (k + j) * numerics.dt
+        if not np.isfinite(c.values[0, 0]):
+            raise IntegrationError(c.t, "field blew up")
         checkpoint_sink(c)
 
     while k < n_steps:

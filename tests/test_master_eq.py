@@ -244,11 +244,15 @@ def test_segment_matches_per_step_strang_reference(scenario):
     assert out.t == pytest.approx(50 * dt) and left[20].t == pytest.approx(20 * dt)
 
 
-@pytest.mark.parametrize("sample_every", [1, 5])
-def test_nan_in_field_stops_run(sample_every):
+@pytest.mark.parametrize("sample_every, checkpoint_every", [(1, 0), (5, 0), (5, 3)])
+def test_nan_in_field_stops_run(sample_every, checkpoint_every):
     s = moderate()
     f, _ = initial_state(s, n=64)
     f.values[20, 40] = np.nan
     num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=sample_every)
-    with pytest.raises(IntegrationError):
-        evolve_master_eq(f, s, num)
+    saved = []
+    with pytest.raises(IntegrationError) as err:
+        evolve_master_eq(f, s, num, checkpoint_every=checkpoint_every,
+                         checkpoint_sink=saved.append)
+    assert saved == []  # the step-3 checkpoint inside the segment is refused
+    assert err.value.t == pytest.approx((checkpoint_every or sample_every) * num.dt)
