@@ -8,7 +8,6 @@ from .gaussian import (
     GaussianParams,
     build_cubic,
     coherence_exact,
-    coherence_limits,
     density_matrix_exact,
     ensemble_width_exact,
     eval_G,
@@ -25,7 +24,7 @@ from .gfunc import (
     sample_phi,
     verify_g_identities,
 )
-from .lse import epsilon_of, evolve_lse, init_gaussian_a, marginalme_residual, step_lse
+from .lse import epsilon_of, evolve_lse, init_gaussian_a, marginalme_residual
 from .marginal_dynamics import (
     GammaModel,
     IntegrationError,
@@ -34,7 +33,7 @@ from .marginal_dynamics import (
     integrate_closed_system,
     integrate_prescribed_gamma,
 )
-from .master_eq import MasterEqStepper, evolve_master_eq, init_gaussian_rho, step_master_eq
+from .master_eq import MasterEqStepper, evolve_master_eq, init_gaussian_rho
 from .observables import (
     ObservableSample,
     coherence_from_rho,

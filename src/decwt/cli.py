@@ -54,9 +54,10 @@ from .marginal_dynamics import (
     gamma_model_eval,
     integrate_closed_system,
     integrate_prescribed_gamma,
+    sample_grid,
 )
 from .master_eq import GridSizeError, evolve_master_eq, init_gaussian_rho
-from .observables import purity_gaussian, qseries_residual
+from .observables import qseries_residual
 from .scenario import (
     ConfigBundle,
     GridSpec1D,
@@ -114,50 +115,42 @@ def _pure_params(alpha0: float) -> GaussianParams:
                           delta=0.5 * math.log(2.0 * alpha0 / math.pi))
 
 
-def _sampled_steps(n_steps: int, stride: int) -> list[int]:
-    ks = [0] + [k for k in range(1, n_steps + 1) if k % stride == 0]
-    if n_steps > 0 and ks[-1] != n_steps:
-        ks.append(n_steps)
-    return ks
-
-
 # --- route runners --------------------------------------------------------
+
+
+def _gaussian_row(t, a, b, g, d, norm) -> dict:
+    """CSV row of the Gaussian observables of the parameters (a, b, g, d)."""
+    return {
+        "t": t, "alpha": a, "beta": b, "gamma": g, "delta": d,
+        "coherence_length": 1.0 / math.sqrt(a + g),
+        "ensemble_width": 0.5 / math.sqrt(a),
+        "purity": math.sqrt(a / (a + g)),
+        "norm": norm,
+        "flags": "",
+    }
 
 
 def _rows_from_trajectory(traj) -> list[dict]:
     rows = []
     for i in range(len(traj)):
-        a, g = float(traj.alpha[i]), float(traj.gamma[i])
-        d = float(traj.delta[i])
-        rows.append({
-            "t": float(traj.t[i]),
-            "alpha": a, "beta": float(traj.beta[i]), "gamma": g, "delta": d,
-            "coherence_length": 1.0 / math.sqrt(a + g),
-            "ensemble_width": 0.5 / math.sqrt(a),
-            "purity": math.sqrt(a / (a + g)),
-            "norm": math.exp(d) * math.sqrt(math.pi / (2.0 * a)),
-            "flags": "",
-        })
+        a, d = float(traj.alpha[i]), float(traj.delta[i])
+        rows.append(_gaussian_row(float(traj.t[i]), a, float(traj.beta[i]),
+                                  float(traj.gamma[i]), d,
+                                  math.exp(d) * math.sqrt(math.pi / (2.0 * a))))
     return rows
+
+
+def _sample_times(num: NumericsSpec) -> list[float]:
+    return [k * num.dt for k in sample_grid(0.0, num.t_end, num.dt, num.sample_every)]
 
 
 def run_analytic(bundle: ConfigBundle) -> list[dict]:
     s, num = bundle.scenario, bundle.numerics
     g = build_cubic(s, s.alpha0, 0.0)
-    n_steps = int(round(num.t_end / num.dt))
     rows = []
-    for k in _sampled_steps(n_steps, num.sample_every):
-        t = k * num.dt
+    for t in _sample_times(num):
         p = params_exact(g, s, t)
-        rows.append({
-            "t": t,
-            "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma, "delta": p.delta,
-            "coherence_length": 1.0 / math.sqrt(p.alpha + p.gamma),
-            "ensemble_width": 0.5 / math.sqrt(p.alpha),
-            "purity": purity_gaussian(p),
-            "norm": 1.0,
-            "flags": "",
-        })
+        rows.append(_gaussian_row(t, p.alpha, p.beta, p.gamma, p.delta, 1.0))
     return rows
 
 
@@ -216,20 +209,24 @@ def run_lse(bundle: ConfigBundle) -> list[dict]:
 GFUNC_HEADER = ("name", "value", "threshold", "status")
 
 
-def run_gfunc(bundle: ConfigBundle) -> list[dict]:
-    s = bundle.scenario
+def _g_checks(s):
+    """Order-4 g-table of the sampler at gamma_k = hbar gamma(t_b) (0 when
+    Lambda = 0) and its identity reports: (sampler, table, reports)."""
+    gamma_k = 0.0
     if s.lam > 0.0:
-        t_b = characteristic_time(s)
         g = build_cubic(s, s.alpha0, 0.0)
-        gamma_k = s.hbar * float(gamma_exact(g, s, t_b))
-    else:
-        gamma_k = 0.0
+        gamma_k = s.hbar * float(gamma_exact(g, s, characteristic_time(s)))
     cs = ConditionalSampler(sigma=s.sigma, gamma_k=gamma_k, hbar=s.hbar,
                             q_grid=GridSpec1D(n_points=1024, extent=20.0 * s.sigma))
     tau = np.linspace(-4.0 * s.b, 4.0 * s.b, 128)
     table = compute_g_table(cs, tau, order=4)
+    return cs, table, verify_g_identities(table, cs, threshold=1e-8)
+
+
+def run_gfunc(bundle: ConfigBundle) -> list[dict]:
+    cs, table, reports = _g_checks(bundle.scenario)
     rows = []
-    for rep in verify_g_identities(table, cs, threshold=1e-8):
+    for rep in reports:
         rows.append({"name": rep.name, "value": rep.residual,
                      "threshold": rep.threshold,
                      "status": "pass" if rep.passed else "fail"})
@@ -255,10 +252,8 @@ def run_hierarchy(bundle: ConfigBundle, fd_step: float = 1e-4) -> list[dict]:
     g = build_cubic(s, s.alpha0, 0.0)
     params_fn = lambda t: params_exact(g, s, t)
     z = np.linspace(-3.0 * s.b, 3.0 * s.b, 64)
-    n_steps = int(round(num.t_end / num.dt))
     rows = []
-    for k in _sampled_steps(n_steps, num.sample_every):
-        t = k * num.dt
+    for t in _sample_times(num):
         if t < fd_step:
             continue
         rows.append({
@@ -332,22 +327,21 @@ def cmd_run(bundle: ConfigBundle, routes: list, outdir,
     hard_failures: list = []
     aliasing = False
 
+    table = {  # route -> (runner, CSV header)
+        "analytic": (run_analytic, CSV_COLUMNS),
+        "ode": (run_ode, CSV_COLUMNS),
+        "master-eq": (lambda b: run_master_eq(b, checkpoint_every, os.fspath(outdir)),
+                      CSV_COLUMNS),
+        "lse": (run_lse, CSV_COLUMNS),
+        "gfunc": (run_gfunc, GFUNC_HEADER),
+        "hierarchy": (run_hierarchy, HIERARCHY_HEADER),
+    }
     for route in routes:
         try:
-            if route == "analytic":
-                rows = run_analytic(bundle)
-            elif route == "ode":
-                rows = run_ode(bundle)
-            elif route == "master-eq":
-                rows = run_master_eq(bundle, checkpoint_every, os.fspath(outdir))
-            elif route == "lse":
-                rows = run_lse(bundle)
-            elif route == "gfunc":
-                rows = run_gfunc(bundle)
-            elif route == "hierarchy":
-                rows = run_hierarchy(bundle)
-            else:
+            if route not in table:
                 raise ValueError(f"unknown route {route!r}")
+            runner, header = table[route]
+            rows = runner(bundle)
         except GridSizeError as exc:
             grid_failures.append(f"{route}: {exc}")
             continue
@@ -355,12 +349,6 @@ def cmd_run(bundle: ConfigBundle, routes: list, outdir,
             hard_failures.append(f"{route}: {exc}")
             continue
 
-        if route == "gfunc":
-            header = GFUNC_HEADER
-        elif route == "hierarchy":
-            header = HIERARCHY_HEADER
-        else:
-            header = CSV_COLUMNS
         _write_csv(os.path.join(outdir, f"{route}.csv"), header, rows)
         per_route[route] = rows
         if route in TIMESERIES_ROUTES and any(row["flags"] for row in rows):
@@ -499,19 +487,8 @@ def cmd_verify(bundle: ConfigBundle) -> int:
     def skip(name, note):
         checks.append((name, None, None, "SKIP", note))
 
-    if s.lam > 0.0:
-        t_b = characteristic_time(s)
-        g = build_cubic(s, s.alpha0, 0.0)
-        gamma_k = s.hbar * float(gamma_exact(g, s, t_b))
-    else:
-        t_b = None
-        gamma_k = 0.0
-
-    cs = ConditionalSampler(sigma=s.sigma, gamma_k=gamma_k, hbar=s.hbar,
-                            q_grid=GridSpec1D(n_points=1024, extent=20.0 * s.sigma))
-    tau = np.linspace(-4.0 * s.b, 4.0 * s.b, 128)
-    table = compute_g_table(cs, tau, order=4)
-    for rep in verify_g_identities(table, cs, threshold=1e-8):
+    cs, _, reports = _g_checks(s)
+    for rep in reports:
         add(rep.name, rep.residual, rep.threshold)
 
     grid1 = GridSpec1D(n_points=256, extent=4.0 * s.b)
@@ -529,6 +506,7 @@ def cmd_verify(bundle: ConfigBundle) -> int:
             skip(f"hierarchy residual order {n}",
                  "Lambda = 0: decoherence-specific check")
     else:
+        t_b = characteristic_time(s)
         horizon = min(num.t_end, 0.1 * t_b)
         n_steps = max(8, int(round(horizon / num.dt)))
         stride = max(1, n_steps // 4)
@@ -579,15 +557,14 @@ def cmd_checkpoint_resume(bundle: ConfigBundle, checkpoint_path, outdir) -> int:
     os.makedirs(outdir, exist_ok=True)
     s, num = bundle.scenario, bundle.numerics
     f = load_field_2d(checkpoint_path)
-    t_resume = f.t
+    extra = [f"resumed_from_t = {f.t!r}",
+             f"checkpoint = {os.fspath(checkpoint_path)}"]
     try:
         samples, _ = evolve_master_eq(f, s, num)
     except Exception as exc:
         _write_text(os.path.join(outdir, "MANIFEST.txt"),
                     _manifest_text(bundle, ["master-eq"], outdir,
-                                   f"failed: master-eq resume: {exc}",
-                                   [f"resumed_from_t = {t_resume!r}",
-                                    f"checkpoint = {os.fspath(checkpoint_path)}"]))
+                                   f"failed: master-eq resume: {exc}", extra))
         print(f"resume failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     rows = [_rows_from_samples(smp) for smp in samples]
@@ -596,9 +573,7 @@ def cmd_checkpoint_resume(bundle: ConfigBundle, checkpoint_path, outdir) -> int:
     status = ("ok (grid-adequacy sentinel tripped: aliasing flagged)"
               if sentinel else "ok")
     _write_text(os.path.join(outdir, "MANIFEST.txt"),
-                _manifest_text(bundle, ["master-eq"], outdir, status,
-                               [f"resumed_from_t = {t_resume!r}",
-                                f"checkpoint = {os.fspath(checkpoint_path)}"]))
+                _manifest_text(bundle, ["master-eq"], outdir, status, extra))
     return EXIT_SENTINEL if sentinel else EXIT_OK
 
 

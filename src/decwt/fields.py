@@ -2,8 +2,7 @@
 
 Checkpoint layout (little-endian): a 2-D field is
 ``int64 n_y | int64 n_z | f64 extent_y | f64 extent_z | f64 t`` followed by the
-values as row-major complex128 (interleaved re/im doubles). 1-D fields store
-``int64 n | f64 extent | f64 t`` and the same payload.
+values as row-major complex128 (interleaved re/im doubles).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 from .scenario import GridSpec1D, GridSpec2D
 
 _HDR2 = struct.Struct("<qqddd")
-_HDR1 = struct.Struct("<qdd")
 
 
 @dataclass
@@ -70,22 +68,3 @@ def load_field_2d(path) -> ComplexField2D:
     values = np.frombuffer(payload, dtype="<c16").reshape(n_y, n_z).astype(np.complex128)
     return ComplexField2D(values, GridSpec2D(n_y, n_z, ey, ez), t)
 
-
-def save_field_1d(path, f: ComplexField1D) -> None:
-    g = f.grid
-    with open(path, "wb") as fh:
-        fh.write(_HDR1.pack(g.n_points, g.extent, f.t))
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
-
-
-def load_field_1d(path) -> ComplexField1D:
-    with open(path, "rb") as fh:
-        raw = fh.read(_HDR1.size)
-        if len(raw) != _HDR1.size:
-            raise ValueError("truncated checkpoint header")
-        n, ext, t = _HDR1.unpack(raw)
-        payload = fh.read()
-    if len(payload) != n * 16:
-        raise ValueError(f"checkpoint payload {len(payload)} bytes, expected {n * 16}")
-    values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-    return ComplexField1D(values, GridSpec1D(n, ext), t)

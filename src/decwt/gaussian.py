@@ -114,19 +114,6 @@ def ensemble_width_exact(g: CubicG, t) -> float | np.ndarray:
     return np.sqrt(eval_G(g, t)) / 2.0
 
 
-def coherence_limits(s: Scenario, t: float) -> tuple[float, float]:
-    """Textbook limit laws (short-time linear decay, long-time power law).
-
-    Returns (short, long). These carry their own prefactor conventions and are
-    compared against the exact curve by shape and relative rate only.
-    """
-    short = s.b - (4.0 * s.lam / s.hbar) * s.b ** 3 * t
-    if t <= 0.0 or s.lam == 0.0:
-        raise InvalidParameterError("t", "long-time law needs t > 0 and Lambda > 0")
-    long_ = math.sqrt(s.hbar / (2.0 * s.lam * t))
-    return short, long_
-
-
 def sigma_profile(p: GaussianParams) -> tuple[float, float]:
     """Gaussian standard deviations of |rho| along y and z."""
     return 1.0 / math.sqrt(p.alpha + p.gamma), 1.0 / math.sqrt(p.alpha)

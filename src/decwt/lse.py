@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import ComplexField1D
 from .gaussian import GaussianParams
-from .marginal_dynamics import IntegrationError
+from .marginal_dynamics import IntegrationError, sample_grid
 from .observables import ObservableSample, ensemble_width_from_a, fit_gaussian_alpha_beta
 from .scenario import GridSpec1D, InvalidParameterError, NumericsSpec, Scenario
 
@@ -92,11 +92,6 @@ class LseStepper:
         return ComplexField1D(v, a.grid, a.t + dt, a.flags)
 
 
-def step_lse(a: ComplexField1D, s: Scenario, dt: float, ln_floor: float = 1e-15) -> ComplexField1D:
-    """One Strang step. For long runs use evolve_lse, which reuses multipliers."""
-    return LseStepper(s, a.grid, dt, ln_floor).step(a)
-
-
 def _sample(a: ComplexField1D, fit_window: int, gamma_l: float) -> ObservableSample:
     alpha_fit, beta_fit = fit_gaussian_alpha_beta(a, fit_window)
     scale = alpha_fit + gamma_l
@@ -118,13 +113,12 @@ def evolve_lse(
     coupling: Callable[[float], float] | None = None,
     keep_fields: bool = False,
 ) -> tuple[list[ObservableSample], list[ComplexField1D]]:
-    """Evolve to numerics.t_end, sampling every sample_every steps. Returns
-    (samples, fields); fields holds the sampled snapshots when keep_fields,
-    otherwise just the final state."""
+    """Evolve to numerics.t_end, sampling the start, every step on a multiple
+    of sample_every counted from t = 0 (see sample_grid) and the last step.
+    Returns (samples, fields); fields holds the sampled snapshots when
+    keep_fields, otherwise just the final state."""
     stepper = LseStepper(s, a.grid, numerics.dt, numerics.ln_floor, coupling)
-    n_steps = int(round((numerics.t_end - a.t) / numerics.dt))
-    if n_steps < 0:
-        raise IntegrationError(a.t, "t_end precedes the field's time stamp")
+    ks = sample_grid(a.t, numerics.t_end, numerics.dt, numerics.sample_every)
     gamma_rate = 2.0 * s.lam / s.hbar  # gamma_l implied by the default coupling
 
     def gamma_l(t: float) -> float:
@@ -133,15 +127,17 @@ def evolve_lse(
     t_start = a.t
     samples = [_sample(a, numerics.fit_window, gamma_l(a.t))]
     fields = [a] if keep_fields else []
-    for k in range(1, n_steps + 1):
-        a = stepper.step(a)
-        a.t = t_start + k * numerics.dt
-        if not np.all(np.isfinite(a.values)):
-            raise IntegrationError(a.t, "field blew up")
-        if k % numerics.sample_every == 0 or k == n_steps:
-            samples.append(_sample(a, numerics.fit_window, gamma_l(a.t)))
-            if keep_fields:
-                fields.append(a)
+    k = 0
+    for stop in ks[1:]:
+        while k < stop:
+            a = stepper.step(a)
+            k += 1
+            a.t = t_start + k * numerics.dt
+            if not np.all(np.isfinite(a.values)):
+                raise IntegrationError(a.t, "field blew up")
+        samples.append(_sample(a, numerics.fit_window, gamma_l(a.t)))
+        if keep_fields:
+            fields.append(a)
     if not keep_fields:
         fields = [a]
     return samples, fields

@@ -1,8 +1,11 @@
 """Direct integration of the Gaussian parameter flow.
 
-Two drivers share one fixed-step RK4 core: integrate_closed_system evolves the
-full (alpha, beta, gamma) set, integrate_prescribed_gamma freezes the
-decoherence coupling to a prescribed gamma_l(t) and evolves only (alpha, beta).
+Two drivers share one fixed-step RK4 core on (alpha, beta, gamma):
+integrate_closed_system evolves the full set, integrate_prescribed_gamma
+freezes the decoherence coupling to a prescribed gamma_l(t), so its gamma
+slot has zero rate and only (alpha, beta) move. Both sample on the grid of
+sample_grid, which the grid and wavefunction routes share.
+
 delta never enters a right-hand side: normalization pins exp(delta) =
 sqrt(2 alpha / pi), and d(delta)/dt = (2 hbar/m) beta is exactly d(ln alpha)/2
 along either flow, so delta is reported analytically from alpha. Fixed step
@@ -27,6 +30,26 @@ class IntegrationError(RuntimeError):
     def __init__(self, t: float, message: str):
         self.t = t
         super().__init__(f"t = {t:g}: {message}")
+
+
+def sample_grid(t_start: float, t_end: float, dt: float,
+                sample_every: int) -> list[int]:
+    """Sampled step indices from t_start to t_end; the last one is the step
+    count.
+
+    Step k is stamped t_start + k * dt. The samples are step 0, every step
+    that lands on a multiple of sample_every counted from t = 0 (not from
+    t_start), and the last step, so a run resumed from any step shares the
+    time grid of the run that started at t = 0.
+    """
+    n_steps = int(round((t_end - t_start) / dt))
+    if n_steps < 0:
+        raise IntegrationError(t_start, "t_end precedes the start time")
+    k0 = int(round(t_start / dt))
+    ks = [0] + [k for k in range(1, n_steps + 1) if (k0 + k) % sample_every == 0]
+    if ks[-1] != n_steps:
+        ks.append(n_steps)
+    return ks
 
 
 @dataclass(frozen=True)
@@ -104,6 +127,39 @@ def _delta_of(alpha: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(2.0 * alpha / math.pi)
 
 
+def _rk4(rhs, a: float, b: float, g: float, dt: float, t_end: float,
+         sample_every: int) -> tuple[list, list, list, list]:
+    """Hand-unrolled scalar RK4 on (a, b, g) with rhs(t, a, b, g); returns the
+    sampled (t, a, b, g) lists. Scalar floats keep the hot loop cheap."""
+    if dt <= 0.0:
+        raise InvalidParameterError("dt", "must be positive")
+    if a <= 0.0:
+        raise InvalidParameterError("alpha0", "must be positive")
+    ks = sample_grid(0.0, t_end, dt, sample_every)
+    h, w = 0.5 * dt, dt / 6.0
+    ts, al, be, ga = [0.0], [a], [b], [g]
+    k = 0
+    for stop in ks[1:]:
+        while k < stop:
+            t = k * dt
+            a1, b1, g1 = rhs(t, a, b, g)
+            a2, b2, g2 = rhs(t + h, a + h * a1, b + h * b1, g + h * g1)
+            a3, b3, g3 = rhs(t + h, a + h * a2, b + h * b2, g + h * g2)
+            a4, b4, g4 = rhs(t + dt, a + dt * a3, b + dt * b3, g + dt * g3)
+            a += w * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            b += w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            g += w * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+            k += 1
+            _check_state(k * dt, a, b)
+        ts.append(k * dt); al.append(a); be.append(b); ga.append(g)
+    return ts, al, be, ga
+
+
+def _trajectory(ts: list, al: list, be: list, ga: list) -> ParamTrajectory:
+    al = np.array(al)
+    return ParamTrajectory(np.array(ts), al, np.array(be), np.array(ga), _delta_of(al))
+
+
 def integrate_closed_system(
     s: Scenario,
     alpha0: float,
@@ -113,40 +169,17 @@ def integrate_closed_system(
     sample_every: int = 1,
 ) -> ParamTrajectory:
     """RK4 on the closed (alpha, beta, gamma) flow from gamma(0) = 0."""
-    if dt <= 0.0:
-        raise InvalidParameterError("dt", "must be positive")
     c_ab = 4.0 * s.hbar / s.m     # alpha coupling
     c_b = 2.0 * s.hbar / s.m      # beta coupling
     c_g = 2.0 * s.lam / s.hbar    # gamma source
 
-    def rhs(a, b, g):
+    def rhs(t, a, b, g):
         return (c_ab * a * b,
                 c_b * (b * b - a * a - a * g),
                 c_ab * b * g + c_g)
 
-    n_steps = int(round(t_end / dt))
-    if n_steps < 0:
-        raise IntegrationError(0.0, "t_end precedes the start time")
-    a, b, g = float(alpha0), float(beta0), 0.0
-    if a <= 0.0:
-        raise InvalidParameterError("alpha0", "must be positive")
-
-    ts, al, be, ga = [0.0], [a], [b], [g]
-    for k in range(n_steps):
-        k1 = rhs(a, b, g)
-        k2 = rhs(a + 0.5 * dt * k1[0], b + 0.5 * dt * k1[1], g + 0.5 * dt * k1[2])
-        k3 = rhs(a + 0.5 * dt * k2[0], b + 0.5 * dt * k2[1], g + 0.5 * dt * k2[2])
-        k4 = rhs(a + dt * k3[0], b + dt * k3[1], g + dt * k3[2])
-        a += (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        b += (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        g += (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        t = (k + 1) * dt
-        _check_state(t, a, b)
-        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            ts.append(t); al.append(a); be.append(b); ga.append(g)
-
-    al = np.array(al)
-    return ParamTrajectory(np.array(ts), al, np.array(be), np.array(ga), _delta_of(al))
+    return _trajectory(*_rk4(rhs, float(alpha0), float(beta0), 0.0, dt, t_end,
+                             sample_every))
 
 
 def integrate_prescribed_gamma(
@@ -160,35 +193,13 @@ def integrate_prescribed_gamma(
 ) -> ParamTrajectory:
     """RK4 on (alpha, beta) with gamma_l(t) prescribed; the gamma column of the
     result reports gamma_l at the sample times."""
-    if dt <= 0.0:
-        raise InvalidParameterError("dt", "must be positive")
-    if alpha0 <= 0.0:
-        raise InvalidParameterError("alpha0", "must be positive")
     c_ab = 4.0 * s.hbar / s.m
     c_b = 2.0 * s.hbar / s.m
 
-    def rhs(t, a, b):
+    def rhs(t, a, b, _g):
         g = gamma_model_eval(gm, t)
-        return c_ab * a * b, c_b * (b * b - a * a - a * g)
+        return c_ab * a * b, c_b * (b * b - a * a - a * g), 0.0
 
-    n_steps = int(round(t_end / dt))
-    if n_steps < 0:
-        raise IntegrationError(0.0, "t_end precedes the start time")
-    a, b = float(alpha0), float(beta0)
-
-    ts, al, be, ga = [0.0], [a], [b], [gamma_model_eval(gm, 0.0)]
-    for k in range(n_steps):
-        t = k * dt
-        k1 = rhs(t, a, b)
-        k2 = rhs(t + 0.5 * dt, a + 0.5 * dt * k1[0], b + 0.5 * dt * k1[1])
-        k3 = rhs(t + 0.5 * dt, a + 0.5 * dt * k2[0], b + 0.5 * dt * k2[1])
-        k4 = rhs(t + dt, a + dt * k3[0], b + dt * k3[1])
-        a += (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        b += (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        t = (k + 1) * dt
-        _check_state(t, a, b)
-        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            ts.append(t); al.append(a); be.append(b); ga.append(gamma_model_eval(gm, t))
-
-    al = np.array(al)
-    return ParamTrajectory(np.array(ts), al, np.array(be), np.array(ga), _delta_of(al))
+    ts, al, be, _ = _rk4(rhs, float(alpha0), float(beta0), 0.0, dt, t_end,
+                         sample_every)
+    return _trajectory(ts, al, be, [gamma_model_eval(gm, t) for t in ts])

@@ -38,7 +38,7 @@ import numpy as np
 
 from .fields import ComplexField2D
 from .gaussian import GaussianParams, density_matrix_exact, sigma_profile
-from .marginal_dynamics import IntegrationError
+from .marginal_dynamics import IntegrationError, sample_grid
 from .observables import (
     ObservableSample,
     coherence_from_rho,
@@ -140,11 +140,6 @@ def _to_real(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.fft.ifft(np.ascontiguousarray(m.T), axis=1))
 
 
-def step_master_eq(f: ComplexField2D, s: Scenario, dt: float) -> ComplexField2D:
-    """One Strang step. For long runs use evolve_master_eq, which reuses multipliers."""
-    return MasterEqStepper(s, f.grid, dt).step(f)
-
-
 def boundary_leak(values: np.ndarray) -> float:
     """Largest edge amplitude relative to the peak; the aliasing sentinel."""
     peak = float(np.max(np.abs(values)))
@@ -181,7 +176,10 @@ def evolve_master_eq(
     checkpoint_every: int = 0,
     checkpoint_sink=None,
 ) -> tuple[list[ObservableSample], ComplexField2D]:
-    """Evolve from f.t to numerics.t_end, sampling every sample_every steps.
+    """Evolve from f.t to numerics.t_end, sampling f, every step on a
+    multiple of sample_every counted from t = 0 (see sample_grid) and the
+    last step; a run resumed from any step keeps the time grid of a run from
+    t = 0.
 
     observers: optional iterable of callables field -> dict, merged into each
     sample's extras. checkpoint_every > 0 hands the field to checkpoint_sink
@@ -190,9 +188,7 @@ def evolve_master_eq(
     and before each checkpoint, so no non-finite field reaches the sink.
     """
     stepper = MasterEqStepper(s, f.grid, numerics.dt)
-    n_steps = int(round((numerics.t_end - f.t) / numerics.dt))
-    if n_steps < 0:
-        raise IntegrationError(f.t, "t_end precedes the field's time stamp")
+    ks = sample_grid(f.t, numerics.t_end, numerics.dt, numerics.sample_every)
 
     def observe(fld: ComplexField2D) -> ObservableSample:
         smp = _sample(fld, numerics.fit_window)
@@ -203,7 +199,6 @@ def evolve_master_eq(
     t_start = f.t
     ckpt = checkpoint_every if checkpoint_sink else 0
     samples = [observe(f)]
-    k = 0
 
     def leave(j: int, c: ComplexField2D) -> None:
         # runs inside stepper.step, while k is still the segment's first step
@@ -212,17 +207,16 @@ def evolve_master_eq(
             raise IntegrationError(c.t, "field blew up")
         checkpoint_sink(c)
 
-    while k < n_steps:
+    for k, stop in zip(ks, ks[1:]):
         # one segment per sample interval; checkpoints inside it get copies
-        n = min(numerics.sample_every, n_steps - k)
+        n = stop - k
         inner = [j for j in range(1, n) if ckpt and (k + j) % ckpt == 0]
         f = stepper.step(f, n, leave, inner)
-        k += n
-        f.t = t_start + k * numerics.dt  # stamp from the step count, no drift
+        f.t = t_start + stop * numerics.dt  # stamp from the step count, no drift
         if not np.isfinite(f.values[0, 0]):
             raise IntegrationError(f.t, "field blew up")
         samples.append(observe(f))
-        if ckpt and k % ckpt == 0:
+        if ckpt and stop % ckpt == 0:
             checkpoint_sink(f)
 
     if boundary_leak(f.values) > ALIAS_THRESHOLD:

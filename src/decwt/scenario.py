@@ -248,12 +248,10 @@ def preset_bundle(name: str) -> ConfigBundle:
     lam = _PRESETS[name]
     scenario = Scenario(lam=lam, label=name)
     # Box sized by the 6-sigma rule at t_end = 2: sigma_z = sqrt(G(t_end)).
-    from .gaussian import build_cubic, eval_G  # local import to avoid a cycle
+    from .master_eq import suggest_extents  # local import to avoid a cycle
 
     t_end = 2.0
-    g = build_cubic(scenario, scenario.alpha0, 0.0)
-    ext_z = 6.0 * math.sqrt(eval_G(g, t_end))
-    ext_y = 6.0 * 2.0 * scenario.b
+    ext_y, ext_z = suggest_extents(scenario, scenario.alpha0, 0.0, t_end)
     grid = GridSpec2D(n_y=512, n_z=512, extent_y=ext_y, extent_z=ext_z)
     numerics = NumericsSpec(dt=1e-3, t_end=t_end, sample_every=50)
     return ConfigBundle(scenario=scenario, grid=grid, numerics=numerics)

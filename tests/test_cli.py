@@ -266,6 +266,53 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     assert "resumed_from_t = 0.01" in (res / "MANIFEST.txt").read_text()
 
 
+def test_checkpoint_resume_at_misaligned_step_keeps_the_time_grid(tmp_path):
+    # step 7 is not a multiple of sample_every = 5: the resumed run still
+    # samples on 0.01, 0.015, ... like the run it continues
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("t_end = 0.05",
+                                                "t_end = 0.03")
+                    .replace("sample_every = 10", "sample_every = 5"))
+    full, res = tmp_path / "full", tmp_path / "res"
+    assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
+                     "--checkpoint-every", "7", "--outdir", str(full)]) == 0
+    assert cli.main(["checkpoint-resume", "--config", cfg, "--checkpoint",
+                     str(full / "master-eq-step000007.ckpt"),
+                     "--outdir", str(res)]) == 0
+    _, rows_full = read_csv(full / "master-eq.csv")
+    _, rows_res = read_csv(res / "master-eq.csv")
+    assert [float(r["t"]) for r in rows_res] == pytest.approx(
+        [0.007, 0.01, 0.015, 0.02, 0.025, 0.03], rel=0, abs=1e-15)
+    # not bitwise: the resumed run restarts from the checkpoint's real-space
+    # copy, the uninterrupted one goes on from its own spectral state
+    by_t = {round(float(r["t"]), 9): r for r in rows_full}
+    for row in rows_res[1:]:
+        want = by_t[round(float(row["t"]), 9)]
+        for col in ("coherence_length", "ensemble_width", "purity", "norm"):
+            assert float(row[col]) == pytest.approx(float(want[col]),
+                                                    rel=1e-12, abs=0), col
+        assert row["flags"] == want["flags"]
+
+
+def test_every_route_shares_one_sample_grid(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("t_end = 0.05",
+                                                "t_end = 0.023")
+                    .replace("sample_every = 10", "sample_every = 5"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--routes",
+                     "analytic,ode,lse,master-eq,hierarchy",
+                     "--outdir", str(out)]) == 0
+    want = [0.0, 0.005, 0.01, 0.015, 0.02, 0.023]
+    stamps = set()
+    for route in ("analytic", "ode", "lse", "master-eq"):
+        _, rows = read_csv(out / f"{route}.csv")
+        assert [float(r["t"]) for r in rows] == pytest.approx(
+            want, rel=0, abs=1e-15), route
+        stamps.add(tuple(r["t"] for r in rows))
+    assert len(stamps) == 1  # the same stamps to the last digit
+    _, rows = read_csv(out / "hierarchy.csv")
+    assert [r["t"] for r in rows] == list(stamps.pop()[1:])
+
+
 def test_checkpoint_resume_missing_file(tmp_path):
     assert cli.main(["checkpoint-resume", "--checkpoint",
                      str(tmp_path / "nope.ckpt"),

@@ -5,9 +5,7 @@ import pytest
 from decwt.fields import (
     ComplexField1D,
     ComplexField2D,
-    load_field_1d,
     load_field_2d,
-    save_field_1d,
     save_field_2d,
 )
 from decwt.scenario import GridSpec1D, GridSpec2D
@@ -24,19 +22,6 @@ def test_field_2d_roundtrip_bits(tmp_path):
     assert g.t == 0.625
     assert g.grid == grid
     assert np.array_equal(g.values, vals)  # bit exact, no tolerance
-
-
-def test_field_1d_roundtrip_bits(tmp_path):
-    rng = np.random.default_rng(11)
-    grid = GridSpec1D(n_points=64, extent=8.0)
-    vals = rng.standard_normal(64) * np.exp(1j * rng.standard_normal(64))
-    f = ComplexField1D(vals, grid, t=1.5)
-    path = tmp_path / "a.bin"
-    save_field_1d(path, f)
-    g = load_field_1d(path)
-    assert g.t == 1.5
-    assert g.grid == grid
-    assert np.array_equal(g.values, vals)
 
 
 def test_truncated_file_rejected(tmp_path):

@@ -21,7 +21,6 @@ from decwt.gaussian import (
     GaussianParams,
     build_cubic,
     coherence_exact,
-    coherence_limits,
     density_matrix_exact,
     ensemble_width_exact,
     eval_G,
@@ -31,7 +30,7 @@ from decwt.gaussian import (
     params_exact,
     sigma_profile,
 )
-from decwt.scenario import GridSpec2D, InvalidParameterError, Scenario
+from decwt.scenario import GridSpec2D, Scenario
 
 
 def moderate():
@@ -134,20 +133,6 @@ def test_free_particle_limit():
     assert gamma_exact(g, s, 2.0) == 0.0
     p = params_exact(g, s, 2.0)
     assert math.isclose(p.alpha, 1.0 / 8.0, rel_tol=1e-14)  # G(2) = 4 + 4
-
-
-def test_coherence_limits_values_and_errors():
-    s = moderate()
-    short, long_ = coherence_limits(s, 0.01)
-    # short-time law: b - 4 Lambda b^3 t / hbar
-    assert math.isclose(short, 1.0 - 0.04, rel_tol=1e-12)
-    _, long100 = coherence_limits(s, 100.0)
-    assert math.isclose(long100, math.sqrt(1.0 / 200.0), rel_tol=1e-12)
-    with pytest.raises(InvalidParameterError):
-        coherence_limits(s, 0.0)
-    free = Scenario(m=1.0, hbar=1.0, lam=0.0, b=1.0, sigma=1.0, t0=0.0, label="f")
-    with pytest.raises(InvalidParameterError):
-        coherence_limits(free, 1.0)
 
 
 def test_sigma_profile():

@@ -21,7 +21,6 @@ from decwt.lse import (
     floored_log_density,
     init_gaussian_a,
     marginalme_residual,
-    step_lse,
 )
 from decwt.marginal_dynamics import GammaModel, IntegrationError, integrate_prescribed_gamma
 from decwt.scenario import GridSpec1D, InvalidParameterError, NumericsSpec, Scenario
@@ -152,7 +151,7 @@ def test_ln_floor_keeps_nodes_finite():
     vals = tau * np.exp(-0.25 * tau * tau)  # node at tau = 0
     a = ComplexField1D(vals.astype(complex), grid, t=0.0)
     a.values /= a.norm()
-    out = step_lse(a, s, 1e-3)
+    out = LseStepper(s, grid, 1e-3).step(a)
     assert np.all(np.isfinite(out.values))
     ln_d = floored_log_density(a.values, 1e-15)
     assert np.all(np.isfinite(ln_d))

@@ -18,7 +18,6 @@ from decwt.master_eq import (
     boundary_leak,
     evolve_master_eq,
     init_gaussian_rho,
-    step_master_eq,
     suggest_extents,
 )
 from decwt.observables import hermiticity_defect, purity, trace_of
@@ -95,15 +94,6 @@ def test_matches_closed_form():
         assert abs(smp.ensemble_width - w_exact) < 1e-7, f"t={smp.t}"
         assert abs(smp.norm - 1.0) < 1e-12
     assert final.t == pytest.approx(0.25)
-
-
-def test_step_master_eq_single_step_helper():
-    s = moderate()
-    f, _ = initial_state(s, n=128)
-    a = step_master_eq(f, s, 1e-3)
-    b = MasterEqStepper(s, f.grid, 1e-3).step(f)
-    assert np.array_equal(a.values, b.values)
-    assert a.t == pytest.approx(1e-3)
 
 
 def test_init_rejects_undersized_grid():
