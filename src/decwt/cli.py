@@ -42,6 +42,7 @@ from .gaussian import (
 )
 from .gfunc import (
     ConditionalSampler,
+    IdentityReport,
     compute_g_table,
     gauge_transform,
     kernel_from_k_derivative,
@@ -51,7 +52,6 @@ from .gfunc import (
 from .lse import evolve_lse, init_gaussian_a, marginalme_residual
 from .marginal_dynamics import (
     GammaModel,
-    gamma_model_eval,
     integrate_closed_system,
     integrate_prescribed_gamma,
     sample_grid,
@@ -63,6 +63,7 @@ from .scenario import (
     GridSpec1D,
     NumericsSpec,
     characteristic_time,
+    config_lines,
     default_bundle,
     load_scenario,
     preset_bundle,
@@ -198,12 +199,7 @@ def run_lse(bundle: ConfigBundle) -> list[dict]:
     grid = bundle.grid.axis_z  # the tau axis reuses the spread-sized z axis
     a = init_gaussian_a(_pure_params(s.alpha0), grid)
     samples, _ = evolve_lse(a, s, num)
-    rows = []
-    for smp in samples:
-        row = _rows_from_samples(smp)
-        row["gamma"] = 2.0 * s.lam / s.hbar * (smp.t - s.t0)
-        rows.append(row)
-    return rows
+    return [_rows_from_samples(smp) for smp in samples]
 
 
 GFUNC_HEADER = ("name", "value", "threshold", "status")
@@ -225,21 +221,16 @@ def _g_checks(s):
 
 def run_gfunc(bundle: ConfigBundle) -> list[dict]:
     cs, table, reports = _g_checks(bundle.scenario)
-    rows = []
-    for rep in reports:
-        rows.append({"name": rep.name, "value": rep.residual,
-                     "threshold": rep.threshold,
-                     "status": "pass" if rep.passed else "fail"})
     rebuilt = reconstruct_from_column(table)
-    rec = max(float(np.max(np.abs(rebuilt[k] - table.entries[k])))
-              for k in table.entries)
-    rows.append({"name": "reconstruction from one-sided column", "value": rec,
-                 "threshold": 1e-8, "status": "pass" if rec <= 1e-8 else "fail"})
-    kd = abs(kernel_from_k_derivative(cs, tau0=0.0))
-    rows.append({"name": "kernel y-derivative at zero gauge potential",
-                 "value": kd, "threshold": 1e-8,
-                 "status": "pass" if kd <= 1e-8 else "fail"})
-    return rows
+    reports.append(IdentityReport(
+        "reconstruction from one-sided column",
+        max(float(np.max(np.abs(rebuilt[k] - table.entries[k])))
+            for k in table.entries), 1e-8))
+    reports.append(IdentityReport(
+        "kernel y-derivative at zero gauge potential",
+        abs(kernel_from_k_derivative(cs, tau0=0.0)), 1e-8))
+    return [{"name": rep.name, "value": rep.residual, "threshold": rep.threshold,
+             "status": "pass" if rep.passed else "fail"} for rep in reports]
 
 
 HIERARCHY_HEADER = ("t", "res0", "res1", "res2")
@@ -270,53 +261,39 @@ def run_hierarchy(bundle: ConfigBundle, fd_step: float = 1e-4) -> list[dict]:
 
 def _comparison_rows(per_route: dict) -> tuple[tuple, list]:
     """Join time-series routes on exact sample times."""
-    routes = [r for r in TIMESERIES_ROUTES if r in per_route]
-    time_sets = [set(row["t"] for row in per_route[r]) for r in routes]
-    common = sorted(set.intersection(*time_sets)) if time_sets else []
-    header = ["t"]
-    col_of = {}
-    for r in routes:
-        present = [c for c in CSV_COLUMNS[1:-1]
-                   if any(row.get(c) is not None
-                          and not (isinstance(row.get(c), float) and math.isnan(row[c]))
-                          for row in per_route[r])]
-        tag = r.replace("-", "_")
-        for c in present:
-            header.append(f"{tag}_{c}")
-            col_of[(r, c)] = f"{tag}_{c}"
-    rows = []
-    for t in common:
-        row = {"t": t}
-        for r in routes:
-            src = next(x for x in per_route[r] if x["t"] == t)
-            for (rr, c), name in col_of.items():
-                if rr == r:
-                    row[name] = src.get(c)
-        rows.append(row)
-    return tuple(header), rows
+    by_t = {r: {row["t"]: row for row in per_route[r]}
+            for r in TIMESERIES_ROUTES if r in per_route}
+    common = sorted(set.intersection(*map(set, by_t.values()))) if by_t else []
+    cols = [(r, c, f"{r.replace('-', '_')}_{c}")
+            for r, at in by_t.items() for c in CSV_COLUMNS[1:-1]
+            if any(_fmt(row.get(c)) for row in at.values())]
+    rows = [{"t": t, **{name: by_t[r][t].get(c) for r, c, name in cols}}
+            for t in common]
+    return ("t",) + tuple(name for _, _, name in cols), rows
 
 
-def _manifest_text(bundle: ConfigBundle, routes, outdir, status: str,
-                   extra: list | None = None) -> str:
-    s, g, num = bundle.scenario, bundle.grid, bundle.numerics
+def _write_manifest(bundle: ConfigBundle, routes, outdir, status: str,
+                    extra: tuple = ()) -> None:
+    label, *params = config_lines(bundle)
     lines = [
-        f"label = {s.label}",
+        label,
         f"routes = {','.join(routes)}",
         f"outdir = {os.fspath(outdir)}",
         "determinism = seedless; fixed-step integrators; identical configs"
         " give byte-identical CSVs",
-        f"m = {s.m!r}", f"hbar = {s.hbar!r}", f"Lambda = {s.lam!r}",
-        f"b = {s.b!r}", f"sigma = {s.sigma!r}", f"t0 = {s.t0!r}",
-        f"n_y = {g.n_y}", f"n_z = {g.n_z}",
-        f"extent_y = {g.extent_y!r}", f"extent_z = {g.extent_z!r}",
-        f"dt = {num.dt!r}", f"t_end = {num.t_end!r}",
-        f"sample_every = {num.sample_every}",
-        f"ln_floor = {num.ln_floor!r}", f"fit_window = {num.fit_window}",
+        *params,
         f"status = {status}",
+        *extra,
     ]
-    if extra:
-        lines.extend(extra)
-    return "\n".join(lines) + "\n"
+    _write_text(os.path.join(outdir, "MANIFEST.txt"), "\n".join(lines) + "\n")
+
+
+def _status(failures: list, aliasing: bool) -> str:
+    if failures:
+        return "failed: " + "; ".join(failures)
+    if aliasing:
+        return "ok (grid-adequacy sentinel tripped: aliasing flagged)"
+    return "ok"
 
 
 def cmd_run(bundle: ConfigBundle, routes: list, outdir,
@@ -359,14 +336,7 @@ def cmd_run(bundle: ConfigBundle, routes: list, outdir,
         _write_csv(os.path.join(outdir, "comparison.csv"), header, rows)
 
     failures = grid_failures + hard_failures
-    if failures:
-        status = "failed: " + "; ".join(failures)
-    elif aliasing:
-        status = "ok (grid-adequacy sentinel tripped: aliasing flagged)"
-    else:
-        status = "ok"
-    _write_text(os.path.join(outdir, "MANIFEST.txt"),
-                _manifest_text(bundle, routes, outdir, status))
+    _write_manifest(bundle, routes, outdir, _status(failures, aliasing))
 
     for line in failures:
         print(f"route failed: {line}", file=sys.stderr)
@@ -393,11 +363,9 @@ def _model_curves(s, t_end: float, n_keep: int = 200):
         ("linear-short", GammaModel.linear_short(s, t0=s.t0)),
         ("linear-long", GammaModel.linear_long(s, s.alpha0, 0.0)),
     ):
-        traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=dt,
-                                          t_end=t_end, sample_every=stride)
-        out[name] = traj
-    t = np.asarray(out["linear-short"].t)
-    out["t"] = t
+        out[name] = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=dt,
+                                               t_end=t_end, sample_every=stride)
+    out["t"] = t = out["linear-short"].t
     out["exact-gamma"] = np.asarray(gamma_exact(g, s, t))
     out["exact-coherence"] = np.asarray(coherence_exact(g, s, t))
     out["exact-width"] = np.asarray(ensemble_width_exact(g, t))
@@ -414,13 +382,11 @@ def cmd_figures(bundle_moderate: ConfigBundle, bundle_strong: ConfigBundle,
     # fig 1: gamma models and their coherence lengths, one scenario, [0, 5 t_b]
     c = _model_curves(s_m, 5.0 * t_b)
     t = c["t"]
-    gm_short = GammaModel.linear_short(s_m, t0=s_m.t0)
-    gm_long = GammaModel.linear_long(s_m, s_m.alpha0, 0.0)
     fig1a = render_plot(
         [
             Curve.of("exact", t, c["exact-gamma"]),
-            Curve.of("linear-short", t, [gamma_model_eval(gm_short, tv) for tv in t], dash="6,4"),
-            Curve.of("linear-long", t, [gamma_model_eval(gm_long, tv) for tv in t], dash="2,3"),
+            Curve.of("linear-short", t, c["linear-short"].gamma, dash="6,4"),
+            Curve.of("linear-long", t, c["linear-long"].gamma, dash="2,3"),
         ],
         title=f"decoherence coupling, {s_m.label}",
         xlabel="t", ylabel="gamma(t)",
@@ -429,9 +395,7 @@ def cmd_figures(bundle_moderate: ConfigBundle, bundle_strong: ConfigBundle,
     write_svg(os.path.join(outdir, "fig1a.svg"), fig1a)
 
     def coh(traj):
-        a = np.asarray(traj.alpha)
-        g = np.asarray(traj.gamma)
-        return 1.0 / np.sqrt(a + g)
+        return 1.0 / np.sqrt(traj.alpha + traj.gamma)
 
     fig1b = render_plot(
         [
@@ -557,23 +521,19 @@ def cmd_checkpoint_resume(bundle: ConfigBundle, checkpoint_path, outdir) -> int:
     os.makedirs(outdir, exist_ok=True)
     s, num = bundle.scenario, bundle.numerics
     f = load_field_2d(checkpoint_path)
-    extra = [f"resumed_from_t = {f.t!r}",
-             f"checkpoint = {os.fspath(checkpoint_path)}"]
+    extra = (f"resumed_from_t = {f.t!r}",
+             f"checkpoint = {os.fspath(checkpoint_path)}")
     try:
         samples, _ = evolve_master_eq(f, s, num)
     except Exception as exc:
-        _write_text(os.path.join(outdir, "MANIFEST.txt"),
-                    _manifest_text(bundle, ["master-eq"], outdir,
-                                   f"failed: master-eq resume: {exc}", extra))
+        _write_manifest(bundle, ["master-eq"], outdir,
+                        _status([f"master-eq resume: {exc}"], False), extra)
         print(f"resume failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     rows = [_rows_from_samples(smp) for smp in samples]
     _write_csv(os.path.join(outdir, "master-eq.csv"), CSV_COLUMNS, rows)
     sentinel = any(row["flags"] for row in rows)
-    status = ("ok (grid-adequacy sentinel tripped: aliasing flagged)"
-              if sentinel else "ok")
-    _write_text(os.path.join(outdir, "MANIFEST.txt"),
-                _manifest_text(bundle, ["master-eq"], outdir, status, extra))
+    _write_manifest(bundle, ["master-eq"], outdir, _status([], sentinel), extra)
     return EXIT_SENTINEL if sentinel else EXIT_OK
 
 

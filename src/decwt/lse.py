@@ -102,7 +102,7 @@ def _sample(a: ComplexField1D, fit_window: int, gamma_l: float) -> ObservableSam
         purity=float("nan"),  # pure state by construction; kernel not tracked here
         norm=a.norm(),
         flags=a.flags,
-        extras={"alpha_fit": alpha_fit, "beta_fit": beta_fit},
+        extras={"alpha_fit": alpha_fit, "beta_fit": beta_fit, "gamma_l": gamma_l},
     )
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian import CubicG, build_cubic, gamma_exact
+from .gaussian import build_cubic, gamma_exact
 from .scenario import InvalidParameterError, Scenario
 
 
@@ -54,29 +54,23 @@ def sample_grid(t_start: float, t_end: float, dt: float,
 
 @dataclass(frozen=True)
 class GammaModel:
-    """Prescribed decoherence coupling gamma_l(t).
+    """Prescribed decoherence coupling gamma_l(t): fn(t) when fn is set,
+    otherwise const + slope (t - t0). Constructors: exact_closure, linear_short
+    (2 Lambda (t - t0) / hbar), linear_long (late-time tangent) and user."""
 
-    kinds: 'exact-closure' (quadrature closed form), 'linear-short'
-    (2 Lambda (t - t0) / hbar), 'linear-long' (late-time tangent with constant
-    offset), 'user' (arbitrary callable).
-    """
-
-    kind: str
-    scenario: Scenario | None = None
-    cubic: CubicG | None = None
+    const: float = 0.0
+    slope: float = 0.0
     t0: float = 0.0
-    const: float = 0.0   # linear-long offset
-    slope: float = 0.0   # linear slope in t
     fn: Callable[[float], float] | None = None
 
     @staticmethod
     def exact_closure(s: Scenario, alpha0: float, beta0: float) -> "GammaModel":
-        return GammaModel(kind="exact-closure", scenario=s,
-                          cubic=build_cubic(s, alpha0, beta0))
+        g = build_cubic(s, alpha0, beta0)
+        return GammaModel(fn=lambda t: float(gamma_exact(g, s, t)))
 
     @staticmethod
     def linear_short(s: Scenario, t0: float = 0.0) -> "GammaModel":
-        return GammaModel(kind="linear-short", t0=t0, slope=2.0 * s.lam / s.hbar)
+        return GammaModel(slope=2.0 * s.lam / s.hbar, t0=t0)
 
     @staticmethod
     def linear_long(s: Scenario, alpha0: float, beta0: float) -> "GammaModel":
@@ -85,23 +79,15 @@ class GammaModel:
         # same cubic that the closed form uses.
         c2 = build_cubic(s, alpha0, beta0).c2
         const = c2 * s.m * s.m / (16.0 * s.hbar * s.hbar)
-        return GammaModel(kind="linear-long", const=const, slope=0.5 * s.lam / s.hbar)
+        return GammaModel(const=const, slope=0.5 * s.lam / s.hbar)
 
     @staticmethod
     def user(fn: Callable[[float], float]) -> "GammaModel":
-        return GammaModel(kind="user", fn=fn)
+        return GammaModel(fn=fn)
 
 
 def gamma_model_eval(gm: GammaModel, t: float) -> float:
-    if gm.kind == "exact-closure":
-        return float(gamma_exact(gm.cubic, gm.scenario, t))
-    if gm.kind == "linear-short":
-        return gm.slope * (t - gm.t0)
-    if gm.kind == "linear-long":
-        return gm.const + gm.slope * t
-    if gm.kind == "user":
-        return gm.fn(t)
-    raise InvalidParameterError("kind", f"unknown gamma model {gm.kind!r}")
+    return gm.fn(t) if gm.fn is not None else gm.const + gm.slope * (t - gm.t0)
 
 
 @dataclass

@@ -219,8 +219,7 @@ def evolve_master_eq(
         if ckpt and stop % ckpt == 0:
             checkpoint_sink(f)
 
-    if boundary_leak(f.values) > ALIAS_THRESHOLD:
-        f.flags = tuple(set(f.flags) | {"aliasing"})
+    f.flags = samples[-1].flags  # the last sample observed this very field
     return samples, f
 
 

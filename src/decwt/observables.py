@@ -44,11 +44,6 @@ def purity(f: ComplexField2D) -> float:
     return float(val)
 
 
-def purity_gaussian(p: GaussianParams) -> float:
-    """Closed form sqrt(alpha / (alpha + gamma)) for the Gaussian family."""
-    return math.sqrt(p.alpha / (p.alpha + p.gamma))
-
-
 def hermiticity_defect(f: ComplexField2D) -> float:
     """max |rho(-y, z) - conj(rho(y, z))| / max |rho|. The periodic reflection
     maps row i to row (n - i) mod n."""
@@ -75,10 +70,12 @@ def coherence_from_rho(f: ComplexField2D, fit_window: int = 9) -> float:
     g = f.grid
     iy0 = g.n_y // 2
     iz_peak = int(np.argmax(np.abs(f.values[iy0, :])))
-    cut = np.abs(f.values[:, iz_peak])
-    if np.min(cut[iy0 - fit_window // 2: iy0 + fit_window // 2 + 1]) <= 0.0:
+    half = fit_window // 2
+    window = slice(iy0 - half, iy0 + half + 1)
+    cut = np.abs(f.values[window, iz_peak])
+    if np.min(cut) <= 0.0:
         raise InvalidParameterError("rho", "vanishing amplitude inside the fit window")
-    c, _ = _curvature_fit(g.axis_y.points(), -np.log(cut), fit_window, iy0)
+    c, _ = _curvature_fit(g.axis_y.points()[window], -np.log(cut), fit_window, half)
     if c <= 0.0:
         raise InvalidParameterError("rho", f"non-convex log profile (curvature {c:g})")
     return 1.0 / math.sqrt(c)

@@ -141,13 +141,19 @@ def characteristic_time(s: Scenario) -> float:
     return s.hbar / (s.lam * s.b * s.b)
 
 
-# Config keys -> (target bundle, attribute). 'Lambda' is the file-facing name of lam.
-_SCENARIO_KEYS = {
-    "m": "m", "hbar": "hbar", "Lambda": "lam", "b": "b",
-    "sigma": "sigma", "t0": "t0", "label": "label",
+# Config keys in file order -> (bundle part, attribute). 'Lambda' is the
+# file-facing name of lam.
+_KEYS = {
+    "label": ("scenario", "label"),
+    "m": ("scenario", "m"), "hbar": ("scenario", "hbar"),
+    "Lambda": ("scenario", "lam"), "b": ("scenario", "b"),
+    "sigma": ("scenario", "sigma"), "t0": ("scenario", "t0"),
+    "n_y": ("grid", "n_y"), "n_z": ("grid", "n_z"),
+    "extent_y": ("grid", "extent_y"), "extent_z": ("grid", "extent_z"),
+    "dt": ("numerics", "dt"), "t_end": ("numerics", "t_end"),
+    "sample_every": ("numerics", "sample_every"),
+    "ln_floor": ("numerics", "ln_floor"), "fit_window": ("numerics", "fit_window"),
 }
-_GRID_KEYS = {"n_y", "n_z", "extent_y", "extent_z"}
-_NUMERICS_KEYS = {"dt", "t_end", "sample_every", "ln_floor", "fit_window"}
 _INT_KEYS = {"n_y", "n_z", "sample_every", "fit_window"}
 
 
@@ -163,8 +169,7 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigParseError(i, "empty key or value")
-        known = key in _SCENARIO_KEYS or key in _GRID_KEYS or key in _NUMERICS_KEYS
-        if not known:
+        if key not in _KEYS:
             raise ConfigParseError(i, f"unknown key {key!r}")
         if key in out:
             raise ConfigParseError(i, f"duplicate key {key!r}")
@@ -176,30 +181,31 @@ def parse_config(text: str, base: "ConfigBundle | None" = None) -> "ConfigBundle
     """Parse config text over a base bundle (defaults if None)."""
     entries = _parse_lines(text)
     bundle = base if base is not None else default_bundle()
-    s, g, n = bundle.scenario, bundle.grid, bundle.numerics
 
-    sc_kwargs, gr_kwargs, nu_kwargs = {}, {}, {}
+    kwargs: dict[str, dict] = {"scenario": {}, "grid": {}, "numerics": {}}
     for key, (line_no, value) in entries.items():
+        part, attr = _KEYS[key]
         if key == "label":
-            sc_kwargs["label"] = value
+            kwargs[part][attr] = value
             continue
         try:
-            parsed = int(value) if key in _INT_KEYS else float(value)
+            kwargs[part][attr] = int(value) if key in _INT_KEYS else float(value)
         except ValueError:
             kind = "integer" if key in _INT_KEYS else "number"
             raise ConfigParseError(line_no, f"{key}: not a valid {kind}: {value!r}") from None
-        if key in _SCENARIO_KEYS:
-            sc_kwargs[_SCENARIO_KEYS[key]] = parsed
-        elif key in _GRID_KEYS:
-            gr_kwargs[key] = parsed
-        else:
-            nu_kwargs[key] = parsed
 
-    return ConfigBundle(
-        scenario=replace(s, **sc_kwargs) if sc_kwargs else s,
-        grid=replace(g, **gr_kwargs) if gr_kwargs else g,
-        numerics=replace(n, **nu_kwargs) if nu_kwargs else n,
-    )
+    return ConfigBundle(**{part: replace(getattr(bundle, part), **kw)
+                           for part, kw in kwargs.items()})
+
+
+def config_lines(bundle: "ConfigBundle") -> list[str]:
+    """One 'key = value' line per config key, in table order; floats are
+    written with repr so parse_config reloads them bit for bit."""
+    lines = []
+    for key, (part, attr) in _KEYS.items():
+        v = getattr(getattr(bundle, part), attr)
+        lines.append(f"{key} = {v if key in _INT_KEYS or key == 'label' else repr(v)}")
+    return lines
 
 
 @dataclass(frozen=True)
@@ -224,17 +230,8 @@ def load_scenario(path) -> ConfigBundle:
 
 def save_scenario(path, bundle: ConfigBundle) -> None:
     """Write a config file that reloads to bit-identical values."""
-    s, g, n = bundle.scenario, bundle.grid, bundle.numerics
-    lines = [
-        f"m = {s.m!r}", f"hbar = {s.hbar!r}", f"Lambda = {s.lam!r}", f"b = {s.b!r}",
-        f"sigma = {s.sigma!r}", f"t0 = {s.t0!r}", f"label = {s.label}",
-        f"n_y = {g.n_y}", f"n_z = {g.n_z}",
-        f"extent_y = {g.extent_y!r}", f"extent_z = {g.extent_z!r}",
-        f"dt = {n.dt!r}", f"t_end = {n.t_end!r}", f"sample_every = {n.sample_every}",
-        f"ln_floor = {n.ln_floor!r}", f"fit_window = {n.fit_window}",
-    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(config_lines(bundle)) + "\n")
 
 
 # Presets reproduce the two decoherence strengths used throughout the figures:

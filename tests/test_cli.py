@@ -7,6 +7,7 @@ import io
 import pytest
 
 from decwt import cli
+from decwt.scenario import config_lines, load_scenario, parse_config
 
 
 SMALL_CFG = """\
@@ -126,7 +127,8 @@ def test_hierarchy_route_time_series(tmp_path):
 
 
 def test_manifest_content(tmp_path):
-    cfg = write_cfg(tmp_path)
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace(
+        "t_end = 0.05", "t_end = 0.30000000000000004"))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--routes", "analytic",
                      "--outdir", str(out)]) == 0
@@ -136,6 +138,14 @@ def test_manifest_content(tmp_path):
     assert "determinism = seedless" in text
     assert "dt = 0.001" in text
     assert "status = ok" in text
+    # every other line is a config line, and they reload to the run's bundle
+    params = [line for line in text.splitlines() if line.partition(" = ")[0]
+              not in ("routes", "outdir", "determinism", "status")]
+    bundle = load_scenario(cfg)
+    assert params == config_lines(bundle)
+    reloaded = parse_config("\n".join(params))
+    assert reloaded == bundle
+    assert repr(reloaded.numerics.t_end) == "0.30000000000000004"
 
 
 def test_empty_routes_usage_error(tmp_path):

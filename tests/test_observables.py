@@ -23,11 +23,11 @@ from decwt.observables import (
     fit_gaussian_alpha_beta,
     hermiticity_defect,
     purity,
-    purity_gaussian,
     qseries_residual,
     trace_of,
 )
-from decwt.scenario import GridSpec1D, GridSpec2D, Scenario
+from decwt.master_eq import init_gaussian_rho
+from decwt.scenario import GridSpec1D, GridSpec2D, Scenario, preset_bundle
 
 
 def moderate():
@@ -58,12 +58,6 @@ def test_purity_matches_gaussian_formula():
     p = mixed_params()
     f = sample_field(p)
     assert math.isclose(purity(f), math.sqrt(0.2), rel_tol=1e-10)
-    assert math.isclose(purity_gaussian(p), math.sqrt(0.2), rel_tol=1e-15)
-
-
-def test_purity_gaussian_pure_state():
-    p = GaussianParams(alpha=0.3, beta=0.1, gamma=0.0, delta=0.0)
-    assert purity_gaussian(p) == 1.0
 
 
 def test_hermiticity_defect_zero_on_exact_state():
@@ -88,6 +82,20 @@ def test_coherence_from_rho_matches_curvature():
     # ln|rho| is exactly quadratic in y, so the fit is exact
     assert math.isclose(coherence_from_rho(f),
                         1.0 / math.sqrt(p.alpha + p.gamma), rel_tol=1e-9)
+
+
+def test_coherence_from_rho_ignores_zeros_outside_the_window():
+    # exact zeros far from the fit window (as an underflowing decay factor
+    # leaves at the y edge) must not reach the log: under
+    # error::RuntimeWarning a full-column log raises "divide by zero"
+    b = preset_bundle("strong")
+    s = b.scenario
+    p0 = GaussianParams(alpha=s.alpha0, beta=0.0, gamma=0.0,
+                        delta=0.5 * math.log(2.0 * s.alpha0 / math.pi))
+    f = init_gaussian_rho(p0, b.grid)
+    f.values[:3, :] = 0.0
+    assert math.isclose(coherence_from_rho(f), 1.0 / math.sqrt(s.alpha0),
+                        rel_tol=1e-12)
 
 
 def test_ensemble_width_from_rho():
