@@ -41,6 +41,7 @@ from .gaussian import (
     params_exact,
 )
 from .gfunc import (
+    THRESHOLD,
     ConditionalSampler,
     IdentityReport,
     compute_g_table,
@@ -51,13 +52,14 @@ from .gfunc import (
 )
 from .lse import evolve_lse, init_gaussian_a, marginalme_residual
 from .marginal_dynamics import (
-    GammaModel,
     integrate_closed_system,
     integrate_prescribed_gamma,
+    linear_long,
+    linear_short,
     sample_grid,
 )
 from .master_eq import GridSizeError, evolve_master_eq, init_gaussian_rho
-from .observables import qseries_residual
+from .observables import FD_STEP, qseries_residual
 from .scenario import (
     ConfigBundle,
     GridSpec1D,
@@ -215,8 +217,8 @@ def _g_checks(s):
     cs = ConditionalSampler(sigma=s.sigma, gamma_k=gamma_k, hbar=s.hbar,
                             q_grid=GridSpec1D(n_points=1024, extent=20.0 * s.sigma))
     tau = np.linspace(-4.0 * s.b, 4.0 * s.b, 128)
-    table = compute_g_table(cs, tau, order=4)
-    return cs, table, verify_g_identities(table, cs, threshold=1e-8)
+    table = compute_g_table(cs, tau)
+    return cs, table, verify_g_identities(table, cs)
 
 
 def run_gfunc(bundle: ConfigBundle) -> list[dict]:
@@ -225,10 +227,10 @@ def run_gfunc(bundle: ConfigBundle) -> list[dict]:
     reports.append(IdentityReport(
         "reconstruction from one-sided column",
         max(float(np.max(np.abs(rebuilt[k] - table.entries[k])))
-            for k in table.entries), 1e-8))
+            for k in table.entries), THRESHOLD))
     reports.append(IdentityReport(
         "kernel y-derivative at zero gauge potential",
-        abs(kernel_from_k_derivative(cs, tau0=0.0)), 1e-8))
+        abs(kernel_from_k_derivative(cs, tau0=0.0)), THRESHOLD))
     return [{"name": rep.name, "value": rep.residual, "threshold": rep.threshold,
              "status": "pass" if rep.passed else "fail"} for rep in reports]
 
@@ -236,24 +238,21 @@ def run_gfunc(bundle: ConfigBundle) -> list[dict]:
 HIERARCHY_HEADER = ("t", "res0", "res1", "res2")
 
 
-def run_hierarchy(bundle: ConfigBundle, fd_step: float = 1e-4) -> list[dict]:
-    # residuals use a centered time difference of half-width fd_step, so the
-    # first sampled time below fd_step (t = 0 in practice) is not evaluable
+def _hierarchy_residuals(s, g, t: float) -> list[float]:
+    """Hierarchy residuals of orders 0..2 along the closed form of cubic g at
+    time t, on 64 z points over [-3b, 3b]."""
+    z = np.linspace(-3.0 * s.b, 3.0 * s.b, 64)
+    return [qseries_residual(lambda tv: params_exact(g, s, tv), s, n, t, z)
+            for n in range(3)]
+
+
+def run_hierarchy(bundle: ConfigBundle) -> list[dict]:
+    # residuals use a centered time difference of half-width FD_STEP, so the
+    # first sampled time below FD_STEP (t = 0 in practice) is not evaluable
     s, num = bundle.scenario, bundle.numerics
     g = build_cubic(s, s.alpha0, 0.0)
-    params_fn = lambda t: params_exact(g, s, t)
-    z = np.linspace(-3.0 * s.b, 3.0 * s.b, 64)
-    rows = []
-    for t in _sample_times(num):
-        if t < fd_step:
-            continue
-        rows.append({
-            "t": t,
-            "res0": qseries_residual(params_fn, s, 0, t, z, fd_step=fd_step),
-            "res1": qseries_residual(params_fn, s, 1, t, z, fd_step=fd_step),
-            "res2": qseries_residual(params_fn, s, 2, t, z, fd_step=fd_step),
-        })
-    return rows
+    return [dict(zip(HIERARCHY_HEADER, (t, *_hierarchy_residuals(s, g, t))))
+            for t in _sample_times(num) if t >= FD_STEP]
 
 
 # --- run command ----------------------------------------------------------
@@ -353,18 +352,18 @@ def cmd_run(bundle: ConfigBundle, routes: list, outdir,
 # --- figures command ------------------------------------------------------
 
 
-def _model_curves(s, t_end: float, n_keep: int = 200):
-    """Exact and prescribed-model trajectories on [0, t_end]."""
+def _model_curves(s, t_end: float):
+    """Exact and prescribed-model trajectories on [0, t_end], 5000 RK4 steps
+    sampled every 25th."""
     dt = t_end / 5000.0
-    stride = 5000 // n_keep
     g = build_cubic(s, s.alpha0, 0.0)
     out = {}
-    for name, gm in (
-        ("linear-short", GammaModel.linear_short(s, t0=s.t0)),
-        ("linear-long", GammaModel.linear_long(s, s.alpha0, 0.0)),
+    for name, gamma_l in (
+        ("linear-short", linear_short(s)),
+        ("linear-long", linear_long(s, s.alpha0, 0.0)),
     ):
-        out[name] = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=dt,
-                                               t_end=t_end, sample_every=stride)
+        out[name] = integrate_prescribed_gamma(s, s.alpha0, 0.0, gamma_l, dt=dt,
+                                               t_end=t_end, sample_every=25)
     out["t"] = t = out["linear-short"].t
     out["exact-gamma"] = np.asarray(gamma_exact(g, s, t))
     out["exact-coherence"] = np.asarray(coherence_exact(g, s, t))
@@ -442,18 +441,16 @@ def cmd_figures(bundle_moderate: ConfigBundle, bundle_strong: ConfigBundle,
 
 def cmd_verify(bundle: ConfigBundle) -> int:
     s, num = bundle.scenario, bundle.numerics
-    checks: list = []  # (name, value, threshold, status, note)
+    checks: list = []  # (name, IdentityReport or None when skipped, note)
 
     def add(name, value, threshold, note=""):
-        status = "PASS" if value <= threshold else "FAIL"
-        checks.append((name, value, threshold, status, note))
+        checks.append((name, IdentityReport(name, value, threshold), note))
 
     def skip(name, note):
-        checks.append((name, None, None, "SKIP", note))
+        checks.append((name, None, note))
 
     cs, _, reports = _g_checks(s)
-    for rep in reports:
-        add(rep.name, rep.residual, rep.threshold)
+    checks += [(rep.name, rep, "") for rep in reports]
 
     grid1 = GridSpec1D(n_points=256, extent=4.0 * s.b)
     tau1 = grid1.points()
@@ -485,28 +482,27 @@ def cmd_verify(bundle: ConfigBundle) -> int:
             note="sensitive to dt: the sampled time derivative converges as"
                  " (sample spacing)^2; reduce dt if this fails")
 
-        gcub = build_cubic(s, s.alpha0, 0.0)
-        params_fn = lambda t: params_exact(gcub, s, t)
-        z = np.linspace(-3.0 * s.b, 3.0 * s.b, 64)
+        res = _hierarchy_residuals(s, build_cubic(s, s.alpha0, 0.0), t_b)
         for n in range(3):
-            add(f"hierarchy residual order {n}",
-                qseries_residual(params_fn, s, n, t_b, z), 1e-6)
+            add(f"hierarchy residual order {n}", res[n], 1e-6)
 
     name_w = max(len(c[0]) for c in checks)
     print(f"{'check':<{name_w}}  {'residual':>12}  {'threshold':>10}  status")
     failed = []
-    for name, value, threshold, status, note in checks:
-        val_s = f"{value:.3e}" if value is not None else "-"
-        thr_s = f"{threshold:.0e}" if threshold is not None else "-"
-        print(f"{name:<{name_w}}  {val_s:>12}  {thr_s:>10}  {status}")
-        if status == "SKIP":
+    for name, rep, note in checks:
+        if rep is None:
+            print(f"{name:<{name_w}}  {'-':>12}  {'-':>10}  SKIP")
             print(f"{'':<{name_w}}  skipped: {note}")
-        if status == "FAIL":
-            failed.append((name, value, threshold, note))
+            continue
+        print(f"{name:<{name_w}}  {rep.residual:>12.3e}  {rep.threshold:>10.0e}  "
+              f"{'PASS' if rep.passed else 'FAIL'}")
+        if not rep.passed:
+            failed.append((rep, note))
     if failed:
         print()
-        for name, value, threshold, note in failed:
-            msg = f"FAILED {name}: residual {value:.3e} exceeds {threshold:.0e}"
+        for rep, note in failed:
+            msg = (f"FAILED {rep.name}: residual {rep.residual:.3e} exceeds"
+                   f" {rep.threshold:.0e}")
             if note:
                 msg += f" ({note})"
             print(msg)

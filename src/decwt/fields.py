@@ -22,7 +22,6 @@ class ComplexField1D:
     values: np.ndarray  # complex128, shape (n_points,)
     grid: GridSpec1D
     t: float
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)

@@ -122,8 +122,8 @@ def sigma_profile(p: GaussianParams) -> tuple[float, float]:
 def density_matrix_exact(p: GaussianParams, grid: GridSpec2D, t: float = 0.0) -> ComplexField2D:
     """Sample rho(y, z) = exp(delta - (alpha/2)(z^2+y^2) - i beta y z - (gamma/2) y^2).
 
-    Pure closed-form sample, no renormalization. A grid narrower than six
-    standard deviations on either axis gets an 'undersized-grid' flag.
+    Pure closed-form sample, no renormalization and no grid-size check
+    (master_eq.init_gaussian_rho refuses grids under six standard deviations).
     """
     y = grid.axis_y.points()[:, None]
     z = grid.axis_z.points()[None, :]
@@ -133,8 +133,4 @@ def density_matrix_exact(p: GaussianParams, grid: GridSpec2D, t: float = 0.0) ->
         - 1j * p.beta * y * z
         - 0.5 * p.gamma * y * y
     )
-    sig_y, sig_z = sigma_profile(p)
-    flags = []
-    if grid.extent_y < 6.0 * sig_y or grid.extent_z < 6.0 * sig_z:
-        flags.append("undersized-grid")
-    return ComplexField2D(np.exp(expo), grid, t, tuple(flags))
+    return ComplexField2D(np.exp(expo), grid, t)

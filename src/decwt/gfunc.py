@@ -96,11 +96,14 @@ def compute_K(cs: ConditionalSampler, tau: np.ndarray, tau_p: np.ndarray) -> np.
     return out.T  # rows tau, columns tau'
 
 
+ORDER = 4  # table order n + m <= 4: the Taylor order of the kernel check
+THRESHOLD = 1e-8  # pass bound of the table identities: quadrature round-off
+
+
 @dataclass
 class GFunctionTable:
-    """g_(n,m)(tau) for all n + m <= order, keyed by (n, m)."""
+    """g_(n,m)(tau) for all n + m <= ORDER, keyed by (n, m)."""
 
-    order: int
     tau: np.ndarray
     entries: dict = field(default_factory=dict)
 
@@ -108,15 +111,13 @@ class GFunctionTable:
         return self.entries[key]
 
 
-def compute_g_table(cs: ConditionalSampler, tau: np.ndarray, order: int) -> GFunctionTable:
-    if not (0 <= order <= 4):
-        raise InvalidParameterError("order", "supported table orders are 0..4")
+def compute_g_table(cs: ConditionalSampler, tau: np.ndarray) -> GFunctionTable:
     tau = np.asarray(tau, dtype=float)
     phi = sample_phi(cs, tau)
-    derivs = [_dphi(cs, phi, n) for n in range(order + 1)]
-    table = GFunctionTable(order=order, tau=tau)
-    for n in range(order + 1):
-        for m in range(order + 1 - n):
+    derivs = [_dphi(cs, phi, n) for n in range(ORDER + 1)]
+    table = GFunctionTable(tau=tau)
+    for n in range(ORDER + 1):
+        for m in range(ORDER + 1 - n):
             table.entries[(n, m)] = _quad(cs, np.conj(derivs[n]) * derivs[m])
     return table
 
@@ -141,63 +142,61 @@ class IdentityReport:
         return self.residual <= self.threshold
 
 
-def verify_g_identities(table: GFunctionTable, cs: ConditionalSampler,
-                        threshold: float = 1e-8) -> list[IdentityReport]:
+def verify_g_identities(table: GFunctionTable, cs: ConditionalSampler) -> list[IdentityReport]:
     """Residuals of the structural identities; all should sit at quadrature
-    round-off for the Gaussian family."""
+    round-off for the Gaussian family, below THRESHOLD."""
     out: list[IdentityReport] = []
     g = table.entries
-    N = table.order
 
     out.append(IdentityReport(
         "normalization g_(0,0) = 1",
-        float(np.max(np.abs(g[(0, 0)] - 1.0))), threshold))
+        float(np.max(np.abs(g[(0, 0)] - 1.0))), THRESHOLD))
 
     # derivative recursion, checked spectrally on the tau grid
     worst = 0.0
     for (n, m), vals in g.items():
-        if n + m >= N:
+        if n + m >= ORDER:
             continue
         lhs = _spectral_ddtau(vals, table.tau)
         worst = max(worst, float(np.max(np.abs(lhs - g[(n + 1, m)] - g[(n, m + 1)]))))
-    out.append(IdentityReport("recursion d g_(n,m) = g_(n+1,m) + g_(n,m+1)", worst, threshold))
+    out.append(IdentityReport("recursion d g_(n,m) = g_(n+1,m) + g_(n,m+1)", worst, THRESHOLD))
 
     worst = 0.0
-    for order in range(1, N + 1):
+    for order in range(1, ORDER + 1):
         acc = sum(math.comb(order, k) * g[(order - k, k)] for k in range(order + 1))
         worst = max(worst, float(np.max(np.abs(acc))))
-    out.append(IdentityReport("binomial sums over each diagonal", worst, threshold))
+    out.append(IdentityReport("binomial sums over each diagonal", worst, THRESHOLD))
 
     worst = max(
         float(np.max(np.abs(g[(m, n)] - np.conj(g[(n, m)]))))
         for (n, m) in g
     )
-    out.append(IdentityReport("conjugate symmetry g_(m,n) = conj g_(n,m)", worst, threshold))
+    out.append(IdentityReport("conjugate symmetry g_(m,n) = conj g_(n,m)", worst, THRESHOLD))
 
-    if N >= 1:
-        out.append(IdentityReport(
-            "gauge potential -i hbar g_(0,1) real",
-            float(np.max(np.abs(np.imag(-1j * g[(0, 1)])))) * cs.hbar, threshold))
-    if N >= 2:
-        out.append(IdentityReport(
-            "Re g_(0,2) = -g_(1,1)",
-            float(np.max(np.abs(np.real(g[(0, 2)]) + g[(1, 1)]))), threshold))
+    out.append(IdentityReport(
+        "gauge potential -i hbar g_(0,1) real",
+        float(np.max(np.abs(np.imag(-1j * g[(0, 1)])))) * cs.hbar, THRESHOLD))
+    out.append(IdentityReport(
+        "Re g_(0,2) = -g_(1,1)",
+        float(np.max(np.abs(np.real(g[(0, 2)]) + g[(1, 1)]))), THRESHOLD))
     return out
 
 
 def reconstruct_from_column(table: GFunctionTable) -> dict:
     """Rebuild every entry from the one-sided column {g_(0,k)} and the
     derivative recursion: g_(n+1,m) = d g_(n,m) - g_(n,m+1)."""
-    rebuilt = {(0, m): np.array(table.entries[(0, m)]) for m in range(table.order + 1)}
-    for n in range(table.order):
-        for m in range(table.order - n):
+    rebuilt = {(0, m): np.array(table.entries[(0, m)]) for m in range(ORDER + 1)}
+    for n in range(ORDER):
+        for m in range(ORDER - n):
             d = _spectral_ddtau(rebuilt[(n, m)], table.tau)
             rebuilt[(n + 1, m)] = d - rebuilt[(n, m + 1)]
     return rebuilt
 
 
-def kernel_from_k_derivative(cs: ConditionalSampler, tau0: float, h: float = 1e-5) -> complex:
-    """Centered dK/dy at y = 0, z fixed at 2 tau0: equals (i/hbar) A(tau0)."""
+def kernel_from_k_derivative(cs: ConditionalSampler, tau0: float) -> complex:
+    """Centered dK/dy at y = 0 (step 1e-5), z fixed at 2 tau0: equals
+    (i/hbar) A(tau0)."""
+    h = 1e-5
     kp = compute_K(cs, np.array([tau0 + 0.5 * h]), np.array([tau0 - 0.5 * h]))[0, 0]
     km = compute_K(cs, np.array([tau0 - 0.5 * h]), np.array([tau0 + 0.5 * h]))[0, 0]
     return complex((kp - km) / (2.0 * h))
@@ -226,7 +225,7 @@ def gauge_transform(a: ComplexField1D, cs: ConditionalSampler,
     tau = a.grid.points()
     phase = np.exp(1j * theta)
 
-    a_new = ComplexField1D(a.values * phase, a.grid, a.t, a.flags)
+    a_new = ComplexField1D(a.values * phase, a.grid, a.t)
 
     phi = sample_phi(cs, tau)
     phi_new = phi * np.conj(phase)[None, :]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import ComplexField1D
 from .gaussian import GaussianParams
-from .marginal_dynamics import IntegrationError, sample_grid
+from .marginal_dynamics import IntegrationError, linear_short, sample_grid
 from .observables import ObservableSample, ensemble_width_from_a, fit_gaussian_alpha_beta
 from .scenario import GridSpec1D, InvalidParameterError, NumericsSpec, Scenario
 
@@ -55,11 +55,10 @@ def floored_log_density(values: np.ndarray, ln_floor: float) -> np.ndarray:
     return np.log(np.maximum(amp2, (ln_floor ** 2) * peak))
 
 
-def epsilon_of(a: ComplexField1D, s: Scenario, t: float | None = None,
-               ln_floor: float = 1e-15) -> np.ndarray:
-    """eps(tau) = (2 hbar Lambda / m)(t - t0) ln max(|a|^2, floor^2)."""
-    when = a.t if t is None else t
-    return s.hbar * default_coupling(s)(when) * floored_log_density(a.values, ln_floor)
+def epsilon_of(a: ComplexField1D, s: Scenario,
+               ln_floor: float = NumericsSpec.ln_floor) -> np.ndarray:
+    """eps(tau) = (2 hbar Lambda / m)(t - t0) ln max(|a|^2, floor^2) at t = a.t."""
+    return s.hbar * default_coupling(s)(a.t) * floored_log_density(a.values, ln_floor)
 
 
 class LseStepper:
@@ -67,7 +66,7 @@ class LseStepper:
     overridden (e.g. a negative constant for the stationary-Gaussian check)."""
 
     def __init__(self, s: Scenario, grid: GridSpec1D, dt: float,
-                 ln_floor: float = 1e-15,
+                 ln_floor: float = NumericsSpec.ln_floor,
                  coupling: Callable[[float], float] | None = None):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -89,7 +88,7 @@ class LseStepper:
         v = self._phase_half(a.values, a.t + 0.25 * dt)
         v = np.fft.ifft(self._kinetic * np.fft.fft(v))
         v = self._phase_half(v, a.t + 0.75 * dt)
-        return ComplexField1D(v, a.grid, a.t + dt, a.flags)
+        return ComplexField1D(v, a.grid, a.t + dt)
 
 
 def _sample(a: ComplexField1D, fit_window: int, gamma_l: float) -> ObservableSample:
@@ -101,7 +100,6 @@ def _sample(a: ComplexField1D, fit_window: int, gamma_l: float) -> ObservableSam
         ensemble_width=ensemble_width_from_a(a),
         purity=float("nan"),  # pure state by construction; kernel not tracked here
         norm=a.norm(),
-        flags=a.flags,
         extras={"alpha_fit": alpha_fit, "beta_fit": beta_fit, "gamma_l": gamma_l},
     )
 
@@ -119,10 +117,8 @@ def evolve_lse(
     keep_fields, otherwise just the final state."""
     stepper = LseStepper(s, a.grid, numerics.dt, numerics.ln_floor, coupling)
     ks = sample_grid(a.t, numerics.t_end, numerics.dt, numerics.sample_every)
-    gamma_rate = 2.0 * s.lam / s.hbar  # gamma_l implied by the default coupling
-
-    def gamma_l(t: float) -> float:
-        return gamma_rate * (t - s.t0) if coupling is None else 0.0
+    # gamma_l implied by the default coupling; none for an overridden one
+    gamma_l = linear_short(s) if coupling is None else (lambda t: 0.0)
 
     t_start = a.t
     samples = [_sample(a, numerics.fit_window, gamma_l(a.t))]
@@ -146,7 +142,7 @@ def evolve_lse(
 def marginalme_residual(
     a_series: Sequence[ComplexField1D],
     s: Scenario,
-    ln_floor: float = 1e-15,
+    ln_floor: float = NumericsSpec.ln_floor,
     lam_override: float | None = None,
     index: int | None = None,
 ) -> float:

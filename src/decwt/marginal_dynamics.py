@@ -52,42 +52,29 @@ def sample_grid(t_start: float, t_end: float, dt: float,
     return ks
 
 
-@dataclass(frozen=True)
-class GammaModel:
-    """Prescribed decoherence coupling gamma_l(t): fn(t) when fn is set,
-    otherwise const + slope (t - t0). Constructors: exact_closure, linear_short
-    (2 Lambda (t - t0) / hbar), linear_long (late-time tangent) and user."""
+# Prescribed decoherence couplings gamma_l(t), each a plain function of t.
 
-    const: float = 0.0
-    slope: float = 0.0
-    t0: float = 0.0
-    fn: Callable[[float], float] | None = None
-
-    @staticmethod
-    def exact_closure(s: Scenario, alpha0: float, beta0: float) -> "GammaModel":
-        g = build_cubic(s, alpha0, beta0)
-        return GammaModel(fn=lambda t: float(gamma_exact(g, s, t)))
-
-    @staticmethod
-    def linear_short(s: Scenario, t0: float = 0.0) -> "GammaModel":
-        return GammaModel(slope=2.0 * s.lam / s.hbar, t0=t0)
-
-    @staticmethod
-    def linear_long(s: Scenario, alpha0: float, beta0: float) -> "GammaModel":
-        # Offset c2 m^2 / (16 hbar^2): the residue of the early-time memory in
-        # the long-time expansion of the exact quadrature. c2 comes from the
-        # same cubic that the closed form uses.
-        c2 = build_cubic(s, alpha0, beta0).c2
-        const = c2 * s.m * s.m / (16.0 * s.hbar * s.hbar)
-        return GammaModel(const=const, slope=0.5 * s.lam / s.hbar)
-
-    @staticmethod
-    def user(fn: Callable[[float], float]) -> "GammaModel":
-        return GammaModel(fn=fn)
+def exact_closure(s: Scenario, alpha0: float, beta0: float) -> Callable[[float], float]:
+    """The closed-form gamma(t) of the exact flow."""
+    g = build_cubic(s, alpha0, beta0)
+    return lambda t: float(gamma_exact(g, s, t))
 
 
-def gamma_model_eval(gm: GammaModel, t: float) -> float:
-    return gm.fn(t) if gm.fn is not None else gm.const + gm.slope * (t - gm.t0)
+def linear_short(s: Scenario) -> Callable[[float], float]:
+    """Early-time tangent 2 Lambda (t - t0) / hbar."""
+    slope = 2.0 * s.lam / s.hbar
+    return lambda t: slope * (t - s.t0)
+
+
+def linear_long(s: Scenario, alpha0: float, beta0: float) -> Callable[[float], float]:
+    """Late-time tangent c2 m^2 / (16 hbar^2) + (Lambda / 2 hbar) t."""
+    # The offset is the residue of the early-time memory in the long-time
+    # expansion of the exact quadrature. c2 comes from the same cubic that
+    # the closed form uses.
+    c2 = build_cubic(s, alpha0, beta0).c2
+    const = c2 * s.m * s.m / (16.0 * s.hbar * s.hbar)
+    slope = 0.5 * s.lam / s.hbar
+    return lambda t: const + slope * t
 
 
 @dataclass
@@ -172,7 +159,7 @@ def integrate_prescribed_gamma(
     s: Scenario,
     alpha0: float,
     beta0: float,
-    gm: GammaModel,
+    gamma_l: Callable[[float], float],
     dt: float,
     t_end: float,
     sample_every: int = 1,
@@ -183,9 +170,9 @@ def integrate_prescribed_gamma(
     c_b = 2.0 * s.hbar / s.m
 
     def rhs(t, a, b, _g):
-        g = gamma_model_eval(gm, t)
+        g = gamma_l(t)
         return c_ab * a * b, c_b * (b * b - a * a - a * g), 0.0
 
     ts, al, be, _ = _rk4(rhs, float(alpha0), float(beta0), 0.0, dt, t_end,
                          sample_every)
-    return _trajectory(ts, al, be, [gamma_model_eval(gm, t) for t in ts])
+    return _trajectory(ts, al, be, [gamma_l(t) for t in ts])

@@ -32,7 +32,6 @@ does not perturb the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +54,8 @@ class GridSizeError(ValueError):
     pass
 
 
-def init_gaussian_rho(p: GaussianParams, grid: GridSpec2D, t: float = 0.0) -> ComplexField2D:
-    """Gaussian initial condition, trace-normalized on the grid.
+def init_gaussian_rho(p: GaussianParams, grid: GridSpec2D) -> ComplexField2D:
+    """Gaussian initial condition at t = 0, trace-normalized on the grid.
 
     Refuses grids narrower than six standard deviations per axis; the closed
     form says sigma_y = 1/sqrt(alpha+gamma) and sigma_z = 1/sqrt(alpha).
@@ -67,10 +66,9 @@ def init_gaussian_rho(p: GaussianParams, grid: GridSpec2D, t: float = 0.0) -> Co
             f"grid extents ({grid.extent_y:g}, {grid.extent_z:g}) below the "
             f"6-sigma minimum ({6.0 * sig_y:g}, {6.0 * sig_z:g})"
         )
-    f = density_matrix_exact(p, grid, t)
-    tr = trace_of(f)
-    f.values /= tr.real
-    return ComplexField2D(f.values, grid, t)
+    f = density_matrix_exact(p, grid)
+    f.values /= trace_of(f).real
+    return f
 
 
 class MasterEqStepper:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import ComplexField1D, ComplexField2D
 from .gaussian import GaussianParams
-from .scenario import InvalidParameterError, Scenario
+from .scenario import InvalidParameterError, NumericsSpec, Scenario
 
 
 @dataclass
@@ -64,7 +64,7 @@ def _curvature_fit(x: np.ndarray, vals: np.ndarray, window: int, center: int) ->
     return 2.0 * float(coeff[0]), float(coeff[1])
 
 
-def coherence_from_rho(f: ComplexField2D, fit_window: int = 9) -> float:
+def coherence_from_rho(f: ComplexField2D, fit_window: int = NumericsSpec.fit_window) -> float:
     """Off-diagonal 1/e scale: fit -ln|rho(y, z_peak)| = const + c y^2 / 2 over
     the central fit_window points and return 1/sqrt(c)."""
     g = f.grid
@@ -107,7 +107,8 @@ def ensemble_width_from_a(a: ComplexField1D) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def fit_gaussian_alpha_beta(a: ComplexField1D, fit_window: int = 9) -> tuple[float, float]:
+def fit_gaussian_alpha_beta(a: ComplexField1D,
+                            fit_window: int = NumericsSpec.fit_window) -> tuple[float, float]:
     """Extract (alpha, beta) from a Gaussian-like wavefunction.
 
     alpha is half the curvature of -ln|a| at the peak; beta is minus half the
@@ -142,6 +143,7 @@ def fit_gaussian_alpha_beta(a: ComplexField1D, fit_window: int = 9) -> tuple[flo
 # ---------------------------------------------------------------------------
 
 _MAX_ORDER = 2
+FD_STEP = 1e-4  # half-width of the centered time difference
 
 
 def _q_coeffs(p: GaussianParams, z: np.ndarray) -> list[np.ndarray]:
@@ -168,12 +170,12 @@ def qseries_residual(
     n: int,
     t: float,
     z_grid: np.ndarray,
-    fd_step: float = 1e-4,
     include_source: bool = True,
 ) -> float:
     """Max-norm residual of hierarchy order n at time t on z_grid.
 
-    Time derivatives come from central differences of params_fn; z derivatives
+    Time derivatives come from central differences of params_fn with
+    half-width FD_STEP, so t must be at least FD_STEP; z derivatives
     are analytic. include_source=False drops the order-2 decoherence source
     (negative control: the residual then sits at 2 Lambda / hbar).
     """
@@ -181,9 +183,9 @@ def qseries_residual(
         raise InvalidParameterError("n", f"order must be in [0, {_MAX_ORDER}]")
     z = np.asarray(z_grid, dtype=float)
 
-    f_plus = _q_coeffs(params_fn(t + fd_step), z)
-    f_minus = _q_coeffs(params_fn(t - fd_step), z)
-    lhs = (f_plus[n] - f_minus[n]) / (2.0 * fd_step)
+    f_plus = _q_coeffs(params_fn(t + FD_STEP), z)
+    f_minus = _q_coeffs(params_fn(t - FD_STEP), z)
+    lhs = (f_plus[n] - f_minus[n]) / (2.0 * FD_STEP)
 
     p = params_fn(t)
     f_now = _q_coeffs(p, z)

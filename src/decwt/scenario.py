@@ -193,6 +193,8 @@ def parse_config(text: str, base: "ConfigBundle | None" = None) -> "ConfigBundle
         except ValueError:
             kind = "integer" if key in _INT_KEYS else "number"
             raise ConfigParseError(line_no, f"{key}: not a valid {kind}: {value!r}") from None
+        if not math.isfinite(kwargs[part][attr]):
+            raise ConfigParseError(line_no, f"{key}: not a finite number: {value!r}")
 
     return ConfigBundle(**{part: replace(getattr(bundle, part), **kw)
                            for part, kw in kwargs.items()})

@@ -12,10 +12,8 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-DASHES = ("", "6,4", "2,3", "8,3,2,3")
+WIDTH, HEIGHT = 640, 440
 
 
 @dataclass(frozen=True)
@@ -23,24 +21,23 @@ class Curve:
     label: str
     x: tuple
     y: tuple
-    color: str = ""
     dash: str = ""
 
     @staticmethod
-    def of(label, x, y, color="", dash=""):
+    def of(label, x, y, dash=""):
         return Curve(label, tuple(float(v) for v in x),
-                     tuple(float(v) for v in y), color, dash)
+                     tuple(float(v) for v in y), dash)
 
 
-def ticks_125(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Tick positions on a 1-2-5 ladder covering [lo, hi]."""
+def ticks_125(lo: float, hi: float) -> list[float]:
+    """At most six tick positions on a 1-2-5 ladder covering [lo, hi]."""
     if not (hi > lo):
         hi = lo + 1.0
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if (hi - lo) / step <= target:
+        if (hi - lo) / step <= 6:
             break
     first = math.ceil(lo / step - 1e-9)
     out = []
@@ -85,21 +82,18 @@ def render_plot(
     title: str,
     xlabel: str,
     ylabel: str,
-    xlog: bool = False,
+    provenance: str,
     ylog: bool = False,
-    width: int = 640,
-    height: int = 440,
-    provenance: str = "deterministic seedless output; data embedded below",
 ) -> str:
+    """Linear x axis; a log y axis when ylog, which drops points with y <= 0
+    from the polylines (the embedded data keeps every point)."""
     pad_l, pad_r, pad_t, pad_b = 64, 16, 36, 46
-    plot_w = width - pad_l - pad_r
-    plot_h = height - pad_t - pad_b
+    plot_w = WIDTH - pad_l - pad_r
+    plot_h = HEIGHT - pad_t - pad_b
 
     def finite_pairs(c: Curve):
         for xv, yv in zip(c.x, c.y):
             if not (math.isfinite(xv) and math.isfinite(yv)):
-                continue
-            if xlog and xv <= 0.0:
                 continue
             if ylog and yv <= 0.0:
                 continue
@@ -107,7 +101,7 @@ def render_plot(
 
     xs = [v for c in curves for v, _ in finite_pairs(c)]
     ys = [v for c in curves for _, v in finite_pairs(c)]
-    if not xs or not ys:
+    if not xs:
         raise ValueError("nothing to plot: no finite (and log-positive) points")
 
     def bounds(vals, log):
@@ -121,32 +115,29 @@ def render_plot(
         margin = 0.04 * (hi - lo)
         return lo - margin, hi + margin
 
-    x_lo, x_hi = bounds(xs, xlog)
+    x_lo, x_hi = bounds(xs, False)
     y_lo, y_hi = bounds(ys, ylog)
 
     def to_px(xv, yv):
-        if xlog:
-            fx = (math.log10(xv) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            fx = (xv - x_lo) / (x_hi - x_lo)
+        fx = (xv - x_lo) / (x_hi - x_lo)
         if ylog:
             fy = (math.log10(yv) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
         else:
             fy = (yv - y_lo) / (y_hi - y_lo)
         return pad_l + fx * plot_w, pad_t + (1.0 - fy) * plot_h
 
-    x_ticks = ticks_decades(x_lo, x_hi) if xlog else ticks_125(x_lo, x_hi)
+    x_ticks = ticks_125(x_lo, x_hi)
     y_ticks = ticks_decades(y_lo, y_hi) if ylog else ticks_125(y_lo, y_hi)
 
     parts: list[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     parts.append(f"<!-- {_comment_safe(provenance)} -->")
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     parts.append(
-        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+        f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{_esc(title)}</text>'
     )
 
@@ -157,7 +148,7 @@ def render_plot(
     )
 
     for tv in x_ticks:
-        px, _ = to_px(tv, y_hi if not ylog else y_hi)
+        px, _ = to_px(tv, y_hi)
         parts.append(
             f'<line x1="{px:.2f}" y1="{pad_t + plot_h}" x2="{px:.2f}" '
             f'y2="{pad_t + plot_h + 5}" stroke="#333" stroke-width="1"/>'
@@ -171,7 +162,7 @@ def render_plot(
             f'font-family="sans-serif" font-size="11">{_esc(_fmt_tick(tv))}</text>'
         )
     for tv in y_ticks:
-        _, py = to_px(x_hi if not xlog else x_hi, tv)
+        _, py = to_px(x_hi, tv)
         parts.append(
             f'<line x1="{pad_l - 5}" y1="{py:.2f}" x2="{pad_l}" y2="{py:.2f}" '
             f'stroke="#333" stroke-width="1"/>'
@@ -186,7 +177,7 @@ def render_plot(
         )
 
     parts.append(
-        f'<text x="{pad_l + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+        f'<text x="{pad_l + plot_w / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{_esc(xlabel)}</text>'
     )
     parts.append(
@@ -196,7 +187,7 @@ def render_plot(
     )
 
     for i, c in enumerate(curves):
-        color = c.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         dash = f' stroke-dasharray="{c.dash}"' if c.dash else ""
         pts = " ".join(f"{px:.3f},{py:.3f}" for px, py in
                        (to_px(xv, yv) for xv, yv in finite_pairs(c)))
@@ -209,7 +200,7 @@ def render_plot(
     lx = pad_l + plot_w - 170
     ly = pad_t + 12
     for i, c in enumerate(curves):
-        color = c.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         dash = f' stroke-dasharray="{c.dash}"' if c.dash else ""
         y0 = ly + 16 * i
         parts.append(

@@ -164,6 +164,15 @@ def test_config_and_preset_conflict(tmp_path):
     assert exc.value.code == 2
 
 
+def test_non_finite_config_value_fails_before_any_output(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("dt = 0.001", "dt = inf"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--routes", "analytic,ode",
+                     "--outdir", str(out)]) == 1
+    assert not list(out.glob("*.csv"))
+    assert "line 6: dt" in capsys.readouterr().err
+
+
 def test_undersized_grid_trips_sentinel_exit(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_CFG.replace("extent_z = 14.0",
                                                 "extent_z = 9.0"))

@@ -202,9 +202,3 @@ def test_density_matrix_gamma_doubling_halves_y_variance():
     assert l2 < l1  # more decoherence, narrower off-diagonal profile
     assert math.isclose(l1 ** 2 / l2 ** 2, 2.0, rel_tol=1e-6)
 
-
-def test_density_matrix_undersized_grid_flag():
-    p = pure_params()  # sigma_z = 2
-    small = GridSpec2D(n_y=64, n_z=64, extent_y=16.0, extent_z=8.0)
-    f = density_matrix_exact(p, small, t=0.0)
-    assert "undersized-grid" in f.flags

@@ -43,7 +43,7 @@ def test_phi_unit_norm_in_q():
 
 def test_identities_hold_at_quadrature_precision():
     cs = sampler()
-    table = compute_g_table(cs, tau_grid(), order=4)
+    table = compute_g_table(cs, tau_grid())
     reports = verify_g_identities(table, cs)
     assert len(reports) == 6
     for r in reports:
@@ -54,7 +54,8 @@ def test_identities_hold_at_quadrature_precision():
 def test_low_order_entries_match_closed_forms():
     gamma_k, hbar = 2.0, 1.0
     cs = sampler(gamma_k=gamma_k, hbar=hbar)
-    table = compute_g_table(cs, tau_grid(), order=2)
+    table = compute_g_table(cs, tau_grid())
+    assert set(table.entries) == {(n, m) for n in range(5) for m in range(5 - n)}
     assert np.allclose(table[(0, 0)], 1.0, atol=1e-12)
     assert np.allclose(table[(0, 1)], 0.0, atol=1e-12)
     assert np.allclose(table[(1, 1)], gamma_k / hbar, atol=1e-10)
@@ -64,7 +65,7 @@ def test_low_order_entries_match_closed_forms():
 def test_entries_constant_in_tau():
     # the linear-phase family has tau-independent overlaps
     cs = sampler(gamma_k=3.0)
-    table = compute_g_table(cs, tau_grid(), order=4)
+    table = compute_g_table(cs, tau_grid())
     for key, vals in table.entries.items():
         assert np.max(np.abs(vals - vals[0])) < 1e-12, key
 
@@ -91,7 +92,7 @@ def test_kernel_y_derivative_vanishes_without_gauge_potential():
 
 def test_reconstruction_from_one_sided_column():
     cs = sampler(gamma_k=2.5)
-    table = compute_g_table(cs, tau_grid(), order=4)
+    table = compute_g_table(cs, tau_grid())
     rebuilt = reconstruct_from_column(table)
     assert set(rebuilt) == set(table.entries)
     worst = max(float(np.max(np.abs(rebuilt[k] - table.entries[k])))
@@ -141,14 +142,6 @@ def test_sampler_validation():
     with pytest.raises(InvalidParameterError):
         ConditionalSampler(sigma=3.0, gamma_k=1.0, hbar=1.0,
                            q_grid=GridSpec1D(n_points=256, extent=20.0))
-
-
-def test_table_order_bounds():
-    cs = sampler()
-    with pytest.raises(InvalidParameterError):
-        compute_g_table(cs, tau_grid(), order=5)
-    with pytest.raises(InvalidParameterError):
-        compute_g_table(cs, tau_grid(), order=-1)
 
 
 def test_zero_curvature_family_is_static():

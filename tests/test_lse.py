@@ -22,7 +22,7 @@ from decwt.lse import (
     init_gaussian_a,
     marginalme_residual,
 )
-from decwt.marginal_dynamics import GammaModel, IntegrationError, integrate_prescribed_gamma
+from decwt.marginal_dynamics import IntegrationError, integrate_prescribed_gamma, linear_short
 from decwt.scenario import GridSpec1D, InvalidParameterError, NumericsSpec, Scenario
 
 
@@ -53,7 +53,7 @@ def test_matches_prescribed_gamma_ode():
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-4, t_end=0.5, sample_every=1000)
     samples, _ = evolve_lse(init_gaussian_a(pure_params(s.alpha0), grid), s, num)
-    traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, GammaModel.linear_short(s),
+    traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, linear_short(s),
                                       dt=1e-5, t_end=0.5, sample_every=10000)
     t_ode = np.asarray(traj.t)
     for smp in samples:
@@ -171,8 +171,8 @@ def test_epsilon_of_known_profile():
     a = ComplexField1D(np.exp(-0.5 * tau * tau).astype(complex), grid, t=2.0)
     eps = epsilon_of(a, s)
     assert np.allclose(eps, -4.0 * tau * tau, atol=1e-12)
-    # explicit t overrides the field stamp
-    eps1 = epsilon_of(a, s, t=1.0)
+    # the coupling is read at the field's own time stamp
+    eps1 = epsilon_of(ComplexField1D(a.values, grid, t=1.0), s)
     assert np.allclose(eps1, -2.0 * tau * tau, atol=1e-12)
 
 

@@ -7,11 +7,12 @@ import pytest
 
 from decwt.gaussian import build_cubic, eval_G, gamma_exact, params_exact
 from decwt.marginal_dynamics import (
-    GammaModel,
     IntegrationError,
-    gamma_model_eval,
+    exact_closure,
     integrate_closed_system,
     integrate_prescribed_gamma,
+    linear_long,
+    linear_short,
 )
 from decwt.scenario import Scenario
 
@@ -96,16 +97,11 @@ def test_blowup_reports_time():
 
 def test_gamma_model_eval_forms():
     s = moderate()
-    g = build_cubic(s, s.alpha0, 0.0)
-    ls = GammaModel.linear_short(s)
-    assert gamma_model_eval(ls, 1.0) == 2.0  # 2 Lambda t / hbar
-    ll = GammaModel.linear_long(s, s.alpha0, 0.0)
+    assert linear_short(s)(1.0) == 2.0  # 2 Lambda t / hbar
     # c2/16 + Lambda t / (2 hbar) = 0.0625 + 0.5
-    assert math.isclose(gamma_model_eval(ll, 1.0), 0.5625, rel_tol=1e-14)
-    ex = GammaModel.exact_closure(s, s.alpha0, 0.0)
-    assert math.isclose(gamma_model_eval(ex, 1.0), 30.0 / 23.0, rel_tol=1e-13)
-    usr = GammaModel.user(lambda t: 7.0 * t)
-    assert gamma_model_eval(usr, 2.0) == 14.0
+    assert math.isclose(linear_long(s, s.alpha0, 0.0)(1.0), 0.5625, rel_tol=1e-14)
+    assert math.isclose(exact_closure(s, s.alpha0, 0.0)(1.0), 30.0 / 23.0,
+                        rel_tol=1e-13)
 
 
 def test_prescribed_with_exact_gamma_reproduces_cubic():
@@ -113,8 +109,8 @@ def test_prescribed_with_exact_gamma_reproduces_cubic():
     # exact gamma(t) back in must reproduce the closed solution
     s = moderate()
     g = build_cubic(s, s.alpha0, 0.0)
-    gm = GammaModel.user(lambda t: gamma_exact(g, s, t))
-    traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=1e-4,
+    traj = integrate_prescribed_gamma(s, s.alpha0, 0.0,
+                                      lambda t: gamma_exact(g, s, t), dt=1e-4,
                                       t_end=5.0, sample_every=1000)
     assert np.max(np.abs(traj.alpha * eval_G(g, traj.t) - 1.0)) < 1e-12
 
@@ -122,7 +118,7 @@ def test_prescribed_with_exact_gamma_reproduces_cubic():
 def test_linear_short_initial_beta_rate():
     # with gamma_l = 2 Lambda t/hbar, beta'(0) = -2 (hbar/m) alpha0^2 = -1/8
     s = moderate()
-    gm = GammaModel.linear_short(s)
+    gm = linear_short(s)
     traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=1e-6,
                                       t_end=2e-4, sample_every=100)
     rate = (traj.beta[-1] - traj.beta[0]) / (traj.t[-1] - traj.t[0])
@@ -131,7 +127,7 @@ def test_linear_short_initial_beta_rate():
 
 def test_prescribed_gamma_column_reports_model():
     s = moderate()
-    gm = GammaModel.linear_short(s)
+    gm = linear_short(s)
     traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=1e-3,
                                       t_end=1.0, sample_every=200)
     assert np.allclose(traj.gamma, 2.0 * traj.t, atol=1e-12)
@@ -146,7 +142,7 @@ def test_linear_long_width_converges_to_exact():
     """
     for s, t_lo, t_hi in ((moderate(), 50.0, 100.0), (strong(), 19.0, 21.0)):
         g = build_cubic(s, s.alpha0, 0.0)
-        gm = GammaModel.linear_long(s, s.alpha0, 0.0)
+        gm = linear_long(s, s.alpha0, 0.0)
         tb = s.hbar / (s.lam * s.b ** 2)
         traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=1e-3 * tb,
                                           t_end=t_hi, sample_every=100)
@@ -164,7 +160,7 @@ def test_linear_long_mid_time_hump_grows_with_coupling():
     humps = {}
     for s in (moderate(), strong()):
         g = build_cubic(s, s.alpha0, 0.0)
-        gm = GammaModel.linear_long(s, s.alpha0, 0.0)
+        gm = linear_long(s, s.alpha0, 0.0)
         traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=1e-3,
                                           t_end=5.0, sample_every=10)
         w_lin = 0.5 / np.sqrt(traj.alpha)
@@ -178,9 +174,9 @@ def test_linear_long_gamma_crossings():
     # 35.2 t_b (strong); frozen from the asymptotic expansion measurement
     for s, crossing in ((moderate(), 7.25), (strong(), 35.2)):
         g = build_cubic(s, s.alpha0, 0.0)
-        gm = GammaModel.linear_long(s, s.alpha0, 0.0)
+        gm = linear_long(s, s.alpha0, 0.0)
         tb = s.hbar / (s.lam * s.b ** 2)
         t = np.linspace(0.5 * tb, 60.0 * tb, 4000)
-        rel = np.abs((gm.const + gm.slope * t) / gamma_exact(g, s, t) - 1.0)
+        rel = np.abs(gm(t) / gamma_exact(g, s, t) - 1.0)
         t_cross = t[np.where(rel > 0.01)[0][-1]] / tb
         assert math.isclose(t_cross, crossing, rel_tol=0.02), s.label

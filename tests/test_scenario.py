@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from decwt.scenario import (
+    _INT_KEYS,
+    _KEYS,
     ConfigBundle,
     ConfigParseError,
     GridSpec1D,
@@ -138,6 +140,16 @@ def test_parse_config_bad_number_reports_line():
     with pytest.raises(ConfigParseError) as exc:
         parse_config("m = twelve\n")
     assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("key", sorted(set(_KEYS) - _INT_KEYS - {"label"}))
+def test_parse_config_rejects_non_finite_float(key, value):
+    # a non-finite value must not reach a run: NaN passes every ">" check
+    with pytest.raises(ConfigParseError) as exc:
+        parse_config(f"label = x\n# comment\n{key} = {value}\n")
+    assert exc.value.line_no == 3
+    assert key in str(exc.value)
 
 
 def test_save_load_roundtrip_is_bit_exact(tmp_path):
