@@ -393,8 +393,9 @@ def cmd_figures(bundle_moderate: ConfigBundle, bundle_strong: ConfigBundle,
     )
     write_svg(os.path.join(outdir, "fig1a.svg"), fig1a)
 
-    def coh(traj):
-        return 1.0 / np.sqrt(traj.alpha + traj.gamma)
+    def coh(traj):  # NaN where a prescribed gamma leaves no coherence scale
+        scale = traj.alpha + traj.gamma
+        return 1.0 / np.sqrt(np.where(scale > 0.0, scale, np.nan))
 
     fig1b = render_plot(
         [

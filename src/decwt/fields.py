@@ -8,7 +8,7 @@ values as row-major complex128 (interleaved re/im doubles).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class ComplexField2D:
     values: np.ndarray  # complex128, shape (n_y, n_z); axis 0 is y, axis 1 is z
     grid: GridSpec2D
     t: float
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)

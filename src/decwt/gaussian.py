@@ -119,8 +119,9 @@ def sigma_profile(p: GaussianParams) -> tuple[float, float]:
     return 1.0 / math.sqrt(p.alpha + p.gamma), 1.0 / math.sqrt(p.alpha)
 
 
-def density_matrix_exact(p: GaussianParams, grid: GridSpec2D, t: float = 0.0) -> ComplexField2D:
-    """Sample rho(y, z) = exp(delta - (alpha/2)(z^2+y^2) - i beta y z - (gamma/2) y^2).
+def density_matrix_exact(p: GaussianParams, grid: GridSpec2D) -> ComplexField2D:
+    """Sample rho(y, z) = exp(delta - (alpha/2)(z^2+y^2) - i beta y z - (gamma/2) y^2)
+    at t = 0.
 
     Pure closed-form sample, no renormalization and no grid-size check
     (master_eq.init_gaussian_rho refuses grids under six standard deviations).
@@ -133,4 +134,4 @@ def density_matrix_exact(p: GaussianParams, grid: GridSpec2D, t: float = 0.0) ->
         - 1j * p.beta * y * z
         - 0.5 * p.gamma * y * y
     )
-    return ComplexField2D(np.exp(expo), grid, t)
+    return ComplexField2D(np.exp(expo), grid, 0.0)

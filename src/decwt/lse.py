@@ -32,11 +32,12 @@ from .observables import ObservableSample, ensemble_width_from_a, fit_gaussian_a
 from .scenario import GridSpec1D, InvalidParameterError, NumericsSpec, Scenario
 
 
-def init_gaussian_a(p: GaussianParams, grid: GridSpec1D, t: float = 0.0) -> ComplexField1D:
-    """a(tau) = exp(delta/2 - (alpha + i beta) tau^2), renormalized on the grid."""
+def init_gaussian_a(p: GaussianParams, grid: GridSpec1D) -> ComplexField1D:
+    """a(tau) = exp(delta/2 - (alpha + i beta) tau^2) at t = 0, renormalized
+    on the grid."""
     tau = grid.points()
     vals = np.exp(0.5 * p.delta - (p.alpha + 1j * p.beta) * tau * tau)
-    f = ComplexField1D(vals, grid, t)
+    f = ComplexField1D(vals, grid, 0.0)
     f.values /= f.norm()
     return f
 
@@ -143,26 +144,20 @@ def marginalme_residual(
     a_series: Sequence[ComplexField1D],
     s: Scenario,
     ln_floor: float = NumericsSpec.ln_floor,
-    lam_override: float | None = None,
-    index: int | None = None,
 ) -> float:
     """Residual of the marginal-density-matrix equation of motion on a sampled
     wavefunction trajectory.
 
-    Builds rho_m(tau, tau') = a(tau) conj(a(tau')) from three consecutive
-    snapshots, differences the outer two for d rho_m/dt, and evaluates the
-    right-hand side on the middle one: spectral kinetic cross-derivative plus
-    the potential difference -(i/hbar)[eps(tau) - eps(tau')] rho_m, which is
-    how the prescribed linear coupling acts on the marginal. Returns
-    max |lhs - rhs| / max |rho_m|. lam_override replaces Lambda inside the
-    evaluator only (negative control: a mismatched coupling inflates the
-    residual by orders of magnitude).
+    Builds rho_m(tau, tau') = a(tau) conj(a(tau')) from the middle snapshot
+    of a_series and its two neighbors, differences the neighbors for
+    d rho_m/dt, and evaluates the right-hand side on the middle one:
+    spectral kinetic cross-derivative plus the potential difference
+    -(i/hbar)[eps(tau) - eps(tau')] rho_m, which is how the prescribed linear
+    coupling acts on the marginal. Returns max |lhs - rhs| / max |rho_m|.
     """
     if len(a_series) < 3:
         raise InvalidParameterError("a_series", "need at least three snapshots")
-    i = len(a_series) // 2 if index is None else index
-    if not (1 <= i <= len(a_series) - 2):
-        raise InvalidParameterError("index", "need neighbors on both sides")
+    i = len(a_series) // 2
     am, ac, ap = a_series[i - 1], a_series[i], a_series[i + 1]
     dt_m, dt_p = ac.t - am.t, ap.t - ac.t
     if not math.isclose(dt_m, dt_p, rel_tol=1e-9):
@@ -181,10 +176,7 @@ def marginalme_residual(
         - ac.values[:, None] * np.conj(a2)[None, :]
     )
 
-    s_eval = s if lam_override is None else Scenario(
-        m=s.m, hbar=s.hbar, lam=lam_override, b=s.b, sigma=s.sigma, t0=s.t0, label=s.label
-    )
-    eps_over_h = epsilon_of(ac, s_eval, ln_floor=ln_floor) / s.hbar
+    eps_over_h = epsilon_of(ac, s, ln_floor=ln_floor) / s.hbar
     pot = -1j * (eps_over_h[:, None] - eps_over_h[None, :]) * rho
 
     denom = float(np.max(np.abs(rho)))

@@ -12,13 +12,14 @@ step by step.
 
 Segments. The decay factor acts on y alone, so it commutes with the Fourier
 transform along z. evolve_master_eq therefore advances each sample interval
-as one segment: decay half-step and z-FFT once, then per step a y-FFT pair
-around the kinetic multiplier and one fused full decay step, with the field
-held as a C-contiguous (k_z, y) array so the y-transforms run on the
-contiguous axis; the last step takes a decay half-step and the z-transform is
-undone once. A single-step segment is the plain 2-D Strang step. The scheme,
-dt and O(dt^2) error are those of step-by-step Strang; only the order of the
-transforms differs, which moves results by about 1e-14 relative.
+as one segment: a decay half-step and fft2 open it, then each interior step
+applies the kinetic multiplier, a y-iFFT, one fused full decay step and a
+y-FFT, with the field held as a C-contiguous (k_z, k_y) array so the
+y-transforms run on the contiguous axis; the last kinetic multiplier, ifft2
+and a decay half-step close it. A one-step segment is the plain 2-D Strang
+step, with no interior. The scheme, dt and O(dt^2) error are those of
+step-by-step Strang; only the order of the transforms differs, which moves
+the results of longer segments by about 1e-14 relative.
 
 Resume contract. Segments end only at sample steps and at the final step,
 and the field leaves a segment C-contiguous (the observables sum in memory
@@ -74,8 +75,8 @@ def init_gaussian_rho(p: GaussianParams, grid: GridSpec2D) -> ComplexField2D:
 class MasterEqStepper:
     """Precomputed Strang multipliers for one (scenario, grid, dt) triple.
 
-    The kinetic multiplier is kept in both layouts: (k_y, k_z) for the plain
-    2-D step and (k_z, k_y) for segments, whose field is held as (k_z, y).
+    The kinetic multiplier is kept in both layouts: (k_y, k_z) for the
+    segment's closing step and (k_z, k_y) for its interior steps.
     """
 
     def __init__(self, s: Scenario, grid: GridSpec2D, dt: float):
@@ -94,8 +95,7 @@ class MasterEqStepper:
 
     def step(self, f: ComplexField2D, n: int = 1, leave=None,
              leave_at=()) -> ComplexField2D:
-        """Advance n Strang steps as one segment (see the module docstring);
-        n = 1 is the plain 2-D Strang step.
+        """Advance n Strang steps as one segment (see the module docstring).
 
         leave(j, field) gets a real-space copy of the field after each step j
         in leave_at (0 < j < n), stamped f.t + j * dt.
@@ -103,33 +103,22 @@ class MasterEqStepper:
         if n < 1:
             raise ValueError("n must be >= 1")
         dh = self._decay_half
-        if n == 1:
-            # the 2-D pair reproduces step-by-step Strang bit for bit, so runs
-            # sampled every step keep their output bytes, and perfbench counts
-            # two fft2/ifft2 calls per step. Not kept for speed: the 1-D path
-            # below takes as long for one step (256^2 and 512^2 alike).
-            v = np.fft.fft2(f.values * dh[:, None])
-            v *= self._kinetic
-            v = np.fft.ifft2(v)
-            v *= dh[:, None]
-            return ComplexField2D(v, f.grid, f.t + self.dt, f.flags)
-        m = np.ascontiguousarray(np.fft.fft(f.values * dh[:, None], axis=1).T)
-        for j in range(1, n):
-            m = self._kinetic_y(m)
-            if j in leave_at:
-                leave(j, ComplexField2D(_to_real(m * dh), f.grid,
-                                        f.t + j * self.dt, f.flags))
-            m *= self._decay
-        m = self._kinetic_y(m)
-        m *= dh
-        return ComplexField2D(_to_real(m), f.grid, f.t + n * self.dt, f.flags)
-
-    def _kinetic_y(self, m: np.ndarray) -> np.ndarray:
-        """Kinetic step on a (k_z, y) field: y-FFT pair on the contiguous
-        axis around the transposed multiplier."""
-        m = np.fft.fft(m, axis=1)
-        m *= self._kinetic_t
-        return np.fft.ifft(m, axis=1)
+        v = np.fft.fft2(f.values * dh[:, None])
+        if n > 1:
+            v = np.ascontiguousarray(v.T)
+            for j in range(1, n):
+                v *= self._kinetic_t
+                v = np.fft.ifft(v, axis=1)
+                if j in leave_at:
+                    leave(j, ComplexField2D(_to_real(v * dh), f.grid,
+                                            f.t + j * self.dt))
+                v *= self._decay
+                v = np.fft.fft(v, axis=1)
+            v = np.ascontiguousarray(v.T)
+        v *= self._kinetic
+        v = np.fft.ifft2(v)
+        v *= dh[:, None]
+        return ComplexField2D(v, f.grid, f.t + n * self.dt)
 
 
 def _to_real(m: np.ndarray) -> np.ndarray:
@@ -153,16 +142,13 @@ def boundary_leak(values: np.ndarray) -> float:
 
 
 def _sample(f: ComplexField2D, fit_window: int) -> ObservableSample:
-    flags = list(f.flags)
-    if boundary_leak(f.values) > ALIAS_THRESHOLD:
-        flags.append("aliasing")
     return ObservableSample(
         t=f.t,
         coherence_length=coherence_from_rho(f, fit_window),
         ensemble_width=ensemble_width_from_rho(f),
         purity=purity(f),
         norm=trace_of(f).real,
-        flags=tuple(flags),
+        flags=("aliasing",) if boundary_leak(f.values) > ALIAS_THRESHOLD else (),
     )
 
 
@@ -217,7 +203,6 @@ def evolve_master_eq(
         if ckpt and stop % ckpt == 0:
             checkpoint_sink(f)
 
-    f.flags = samples[-1].flags  # the last sample observed this very field
     return samples, f
 
 

@@ -170,14 +170,12 @@ def qseries_residual(
     n: int,
     t: float,
     z_grid: np.ndarray,
-    include_source: bool = True,
 ) -> float:
     """Max-norm residual of hierarchy order n at time t on z_grid.
 
     Time derivatives come from central differences of params_fn with
     half-width FD_STEP, so t must be at least FD_STEP; z derivatives
-    are analytic. include_source=False drops the order-2 decoherence source
-    (negative control: the residual then sits at 2 Lambda / hbar).
+    are analytic.
     """
     if not (0 <= n <= _MAX_ORDER):
         raise InvalidParameterError("n", f"order must be in [0, {_MAX_ORDER}]")
@@ -195,7 +193,7 @@ def qseries_residual(
     for k in range(n + 1):
         acc = acc + math.comb(n, k) * f_now[k + 1] * f_dz[n - k]
     rhs = (2j * s.hbar / s.m) * acc
-    if n == 2 and include_source:
+    if n == 2:
         rhs = rhs - 2.0 * s.lam / s.hbar
 
     return float(np.max(np.abs(lhs - rhs)))

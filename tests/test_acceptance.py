@@ -6,6 +6,7 @@ Each clause is asserted at its required tolerance.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -305,7 +306,7 @@ def test_ac6_structural_identities():
     z = np.linspace(-3.0, 3.0, 64)
     params_fn = lambda t: params_exact(g, s, t)
     worst_q = max(qseries_residual(params_fn, s, n, t_b, z) for n in (0, 1, 2))
-    control = qseries_residual(params_fn, s, 2, t_b, z, include_source=False)
+    control = qseries_residual(params_fn, replace(s, lam=0.0), 2, t_b, z)
     control_ok = math.isclose(control, 2.0 * s.lam / s.hbar, rel_tol=1e-3)
 
     ok = (all(r.passed for r in reports) and worst_identity < 1e-8

@@ -3,6 +3,8 @@ exit codes, and checkpoint resume. Commands are invoked in-process through
 cli.main, which returns the exit code."""
 import csv
 import io
+import math
+import re
 
 import pytest
 
@@ -238,6 +240,22 @@ def test_figures_embedded_data_matches_curves(tmp_path):
     first = block.splitlines()[0]
     t0, g0 = (float(v) for v in first.split(","))
     assert t0 == 0.0 and g0 == 0.0
+
+
+def test_figures_late_t0_leaves_nan_coherence_out_of_polylines(tmp_path, capsys):
+    # linear-short gamma is negative before t0, so alpha + gamma drops below
+    # zero early on: no coherence scale there, NaN in the data, no point drawn
+    cfg = write_cfg(tmp_path, "t0 = 0.3\n", name="late.cfg")
+    out = tmp_path / "figs"
+    assert cli.main(["figures", "--config", cfg, "--outdir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    text = (out / "fig1b.svg").read_text()
+    block = text.split('<!-- data "linear-short" (x,y):\n', 1)[1]
+    ys = [float(row.split(",")[1]) for row in block.split("\n-->", 1)[0].splitlines()]
+    n_nan = sum(math.isnan(y) for y in ys)
+    assert n_nan > 0
+    polylines = re.findall(r'<polyline [^>]*points="([^"]*)"', text)
+    assert len(polylines[1].split()) == len(ys) - n_nan  # curve order: exact first
 
 
 def test_verify_passes_on_moderate(tmp_path, capsys):

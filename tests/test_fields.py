@@ -15,7 +15,7 @@ def test_field_2d_roundtrip_bits(tmp_path):
     rng = np.random.default_rng(7)
     grid = GridSpec2D(n_y=16, n_z=32, extent_y=3.0, extent_z=6.0)
     vals = (rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32)))
-    f = ComplexField2D(vals, grid, t=0.625, flags=("aliasing",))
+    f = ComplexField2D(vals, grid, t=0.625)
     path = tmp_path / "ck.bin"
     save_field_2d(path, f)
     g = load_field_2d(path)

@@ -160,15 +160,14 @@ def pure_params() -> GaussianParams:
 def test_density_matrix_trace_is_one_on_adequate_grid():
     from decwt.observables import trace_of
     p = pure_params()
-    f = density_matrix_exact(p, grid_for(p), t=0.0)
+    f = density_matrix_exact(p, grid_for(p))
     assert abs(trace_of(f) - 1.0) < 1e-10
-    assert f.flags == ()
 
 
 def test_density_matrix_pure_state_purity():
     from decwt.observables import purity
     p = pure_params()
-    f = density_matrix_exact(p, grid_for(p), t=0.0)
+    f = density_matrix_exact(p, grid_for(p))
     assert abs(purity(f) - 1.0) < 1e-10
 
 
@@ -179,7 +178,7 @@ def test_density_matrix_off_diagonal_width():
     g = build_cubic(s, s.alpha0, 0.0)
     p = params_exact(g, s, 1.0)
     grid = grid_for(p)
-    f = density_matrix_exact(p, grid, t=1.0)
+    f = density_matrix_exact(p, grid)
     ys = grid.axis_y.points()
     iz0 = grid.n_z // 2
     iy0 = grid.n_y // 2
@@ -197,8 +196,8 @@ def test_density_matrix_gamma_doubling_halves_y_variance():
                           delta=0.5 * math.log(2e-9 / math.pi))
     dbl = GaussianParams(alpha=1e-9, beta=0.0, gamma=2.0, delta=base.delta)
     grid = GridSpec2D(n_y=256, n_z=256, extent_y=12.0, extent_z=300000.0)
-    l1 = coherence_from_rho(density_matrix_exact(base, grid, 0.0))
-    l2 = coherence_from_rho(density_matrix_exact(dbl, grid, 0.0))
+    l1 = coherence_from_rho(density_matrix_exact(base, grid))
+    l2 = coherence_from_rho(density_matrix_exact(dbl, grid))
     assert l2 < l1  # more decoherence, narrower off-diagonal profile
     assert math.isclose(l1 ** 2 / l2 ** 2, 2.0, rel_tol=1e-6)
 

@@ -5,6 +5,7 @@ The diagonal of rho in rotated coordinates is p(tau) = rho(0, z = 2 tau)
 with Jacobian 1/2, hence the halved sums in trace and purity.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def sample_field(p, n=256, factor=8.0):
     sig_z = 1.0 / math.sqrt(p.alpha)
     grid = GridSpec2D(n_y=n, n_z=n, extent_y=factor * sig_y,
                       extent_z=factor * sig_z)
-    return density_matrix_exact(p, grid, t=0.0)
+    return density_matrix_exact(p, grid)
 
 
 def test_trace_of_exact_state():
@@ -156,11 +157,11 @@ def test_qseries_residual_small_along_exact_flow(order, t):
 
 
 def test_qseries_negative_control_recovers_source():
-    # dropping the collisional source at order 2 leaves exactly 2 Lambda/hbar
+    # an evaluator with Lambda = 0 drops the collisional source at order 2,
+    # which leaves exactly 2 Lambda/hbar
     s = moderate()
     z = np.linspace(-3.0, 3.0, 64)
-    res = qseries_residual(exact_params_fn(s), s, 2, 1.0, z,
-                           include_source=False)
+    res = qseries_residual(exact_params_fn(s), replace(s, lam=0.0), 2, 1.0, z)
     assert math.isclose(res, 2.0 * s.lam / s.hbar, rel_tol=1e-6)
 
 
@@ -168,6 +169,6 @@ def test_qseries_scales_with_coupling():
     s2 = Scenario(m=1.0, hbar=1.0, lam=10.0, b=1.0, sigma=1.0, t0=0.0,
                   label="strong")
     z = np.linspace(-3.0, 3.0, 64)
-    res = qseries_residual(exact_params_fn(s2), s2, 2, 1.0, z,
-                           include_source=False)
+    res = qseries_residual(exact_params_fn(s2), replace(s2, lam=0.0), 2, 1.0,
+                           z)
     assert math.isclose(res, 20.0, rel_tol=1e-5)
