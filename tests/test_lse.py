@@ -24,7 +24,13 @@ from decwt.lse import (
     marginalme_residual,
 )
 from decwt.marginal_dynamics import IntegrationError, integrate_prescribed_gamma, linear_short
-from decwt.scenario import GridSpec1D, InvalidParameterError, NumericsSpec, Scenario
+from decwt.scenario import (
+    GridSpec1D,
+    InvalidParameterError,
+    NumericsSpec,
+    Scenario,
+    preset_bundle,
+)
 
 
 def moderate(lam=1.0):
@@ -189,3 +195,105 @@ def test_negative_span_raises():
     a.t = 1.0
     with pytest.raises(IntegrationError):
         evolve_lse(a, s, NumericsSpec(dt=1e-3, t_end=0.5, sample_every=5))
+
+
+@pytest.mark.parametrize("preset", ["moderate", "strong"])
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_segment_matches_per_step_strang_reference(preset, n):
+    # inline step-by-step Strang: phase(t + dt/4) ifft(K fft(.)) phase(t + 3dt/4)
+    bundle = preset_bundle(preset)
+    s, grid, dt = bundle.scenario, bundle.grid.axis_z, 1e-3
+    assert grid.n_points == 512
+    a = init_gaussian_a(pure_params(s.alpha0), grid)
+    a.t = 0.25  # a nonzero coupling from the first half-step on
+    c = default_coupling(s)
+    k = grid.wavenumbers()
+    kinetic = np.exp(-1j * (s.hbar / (2.0 * s.m)) * k * k * dt)
+
+    def phase_half(v, t_mid):
+        log_density = floored_log_density(v, NumericsSpec.ln_floor)
+        return v * np.exp(-1j * c(t_mid) * log_density * (0.5 * dt))
+
+    ref = a.values
+    for j in range(n):
+        t = a.t + j * dt
+        ref = phase_half(ref, t + 0.25 * dt)
+        ref = np.fft.ifft(kinetic * np.fft.fft(ref))
+        ref = phase_half(ref, t + 0.75 * dt)
+
+    out = LseStepper(s, grid, dt).step(a, n)
+    assert out.t == a.t + n * dt
+    if n == 1:
+        assert np.array_equal(out.values, ref)
+    else:
+        rel = np.max(np.abs(out.values - ref)) / np.max(np.abs(ref))
+        assert rel < 1e-12  # measured about 2e-15 at n = 50
+
+
+@pytest.mark.parametrize("t_nan, t_stamp", [(0.0026, 0.003), (0.0032, 0.004)])
+def test_blow_up_inside_a_segment_is_stamped_at_its_step(t_nan, t_stamp):
+    # NaN from 0.0026 on: step 3's closing half-step (0.00275) blows up.
+    # NaN from 0.0032 on: the fused factor after step 3 holds step 4's
+    # opening half-step (0.00325), so the step-by-step field turns
+    # non-finite only at step 4.
+    bundle = preset_bundle("moderate")
+    s = bundle.scenario
+    c0 = default_coupling(s)
+
+    def coupling(t):
+        return float("nan") if t >= t_nan else c0(t)
+
+    a = init_gaussian_a(pure_params(s.alpha0), bundle.grid.axis_z)
+    num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
+    with pytest.raises(IntegrationError, match="field blew up") as err:
+        evolve_lse(a, s, num, coupling=coupling)
+    assert err.value.t == t_stamp
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+def test_stepper_refuses_bad_dt(dt):
+    grid = GridSpec1D(n_points=64, extent=8.0)
+    with pytest.raises(ValueError):
+        LseStepper(moderate(), grid, dt)
+
+
+def test_step_refuses_fewer_than_one_step():
+    s = moderate()
+    grid = GridSpec1D(n_points=64, extent=8.0)
+    a = init_gaussian_a(pure_params(1.0), grid)
+    stepper = LseStepper(s, grid, 1e-3)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            stepper.step(a, n)
+
+
+@pytest.mark.parametrize("index", [3, 32])
+def test_non_finite_initial_field_fails_at_start(index):
+    # index 3 used to surface as a fit_window error, the peak (32) as a
+    # RuntimeWarning from the Gaussian fit
+    s = moderate()
+    grid = GridSpec1D(n_points=64, extent=8.0)
+    a = init_gaussian_a(pure_params(1.0), grid)
+    a.t = 0.5
+    a.values[index] = np.nan
+    with pytest.raises(IntegrationError, match="not finite") as err:
+        evolve_lse(a, s, NumericsSpec(dt=1e-3, t_end=0.51, sample_every=5))
+    assert err.value.t == 0.5
+
+
+def test_one_stepper_call_per_sample_interval(monkeypatch):
+    # each sample interval is one segment; per-step calling would be 23 calls
+    calls = []
+    step = LseStepper.step
+
+    def counting(self, a, n=1):
+        calls.append(n)
+        return step(self, a, n)
+
+    monkeypatch.setattr(LseStepper, "step", counting)
+    s = moderate()
+    grid = GridSpec1D(n_points=512, extent=16.0)
+    num = NumericsSpec(dt=1e-3, t_end=0.023, sample_every=5)
+    samples, _ = evolve_lse(init_gaussian_a(pure_params(s.alpha0), grid), s, num)
+    assert [smp.t for smp in samples] == [0.0, 0.005, 0.01, 0.015, 0.02, 0.023]
+    assert calls == [5, 5, 5, 5, 3]
