@@ -10,12 +10,12 @@ Commands
     checkpoint-resume   continue a 2-D master-equation run from a binary
                         checkpoint file
 
-CSV schema (time-series routes, fixed column order):
+CSV schema (time-series routes): the fields of ObservableSample, in order,
     t, alpha, beta, gamma, delta, coherence_length, ensemble_width, purity,
     norm, flags
 with empty fields where a route does not produce a column. Floats are written
 with repr so reruns are byte-identical. All writes go through a temp file and
-os.replace.
+a rename (fields.atomic_open).
 
 Exit codes: 0 success; 1 route or command failure; 2 usage error (argparse
 convention); 3 completed but the grid-adequacy sentinel tripped (aliasing
@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .fields import ComplexField1D, load_field_2d, save_field_2d
+from .fields import ComplexField1D, atomic_open, load_field_2d, save_field_2d
 from .gaussian import (
     GaussianParams,
     build_cubic,
@@ -59,7 +59,7 @@ from .marginal_dynamics import (
     sample_grid,
 )
 from .master_eq import GridSizeError, evolve_master_eq, init_gaussian_rho
-from .observables import FD_STEP, qseries_residual
+from .observables import FD_STEP, ObservableSample, qseries_residual
 from .scenario import (
     ConfigBundle,
     GridSpec1D,
@@ -72,8 +72,6 @@ from .scenario import (
 )
 from .svgplot import Curve, render_plot, write_svg
 
-ROUTES = ("analytic", "ode", "master-eq", "lse", "gfunc", "hierarchy")
-TIMESERIES_ROUTES = ("analytic", "ode", "master-eq", "lse")
 CSV_COLUMNS = ("t", "alpha", "beta", "gamma", "delta", "coherence_length",
                "ensemble_width", "purity", "norm", "flags")
 
@@ -87,17 +85,12 @@ def _fmt(v) -> str:
         return ""
     if isinstance(v, str):
         return v
+    if isinstance(v, tuple):  # ObservableSample.flags
+        return ";".join(v)
     v = float(v)
     if math.isnan(v):
         return ""
     return repr(v)
-
-
-def _write_text(path, text: str) -> None:
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, os.fspath(path))
 
 
 def _quote(cell: str) -> str:
@@ -109,8 +102,10 @@ def _quote(cell: str) -> str:
 def _write_csv(path, header: tuple, rows: list) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_quote(_fmt(row.get(col))) for col in header))
-    _write_text(path, "\n".join(lines) + "\n")
+        cells = row if isinstance(row, dict) else vars(row)
+        lines.append(",".join(_quote(_fmt(cells.get(col))) for col in header))
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _pure_params(alpha0: float) -> GaussianParams:
@@ -121,87 +116,55 @@ def _pure_params(alpha0: float) -> GaussianParams:
 # --- route runners --------------------------------------------------------
 
 
-def _gaussian_row(t, a, b, g, d, norm) -> dict:
-    """CSV row of the Gaussian observables of the parameters (a, b, g, d)."""
-    return {
-        "t": t, "alpha": a, "beta": b, "gamma": g, "delta": d,
-        "coherence_length": 1.0 / math.sqrt(a + g),
-        "ensemble_width": 0.5 / math.sqrt(a),
-        "purity": math.sqrt(a / (a + g)),
-        "norm": norm,
-        "flags": "",
-    }
-
-
-def _rows_from_trajectory(traj) -> list[dict]:
-    rows = []
-    for i in range(len(traj)):
-        a, d = float(traj.alpha[i]), float(traj.delta[i])
-        rows.append(_gaussian_row(float(traj.t[i]), a, float(traj.beta[i]),
-                                  float(traj.gamma[i]), d,
-                                  math.exp(d) * math.sqrt(math.pi / (2.0 * a))))
-    return rows
+def _gaussian_sample(t, a, b, g, d, norm) -> ObservableSample:
+    """The Gaussian observables of the parameters (a, b, g, d) at time t."""
+    return ObservableSample(
+        t=t, alpha=a, beta=b, gamma=g, delta=d,
+        coherence_length=1.0 / math.sqrt(a + g),
+        ensemble_width=0.5 / math.sqrt(a),
+        purity=math.sqrt(a / (a + g)),
+        norm=norm,
+    )
 
 
 def _sample_times(num: NumericsSpec) -> list[float]:
     return [k * num.dt for k in sample_grid(0.0, num.t_end, num.dt, num.sample_every)]
 
 
-def run_analytic(bundle: ConfigBundle) -> list[dict]:
+def run_analytic(bundle: ConfigBundle) -> list[ObservableSample]:
     s, num = bundle.scenario, bundle.numerics
     g = build_cubic(s, s.alpha0, 0.0)
-    rows = []
-    for t in _sample_times(num):
-        p = params_exact(g, s, t)
-        rows.append(_gaussian_row(t, p.alpha, p.beta, p.gamma, p.delta, 1.0))
-    return rows
+    ps = ((t, params_exact(g, s, t)) for t in _sample_times(num))
+    return [_gaussian_sample(t, p.alpha, p.beta, p.gamma, p.delta, 1.0) for t, p in ps]
 
 
-def run_ode(bundle: ConfigBundle) -> list[dict]:
+def run_ode(bundle: ConfigBundle) -> list[ObservableSample]:
     s, num = bundle.scenario, bundle.numerics
     traj = integrate_closed_system(s, s.alpha0, 0.0, dt=num.dt,
                                    t_end=num.t_end, sample_every=num.sample_every)
-    return _rows_from_trajectory(traj)
+    cols = (traj.t, traj.alpha, traj.beta, traj.gamma, traj.delta)
+    return [_gaussian_sample(t, a, b, g, d, math.exp(d) * math.sqrt(math.pi / (2.0 * a)))
+            for t, a, b, g, d in zip(*(c.tolist() for c in cols))]
 
 
 def run_master_eq(bundle: ConfigBundle, checkpoint_every: int = 0,
-                  outdir: str = ".") -> list[dict]:
+                  outdir: str = ".") -> list[ObservableSample]:
     s, num = bundle.scenario, bundle.numerics
     f = init_gaussian_rho(_pure_params(s.alpha0), bundle.grid)
-    sink = None
-    if checkpoint_every > 0:
-        def sink(fld):
-            step = int(round((fld.t) / num.dt))
-            path = os.path.join(outdir, f"master-eq-step{step:06d}.ckpt")
-            tmp = path + ".tmp"
-            save_field_2d(tmp, fld)
-            os.replace(tmp, path)
-    samples, _ = evolve_master_eq(f, s, num, checkpoint_every=checkpoint_every,
-                             checkpoint_sink=sink)
-    return [_rows_from_samples(smp) for smp in samples]
+
+    def sink(fld):
+        step = int(round(fld.t / num.dt))
+        save_field_2d(os.path.join(outdir, f"master-eq-step{step:06d}.ckpt"), fld)
+
+    return evolve_master_eq(f, s, num, checkpoint_every=checkpoint_every,
+                            checkpoint_sink=sink)[0]
 
 
-def _rows_from_samples(smp) -> dict:
-    return {
-        "t": smp.t,
-        "alpha": smp.extras.get("alpha_fit"),
-        "beta": smp.extras.get("beta_fit"),
-        "gamma": smp.extras.get("gamma_l"),
-        "delta": None,
-        "coherence_length": smp.coherence_length,
-        "ensemble_width": smp.ensemble_width,
-        "purity": smp.purity,
-        "norm": smp.norm,
-        "flags": ";".join(smp.flags),
-    }
-
-
-def run_lse(bundle: ConfigBundle) -> list[dict]:
+def run_lse(bundle: ConfigBundle) -> list[ObservableSample]:
     s, num = bundle.scenario, bundle.numerics
     grid = bundle.grid.axis_z  # the tau axis reuses the spread-sized z axis
     a = init_gaussian_a(_pure_params(s.alpha0), grid)
-    samples, _ = evolve_lse(a, s, num)
-    return [_rows_from_samples(smp) for smp in samples]
+    return evolve_lse(a, s, num)[0]
 
 
 GFUNC_HEADER = ("name", "value", "threshold", "status")
@@ -255,18 +218,29 @@ def run_hierarchy(bundle: ConfigBundle) -> list[dict]:
             for t in _sample_times(num) if t >= FD_STEP]
 
 
+# route -> (runner, CSV header); CSV_COLUMNS marks a series of ObservableSamples
+ROUTES = {
+    "analytic": (run_analytic, CSV_COLUMNS),
+    "ode": (run_ode, CSV_COLUMNS),
+    "master-eq": (run_master_eq, CSV_COLUMNS),
+    "lse": (run_lse, CSV_COLUMNS),
+    "gfunc": (run_gfunc, GFUNC_HEADER),
+    "hierarchy": (run_hierarchy, HIERARCHY_HEADER),
+}
+
+
 # --- run command ----------------------------------------------------------
 
 
 def _comparison_rows(per_route: dict) -> tuple[tuple, list]:
-    """Join time-series routes on exact sample times."""
-    by_t = {r: {row["t"]: row for row in per_route[r]}
-            for r in TIMESERIES_ROUTES if r in per_route}
+    """Join the time-series routes on exact sample times, columns in route
+    table order."""
+    by_t = {r: {smp.t: smp for smp in per_route[r]} for r in ROUTES if r in per_route}
     common = sorted(set.intersection(*map(set, by_t.values()))) if by_t else []
     cols = [(r, c, f"{r.replace('-', '_')}_{c}")
             for r, at in by_t.items() for c in CSV_COLUMNS[1:-1]
-            if any(_fmt(row.get(c)) for row in at.values())]
-    rows = [{"t": t, **{name: by_t[r][t].get(c) for r, c, name in cols}}
+            if any(_fmt(getattr(smp, c)) for smp in at.values())]
+    rows = [{"t": t, **{name: getattr(by_t[r][t], c) for r, c, name in cols}}
             for t in common]
     return ("t",) + tuple(name for _, _, name in cols), rows
 
@@ -284,7 +258,8 @@ def _write_manifest(bundle: ConfigBundle, routes, outdir, status: str,
         f"status = {status}",
         *extra,
     ]
-    _write_text(os.path.join(outdir, "MANIFEST.txt"), "\n".join(lines) + "\n")
+    with atomic_open(os.path.join(outdir, "MANIFEST.txt")) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _status(failures: list, aliasing: bool) -> str:
@@ -298,26 +273,16 @@ def _status(failures: list, aliasing: bool) -> str:
 def cmd_run(bundle: ConfigBundle, routes: list, outdir,
             checkpoint_every: int = 0) -> int:
     os.makedirs(outdir, exist_ok=True)
-    per_route: dict = {}
+    per_route: dict = {}  # time-series route -> its samples
     grid_failures: list = []
     hard_failures: list = []
     aliasing = False
 
-    table = {  # route -> (runner, CSV header)
-        "analytic": (run_analytic, CSV_COLUMNS),
-        "ode": (run_ode, CSV_COLUMNS),
-        "master-eq": (lambda b: run_master_eq(b, checkpoint_every, os.fspath(outdir)),
-                      CSV_COLUMNS),
-        "lse": (run_lse, CSV_COLUMNS),
-        "gfunc": (run_gfunc, GFUNC_HEADER),
-        "hierarchy": (run_hierarchy, HIERARCHY_HEADER),
-    }
     for route in routes:
+        runner, header = ROUTES[route]
         try:
-            if route not in table:
-                raise ValueError(f"unknown route {route!r}")
-            runner, header = table[route]
-            rows = runner(bundle)
+            rows = (runner(bundle, checkpoint_every, os.fspath(outdir))
+                    if runner is run_master_eq else runner(bundle))
         except GridSizeError as exc:
             grid_failures.append(f"{route}: {exc}")
             continue
@@ -326,11 +291,11 @@ def cmd_run(bundle: ConfigBundle, routes: list, outdir,
             continue
 
         _write_csv(os.path.join(outdir, f"{route}.csv"), header, rows)
-        per_route[route] = rows
-        if route in TIMESERIES_ROUTES and any(row["flags"] for row in rows):
-            aliasing = True
+        if header is CSV_COLUMNS:
+            per_route[route] = rows
+            aliasing = aliasing or any(smp.flags for smp in rows)
 
-    if any(r in per_route for r in TIMESERIES_ROUTES):
+    if per_route:
         header, rows = _comparison_rows(per_route)
         _write_csv(os.path.join(outdir, "comparison.csv"), header, rows)
 
@@ -352,19 +317,18 @@ def cmd_run(bundle: ConfigBundle, routes: list, outdir,
 # --- figures command ------------------------------------------------------
 
 
-def _model_curves(s, t_end: float):
+def _model_curves(s, t_end: float, short: bool = True):
     """Exact and prescribed-model trajectories on [0, t_end], 5000 RK4 steps
-    sampled every 25th."""
+    sampled every 25th; the linear-short one only when short."""
     dt = t_end / 5000.0
     g = build_cubic(s, s.alpha0, 0.0)
-    out = {}
-    for name, gamma_l in (
-        ("linear-short", linear_short(s)),
-        ("linear-long", linear_long(s, s.alpha0, 0.0)),
-    ):
-        out[name] = integrate_prescribed_gamma(s, s.alpha0, 0.0, gamma_l, dt=dt,
-                                               t_end=t_end, sample_every=25)
-    out["t"] = t = out["linear-short"].t
+    models = {"linear-long": linear_long(s, s.alpha0, 0.0)}
+    if short:
+        models["linear-short"] = linear_short(s)
+    out = {name: integrate_prescribed_gamma(s, s.alpha0, 0.0, gamma_l, dt=dt,
+                                            t_end=t_end, sample_every=25)
+           for name, gamma_l in models.items()}
+    out["t"] = t = out["linear-long"].t
     out["exact-gamma"] = np.asarray(gamma_exact(g, s, t))
     out["exact-coherence"] = np.asarray(coherence_exact(g, s, t))
     out["exact-width"] = np.asarray(ensemble_width_exact(g, t))
@@ -413,7 +377,7 @@ def cmd_figures(bundle_moderate: ConfigBundle, bundle_strong: ConfigBundle,
     curves_l, curves_w = [], []
     for s in (s_m, s_s):
         tb = characteristic_time(s)
-        c = _model_curves(s, 10.0 * tb)
+        c = _model_curves(s, 10.0 * tb, short=False)
         tt = c["t"] / tb
         long_traj = c["linear-long"]
         curves_l.append(Curve.of(f"{s.label} exact", tt, c["exact-coherence"]))
@@ -527,9 +491,8 @@ def cmd_checkpoint_resume(bundle: ConfigBundle, checkpoint_path, outdir) -> int:
                         _status([f"master-eq resume: {exc}"], False), extra)
         print(f"resume failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    rows = [_rows_from_samples(smp) for smp in samples]
-    _write_csv(os.path.join(outdir, "master-eq.csv"), CSV_COLUMNS, rows)
-    sentinel = any(row["flags"] for row in rows)
+    _write_csv(os.path.join(outdir, "master-eq.csv"), CSV_COLUMNS, samples)
+    sentinel = any(smp.flags for smp in samples)
     _write_manifest(bundle, ["master-eq"], outdir, _status([], sentinel), extra)
     return EXIT_SENTINEL if sentinel else EXIT_OK
 
@@ -554,6 +517,12 @@ def _bundle_of(args) -> ConfigBundle:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def count(text: str) -> int:  # argparse names it in "invalid count value"
+        n = int(text)
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+        return n
+
     parser = argparse.ArgumentParser(
         prog="decwt",
         description="collisional-decoherence simulation toolkit",
@@ -564,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_run)
     p_run.add_argument("--routes", default="analytic,ode",
                        help=f"comma-separated subset of {','.join(ROUTES)}")
-    p_run.add_argument("--checkpoint-every", type=int, default=0,
+    p_run.add_argument("--checkpoint-every", type=count, default=0,
                        metavar="N", help="checkpoint master-eq every N steps")
 
     p_fig = sub.add_parser("figures", help="write the comparison SVG figures")
@@ -592,7 +561,7 @@ def main(argv=None) -> int:
                 return 2
             bad = [r for r in routes if r not in ROUTES]
             if bad:
-                print(f"error: unknown routes {bad}; choose from {ROUTES}",
+                print(f"error: unknown routes {bad}; choose from {tuple(ROUTES)}",
                       file=sys.stderr)
                 return 2
             return cmd_run(_bundle_of(args), routes, args.outdir,

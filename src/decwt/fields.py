@@ -1,4 +1,5 @@
-"""Grid-sampled complex fields and the binary checkpoint codec.
+"""Grid-sampled complex fields, the binary checkpoint codec, and the atomic
+file write that every CLI output goes through.
 
 Checkpoint layout (little-endian): a 2-D field is
 ``int64 n_y | int64 n_z | f64 extent_y | f64 extent_z | f64 t`` followed by the
@@ -7,7 +8,9 @@ values as row-major complex128 (interleaved re/im doubles).
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +49,20 @@ class ComplexField2D:
             raise ValueError(f"values shape {self.values.shape} != grid {expect}")
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temp file beside path for writing (text is UTF-8) and rename it
+    onto path when the block exits cleanly, so path never holds a partial
+    file."""
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        yield fh
+    os.replace(tmp, os.fspath(path))
+
+
 def save_field_2d(path, f: ComplexField2D) -> None:
     g = f.grid
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HDR2.pack(g.n_y, g.n_z, g.extent_y, g.extent_z, f.t))
         fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
 

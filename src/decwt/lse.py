@@ -83,8 +83,6 @@ class LseStepper:
                  coupling: Callable[[float], float] | None = None):
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError("dt must be positive and finite")
-        self.scenario = s
-        self.grid = grid
         self.dt = dt
         self.ln_floor = ln_floor
         self.coupling = coupling if coupling is not None else default_coupling(s)
@@ -117,15 +115,14 @@ class LseStepper:
 
 
 def _sample(a: ComplexField1D, fit_window: int, gamma_l: float) -> ObservableSample:
-    alpha_fit, beta_fit = fit_gaussian_alpha_beta(a, fit_window)
-    scale = alpha_fit + gamma_l
+    alpha, beta = fit_gaussian_alpha_beta(a, fit_window)
+    scale = alpha + gamma_l
     return ObservableSample(
-        t=a.t,
+        t=a.t, alpha=alpha, beta=beta, gamma=gamma_l,
         coherence_length=1.0 / math.sqrt(scale) if scale > 0.0 else float("nan"),
         ensemble_width=ensemble_width_from_a(a),
         purity=float("nan"),  # pure state by construction; kernel not tracked here
         norm=a.norm(),
-        extras={"alpha_fit": alpha_fit, "beta_fit": beta_fit, "gamma_l": gamma_l},
     )
 
 

@@ -80,10 +80,8 @@ class MasterEqStepper:
     """
 
     def __init__(self, s: Scenario, grid: GridSpec2D, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        self.scenario = s
-        self.grid = grid
+        if not (dt > 0.0 and math.isfinite(dt)):
+            raise ValueError("dt must be positive and finite")
         self.dt = dt
         y = grid.axis_y.points()
         self._decay_half = np.exp(-(s.lam / s.hbar) * y * y * (0.5 * dt))
@@ -171,6 +169,8 @@ def evolve_master_eq(
     sample interval is one stepper segment; the finite check runs at its end
     and before each checkpoint, so no non-finite field reaches the sink.
     """
+    if checkpoint_every < 0:
+        raise ValueError("checkpoint_every must be >= 0")
     stepper = MasterEqStepper(s, f.grid, numerics.dt)
     ks = sample_grid(f.t, numerics.t_end, numerics.dt, numerics.sample_every)
 

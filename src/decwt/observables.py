@@ -19,9 +19,17 @@ from .gaussian import GaussianParams
 from .scenario import InvalidParameterError, NumericsSpec, Scenario
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ObservableSample:
+    """One sampled time of a route. The fields up to flags are the columns of
+    the route CSVs, in order; None (or NaN) is a column the route does not
+    produce. extras holds what evolve_master_eq's observers add."""
+
     t: float
+    alpha: float | None = None       # Gaussian parameters, where the route has them
+    beta: float | None = None
+    gamma: float | None = None
+    delta: float | None = None
     coherence_length: float
     ensemble_width: float
     purity: float

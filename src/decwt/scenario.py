@@ -53,10 +53,11 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("m", "hbar", "b", "sigma"):
-            if not (getattr(self, name) > 0.0):
-                raise InvalidParameterError(name, "must be positive")
-        if self.lam < 0.0:
-            raise InvalidParameterError("Lambda", "must be >= 0")
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise InvalidParameterError(name, "must be positive and finite")
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            raise InvalidParameterError("Lambda", "must be finite and >= 0")
         if not math.isfinite(self.t0):
             raise InvalidParameterError("t0", "must be finite")
 
@@ -76,8 +77,8 @@ class GridSpec1D:
         n = self.n_points
         if n < 8 or (n & (n - 1)) != 0:
             raise InvalidParameterError("n_points", "must be a power of two, >= 8")
-        if not (self.extent > 0.0):
-            raise InvalidParameterError("extent", "must be positive")
+        if not (self.extent > 0.0 and math.isfinite(self.extent)):
+            raise InvalidParameterError("extent", "must be positive and finite")
 
     @property
     def spacing(self) -> float:
@@ -122,10 +123,10 @@ class NumericsSpec:
     fit_window: int = 9      # points used by the curvature fit, odd
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise InvalidParameterError("dt", "must be positive")
-        if self.t_end < 0.0:
-            raise InvalidParameterError("t_end", "must be >= 0")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise InvalidParameterError("dt", "must be positive and finite")
+        if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
+            raise InvalidParameterError("t_end", "must be finite and >= 0")
         if self.sample_every < 1:
             raise InvalidParameterError("sample_every", "must be >= 1")
         if not (0.0 < self.ln_floor < 1.0):

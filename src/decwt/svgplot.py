@@ -9,8 +9,9 @@ a pure function of the inputs; identical calls produce byte-identical files.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+
+from .fields import atomic_open
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, HEIGHT = 640, 440
@@ -222,9 +223,5 @@ def render_plot(
 
 
 def write_svg(path, text: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)

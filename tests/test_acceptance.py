@@ -123,9 +123,9 @@ def test_ac3_wavefunction_route_matches_prescribed_ode():
     for i, smp in enumerate(samples[1:], start=1):
         assert math.isclose(smp.t, ref.t[i], abs_tol=1e-9)
         worst_a = max(worst_a,
-                      abs(smp.extras["alpha_fit"] - ref.alpha[i]) / abs(ref.alpha[i]))
+                      abs(smp.alpha - ref.alpha[i]) / abs(ref.alpha[i]))
         worst_b = max(worst_b,
-                      abs(smp.extras["beta_fit"] - ref.beta[i]) / abs(ref.beta[i]))
+                      abs(smp.beta - ref.beta[i]) / abs(ref.beta[i]))
 
     # residual of the marginal equation of motion on the sampled trajectory,
     # second order in the snapshot spacing
@@ -362,7 +362,7 @@ def test_ac7_convergence_orders():
                             GridSpec1D(n_points, 24.0))
         num = NumericsSpec(dt=dt, t_end=t_end, sample_every=round(t_end / dt))
         samples, _ = evolve_lse(a, s, num)
-        return abs(samples[-1].extras["alpha_fit"] - a_ref)
+        return abs(samples[-1].alpha - a_ref)
 
     e_lse = [lse_err(dt) for dt in (4e-4, 2e-4, 1e-4)]
     r_lse = (e_lse[0] / e_lse[1], e_lse[1] / e_lse[2])

@@ -90,6 +90,20 @@ def test_comparison_csv_aligns_routes(tmp_path):
         assert abs(l_a - l_m) < 1e-6
 
 
+def test_comparison_columns_follow_the_route_table(tmp_path):
+    cfg = write_cfg(tmp_path)
+    d1, d2 = tmp_path / "d1", tmp_path / "d2"
+    assert cli.main(["run", "--config", cfg, "--routes", "lse,master-eq,analytic",
+                     "--outdir", str(d1)]) == 0
+    assert cli.main(["run", "--config", cfg, "--routes", "analytic,master-eq,lse",
+                     "--outdir", str(d2)]) == 0
+    text = (d1 / "comparison.csv").read_bytes()
+    assert text == (d2 / "comparison.csv").read_bytes()
+    header = text.decode().splitlines()[0].split(",")
+    assert (header.index("analytic_alpha") < header.index("master_eq_purity")
+            < header.index("lse_alpha"))
+
+
 def test_master_eq_csv_has_empty_param_fields(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -156,6 +170,16 @@ def test_empty_routes_usage_error(tmp_path):
 
 def test_unknown_route_usage_error(tmp_path):
     assert cli.main(["run", "--routes", "warp", "--outdir", str(tmp_path)]) == 2
+
+
+def test_negative_checkpoint_every_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--routes", "analytic", "--checkpoint-every", "-3",
+                  "--outdir", str(out)])
+    assert exc.value.code == 2
+    assert "--checkpoint-every" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_and_preset_conflict(tmp_path):
@@ -229,6 +253,20 @@ def test_figures_written_and_deterministic(tmp_path):
     # fig1 carries three curves, fig2 four (two presets x two models)
     assert (d1 / "fig1a.svg").read_text().count("<polyline") == 3
     assert (d1 / "fig2a.svg").read_text().count("<polyline") == 4
+
+
+def test_figures_integrate_only_the_plotted_couplings(tmp_path, monkeypatch):
+    calls = []
+    real = cli.integrate_prescribed_gamma
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["t_end"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_prescribed_gamma", counting)
+    assert cli.main(["figures", "--outdir", str(tmp_path)]) == 0
+    # fig 1: linear-short and linear-long; fig 2: linear-long per preset
+    assert len(calls) == 4
 
 
 def test_figures_embedded_data_matches_curves(tmp_path):

@@ -66,8 +66,8 @@ def test_matches_prescribed_gamma_ode():
     for smp in samples:
         idx = int(np.argmin(np.abs(t_ode - smp.t)))
         assert abs(t_ode[idx] - smp.t) < 1e-12
-        assert abs(smp.extras["alpha_fit"] - traj.alpha[idx]) < 1e-8, f"t={smp.t}"
-        assert abs(smp.extras["beta_fit"] - traj.beta[idx]) < 1e-8, f"t={smp.t}"
+        assert abs(smp.alpha - traj.alpha[idx]) < 1e-8, f"t={smp.t}"
+        assert abs(smp.beta - traj.beta[idx]) < 1e-8, f"t={smp.t}"
 
 
 def test_zero_coupling_is_free_particle():
@@ -104,7 +104,7 @@ def test_gausson_is_stationary():
 
 
 def test_coupling_override_drops_gamma_from_coherence():
-    # with a user coupling the sample's coherence length is 1/sqrt(alpha_fit)
+    # with a user coupling the sample's coherence length is 1/sqrt(alpha)
     s = moderate()
     grid = GridSpec1D(n_points=512, extent=12.0)
     a = init_gaussian_a(pure_params(1.0), grid)
@@ -112,7 +112,7 @@ def test_coupling_override_drops_gamma_from_coherence():
     samples, _ = evolve_lse(a, s, num, coupling=lambda t: -1.0)
     smp = samples[-1]
     assert math.isclose(smp.coherence_length,
-                        1.0 / math.sqrt(smp.extras["alpha_fit"]), rel_tol=1e-12)
+                        1.0 / math.sqrt(smp.alpha), rel_tol=1e-12)
 
 
 def test_marginal_equation_residual_converges():

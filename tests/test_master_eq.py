@@ -176,6 +176,23 @@ def test_stepper_rejects_bad_dt():
         MasterEqStepper(s, grid, 0.0)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_stepper_rejects_non_finite_dt(dt):
+    s = moderate()
+    _, grid = initial_state(s, n=64)
+    with pytest.raises(ValueError):
+        MasterEqStepper(s, grid, dt)
+
+
+def test_negative_checkpoint_cadence_refused():
+    # a negative cadence would checkpoint on multiples of its magnitude
+    s = moderate()
+    f, _ = initial_state(s, n=64)
+    num = NumericsSpec(dt=1e-3, t_end=0.01, sample_every=5)
+    with pytest.raises(ValueError):
+        evolve_master_eq(f, s, num, checkpoint_every=-3, checkpoint_sink=[].append)
+
+
 def test_suggested_box_passes_init_guard_off_preset_b():
     # 6/sqrt(alpha0) once rounded one ulp below the guard's 6*(1/sqrt(alpha0))
     for b in [0.98012] + list(np.linspace(0.98, 1.02, 401)):

@@ -44,6 +44,23 @@ def test_scenario_rejects_nonphysical(field, value, reported):
     assert exc.value.field == reported
 
 
+@pytest.mark.parametrize("cls, kwargs", [
+    (Scenario, {"lam": math.nan}),
+    (Scenario, {"lam": math.inf}),
+    (Scenario, {"m": math.inf}),
+    (NumericsSpec, {"dt": math.inf}),
+    (NumericsSpec, {"t_end": math.inf}),
+    (NumericsSpec, {"t_end": math.nan}),
+    (GridSpec1D, {"n_points": 64, "extent": math.inf}),
+], ids=["lam-nan", "lam-inf", "m-inf", "dt-inf", "t_end-inf", "t_end-nan",
+        "extent-inf"])
+def test_non_finite_parameter_rejected_at_construction(cls, kwargs):
+    # NumericsSpec(dt=inf) once ran and wrote only the t = 0 row
+    with pytest.raises(InvalidParameterError) as exc:
+        cls(**kwargs)
+    assert exc.value.field in ("Lambda", "m", "dt", "t_end", "extent")
+
+
 def test_characteristic_time_scaling():
     # t_b = hbar / (Lambda b^2): doubling b quarters it, doubling Lambda halves it
     s = Scenario(m=1.0, hbar=1.0, lam=2.0, b=1.0, sigma=1.0, t0=0.0, label="x")
