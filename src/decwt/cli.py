@@ -25,6 +25,7 @@ flag raised or the grid failed the 6-sigma check).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -72,8 +73,7 @@ from .scenario import (
 )
 from .svgplot import Curve, render_plot, write_svg
 
-CSV_COLUMNS = ("t", "alpha", "beta", "gamma", "delta", "coherence_length",
-               "ensemble_width", "purity", "norm", "flags")
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ObservableSample))
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -437,11 +437,10 @@ def cmd_verify(bundle: ConfigBundle) -> int:
         n_steps = max(8, int(round(horizon / num.dt)))
         stride = max(1, n_steps // 4)
         grid = GridSpec1D(n_points=512, extent=16.0 * s.b)
-        lse_num = NumericsSpec(dt=num.dt, t_end=n_steps * num.dt,
-                               sample_every=stride, ln_floor=num.ln_floor,
-                               fit_window=num.fit_window)
+        lse_num = dataclasses.replace(num, t_end=n_steps * num.dt,
+                                      sample_every=stride)
         _, fields = evolve_lse(init_gaussian_a(_pure_params(s.alpha0), grid),
-                               s, lse_num, keep_fields=True)
+                               s, lse_num)
         res = marginalme_residual(fields, s, ln_floor=num.ln_floor)
         add("marginal-equation residual", res, 1e-3,
             note="sensitive to dt: the sampled time derivative converges as"
@@ -562,6 +561,11 @@ def main(argv=None) -> int:
             bad = [r for r in routes if r not in ROUTES]
             if bad:
                 print(f"error: unknown routes {bad}; choose from {tuple(ROUTES)}",
+                      file=sys.stderr)
+                return 2
+            twice = sorted({r for r in routes if routes.count(r) > 1})
+            if twice:
+                print(f"error: routes named more than once: {twice}",
                       file=sys.stderr)
                 return 2
             return cmd_run(_bundle_of(args), routes, args.outdir,

@@ -107,9 +107,6 @@ class GFunctionTable:
     tau: np.ndarray
     entries: dict = field(default_factory=dict)
 
-    def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
-        return self.entries[key]
-
 
 def compute_g_table(cs: ConditionalSampler, tau: np.ndarray) -> GFunctionTable:
     tau = np.asarray(tau, dtype=float)

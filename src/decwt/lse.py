@@ -1,13 +1,15 @@
 """Split-step solver for the marginal-wavefunction equation with a
-time-growing logarithmic self-coupling:
+time-dependent logarithmic self-coupling:
 
-    i da/dt = -(hbar / 2m) d^2 a / d tau^2 + (2 Lambda / m)(t - t0) ln|a|^2 a
+    i da/dt = -(hbar / 2m) d^2 a / d tau^2 + (hbar / m) gamma_l(t) ln|a|^2 a
 
-(the potential is eps / hbar with eps = (2 hbar Lambda / m)(t - t0) ln|a|^2).
+where gamma_l is a prescribed decoherence coupling, the same callable that
+integrate_prescribed_gamma integrates (marginal_dynamics; linear_short by
+default). The potential is eps / hbar with eps = (hbar^2 / m) gamma_l ln|a|^2.
 Both Strang factors preserve the L2 norm exactly: the kinetic factor is a
 unimodular Fourier multiplier and the potential factor is a pure local phase,
-|a| being invariant under it. The potential half-steps evaluate the coupling
-at t + dt/4 and t + 3 dt/4; for a coupling linear in t the midpoint value
+|a| being invariant under it. The potential half-steps evaluate gamma_l at
+t + dt/4 and t + 3 dt/4; for a gamma_l linear in t the midpoint value
 integrates the prefactor exactly, keeping the scheme second order despite the
 explicit time dependence. The logarithm is floored at a small fraction of the
 peak amplitude so exact zeros stay finite; the floored region carries weight
@@ -16,18 +18,19 @@ splitting of Bao, Carles, Su & Tang, Numer. Math. 143, 461 (2019).
 
 Segments. The phase factor leaves |a| unchanged, so the closing half-step of
 one step and the opening half-step of the next act on the same |a| and fuse
-into one factor exp(-i (c(t + 3dt/4) + c(t + 5dt/4)) ln max(|a|^2, floor^2)
-dt/2). evolve_lse therefore advances each sample interval as one segment: an
-opening half-step, then per step a kinetic FFT pair followed by the fused
-factor (the closing half-step alone after the last), which halves the log
-and exp evaluations. A one-step segment is the plain Strang step, bit for
-bit; longer segments differ from step-by-step Strang only by round-off. The
-finite check runs after every step inside the segment, so a blow-up is
-stamped at the step where the field turned non-finite.
+into one factor exp(-i (hbar/m)(gamma_l(t + 3dt/4) + gamma_l(t + 5dt/4))
+ln max(|a|^2, floor^2) dt/2). evolve_lse therefore advances each sample
+interval as one segment: an opening half-step, then per step a kinetic FFT
+pair followed by the fused factor (the closing half-step alone after the
+last), which halves the log and exp evaluations. A one-step segment is the
+plain Strang step, bit for bit; longer segments differ from step-by-step
+Strang only by round-off. The finite check runs after every step inside the
+segment, so a blow-up is stamped at the step where the field turned
+non-finite.
 
-The positive-coupling branch is unbounded (the effective potential deepens
-with time and the packet spreads without limit); only a negative static
-coupling admits the stationary Gaussian used as a sanity check in the tests.
+A positive gamma_l is unbounded (the effective potential deepens with time
+and the packet spreads without limit); only a negative constant gamma_l
+admits the stationary Gaussian used as a sanity check in the tests.
 """
 
 from __future__ import annotations
@@ -54,11 +57,6 @@ def init_gaussian_a(p: GaussianParams, grid: GridSpec1D) -> ComplexField1D:
     return f
 
 
-def default_coupling(s: Scenario) -> Callable[[float], float]:
-    """Phase-rate prefactor (2 Lambda / m)(t - t0) of the log potential."""
-    return lambda t: (2.0 * s.lam / s.m) * (t - s.t0)
-
-
 def floored_log_density(values: np.ndarray, ln_floor: float) -> np.ndarray:
     """ln max(|a|^2, floor^2) with floor = ln_floor * max|a|."""
     amp2 = np.abs(values) ** 2
@@ -70,22 +68,25 @@ def floored_log_density(values: np.ndarray, ln_floor: float) -> np.ndarray:
 
 def epsilon_of(a: ComplexField1D, s: Scenario,
                ln_floor: float = NumericsSpec.ln_floor) -> np.ndarray:
-    """eps(tau) = (2 hbar Lambda / m)(t - t0) ln max(|a|^2, floor^2) at t = a.t."""
-    return s.hbar * default_coupling(s)(a.t) * floored_log_density(a.values, ln_floor)
+    """eps(tau) = (hbar^2 / m) gamma_l(t) ln max(|a|^2, floor^2) at t = a.t,
+    gamma_l = linear_short(s)."""
+    gamma_l = linear_short(s)(a.t)
+    return (s.hbar * s.hbar / s.m) * gamma_l * floored_log_density(a.values, ln_floor)
 
 
 class LseStepper:
-    """Strang stepper; coupling defaults to the decoherence form but can be
-    overridden (e.g. a negative constant for the stationary-Gaussian check)."""
+    """Strang stepper under a prescribed gamma_l(t), linear_short(s) by
+    default (e.g. a negative constant for the stationary-Gaussian check)."""
 
     def __init__(self, s: Scenario, grid: GridSpec1D, dt: float,
                  ln_floor: float = NumericsSpec.ln_floor,
-                 coupling: Callable[[float], float] | None = None):
+                 gamma_l: Callable[[float], float] | None = None):
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError("dt must be positive and finite")
         self.dt = dt
         self.ln_floor = ln_floor
-        self.coupling = coupling if coupling is not None else default_coupling(s)
+        self.gamma_l = gamma_l if gamma_l is not None else linear_short(s)
+        self._hbar_m = s.hbar / s.m  # phase rate per unit gamma_l
         k = grid.wavenumbers()
         self._kinetic = np.exp(-1j * (s.hbar / (2.0 * s.m)) * k * k * dt)
 
@@ -99,13 +100,13 @@ class LseStepper:
         field non-finite."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        dt, c = self.dt, self.coupling
-        v = self._phase(a.values, c(a.t + 0.25 * dt))
+        dt, g, hm = self.dt, self.gamma_l, self._hbar_m
+        v = self._phase(a.values, hm * g(a.t + 0.25 * dt))
         for j in range(1, n + 1):
             t = a.t + (j - 1) * dt  # start of step j
             u = np.fft.ifft(self._kinetic * np.fft.fft(v))
-            rate = c(t + 0.75 * dt)
-            v = self._phase(u, rate + c(t + 1.25 * dt) if j < n else rate)
+            rate = hm * g(t + 0.75 * dt)
+            v = self._phase(u, rate + hm * g(t + 1.25 * dt) if j < n else rate)
             if not np.isfinite(v).all():
                 # the fused factor also holds step j + 1's opening half-step
                 if j < n and np.isfinite(self._phase(u, rate)).all():
@@ -130,33 +131,28 @@ def evolve_lse(
     a: ComplexField1D,
     s: Scenario,
     numerics: NumericsSpec,
-    coupling: Callable[[float], float] | None = None,
-    keep_fields: bool = False,
+    gamma_l: Callable[[float], float] | None = None,
 ) -> tuple[list[ObservableSample], list[ComplexField1D]]:
-    """Evolve to numerics.t_end, sampling the start, every step on a multiple
-    of sample_every counted from t = 0 (see sample_grid) and the last step.
-    Returns (samples, fields); fields holds the sampled snapshots when
-    keep_fields, otherwise just the final state. A non-finite initial field
-    raises IntegrationError at its own time, before any sample is taken."""
+    """Evolve to numerics.t_end under gamma_l (linear_short(s) by default),
+    sampling the start, every step on a multiple of sample_every counted from
+    t = 0 (see sample_grid) and the last step. Returns (samples, fields), one
+    field per sample; each sample reports the gamma_l it ran with. A
+    non-finite initial field raises IntegrationError at its own time, before
+    any sample is taken."""
     if not np.isfinite(a.values).all():
         raise IntegrationError(a.t, "initial field is not finite")
-    stepper = LseStepper(s, a.grid, numerics.dt, numerics.ln_floor, coupling)
+    stepper = LseStepper(s, a.grid, numerics.dt, numerics.ln_floor, gamma_l)
     ks = sample_grid(a.t, numerics.t_end, numerics.dt, numerics.sample_every)
-    # gamma_l implied by the default coupling; none for an overridden one
-    gamma_l = linear_short(s) if coupling is None else (lambda t: 0.0)
 
     t_start = a.t
-    samples = [_sample(a, numerics.fit_window, gamma_l(a.t))]
-    fields = [a] if keep_fields else []
+    samples = [_sample(a, numerics.fit_window, stepper.gamma_l(a.t))]
+    fields = [a]
     for k, stop in zip(ks, ks[1:]):
         # one segment per sample interval
         a = stepper.step(a, stop - k)
         a.t = t_start + stop * numerics.dt  # stamp from the step count, no drift
-        samples.append(_sample(a, numerics.fit_window, gamma_l(a.t)))
-        if keep_fields:
-            fields.append(a)
-    if not keep_fields:
-        fields = [a]
+        samples.append(_sample(a, numerics.fit_window, stepper.gamma_l(a.t)))
+        fields.append(a)
     return samples, fields
 
 

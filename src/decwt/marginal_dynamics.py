@@ -87,9 +87,6 @@ class ParamTrajectory:
     gamma: np.ndarray
     delta: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.t)
-
 
 def _check_state(t: float, alpha: float, beta: float) -> None:
     if not (math.isfinite(alpha) and math.isfinite(beta)) or alpha <= 0.0:

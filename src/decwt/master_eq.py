@@ -163,11 +163,12 @@ def evolve_master_eq(
     last step; a run resumed from any step keeps the time grid of a run from
     t = 0.
 
-    observers: optional iterable of callables field -> dict, merged into each
-    sample's extras. checkpoint_every > 0 hands the field to checkpoint_sink
-    (callable, gets the current ComplexField2D) every that many steps. Each
-    sample interval is one stepper segment; the finite check runs at its end
-    and before each checkpoint, so no non-finite field reaches the sink.
+    observers: optional iterable of callables, each called with the field at
+    every sample, after it is sampled. checkpoint_every > 0 hands the field
+    to checkpoint_sink (callable, gets the current ComplexField2D) every that
+    many steps. Each sample interval is one stepper segment; the finite check
+    runs at its end and before each checkpoint, so no non-finite field
+    reaches the sink.
     """
     if checkpoint_every < 0:
         raise ValueError("checkpoint_every must be >= 0")
@@ -177,7 +178,7 @@ def evolve_master_eq(
     def observe(fld: ComplexField2D) -> ObservableSample:
         smp = _sample(fld, numerics.fit_window)
         for obs in observers or ():
-            smp.extras.update(obs(fld))
+            obs(fld)
         return smp
 
     t_start = f.t

@@ -9,7 +9,7 @@ y = 0 slice with p(tau) = rho(0, 2 tau).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,9 +21,8 @@ from .scenario import InvalidParameterError, NumericsSpec, Scenario
 
 @dataclass(kw_only=True)
 class ObservableSample:
-    """One sampled time of a route. The fields up to flags are the columns of
-    the route CSVs, in order; None (or NaN) is a column the route does not
-    produce. extras holds what evolve_master_eq's observers add."""
+    """One sampled time of a route. The fields are the columns of the route
+    CSVs, in order; None (or NaN) is a column the route does not produce."""
 
     t: float
     alpha: float | None = None       # Gaussian parameters, where the route has them
@@ -35,7 +34,6 @@ class ObservableSample:
     purity: float
     norm: float                      # trace for rho, L2 norm for wavefunctions
     flags: tuple[str, ...] = ()
-    extras: dict = field(default_factory=dict)
 
 
 def trace_of(f: ComplexField2D) -> complex:

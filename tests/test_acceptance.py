@@ -134,7 +134,7 @@ def test_ac3_wavefunction_route_matches_prescribed_ode():
     def series(stride):
         a = init_gaussian_a(GaussianParams(s.alpha0, 0.0, 0.0, 0.0), grid_r)
         num = NumericsSpec(dt=1e-4, t_end=0.1, sample_every=stride)
-        return evolve_lse(a, s, num, keep_fields=True)[1]
+        return evolve_lse(a, s, num)[1]
 
     r_coarse = marginalme_residual(series(100), s)
     r_fine = marginalme_residual(series(50), s)

@@ -172,6 +172,14 @@ def test_unknown_route_usage_error(tmp_path):
     assert cli.main(["run", "--routes", "warp", "--outdir", str(tmp_path)]) == 2
 
 
+def test_route_named_twice_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--routes", "analytic,ode, analytic",
+                     "--outdir", str(out)]) == 2
+    assert "analytic" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_checkpoint_every_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -56,10 +56,10 @@ def test_low_order_entries_match_closed_forms():
     cs = sampler(gamma_k=gamma_k, hbar=hbar)
     table = compute_g_table(cs, tau_grid())
     assert set(table.entries) == {(n, m) for n in range(5) for m in range(5 - n)}
-    assert np.allclose(table[(0, 0)], 1.0, atol=1e-12)
-    assert np.allclose(table[(0, 1)], 0.0, atol=1e-12)
-    assert np.allclose(table[(1, 1)], gamma_k / hbar, atol=1e-10)
-    assert np.allclose(table[(0, 2)], -gamma_k / hbar, atol=1e-10)
+    assert np.allclose(table.entries[(0, 0)], 1.0, atol=1e-12)
+    assert np.allclose(table.entries[(0, 1)], 0.0, atol=1e-12)
+    assert np.allclose(table.entries[(1, 1)], gamma_k / hbar, atol=1e-10)
+    assert np.allclose(table.entries[(0, 2)], -gamma_k / hbar, atol=1e-10)
 
 
 def test_entries_constant_in_tau():

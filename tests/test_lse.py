@@ -12,11 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from decwt.cli import run_lse
 from decwt.fields import ComplexField1D
 from decwt.gaussian import GaussianParams
 from decwt.lse import (
     LseStepper,
-    default_coupling,
     epsilon_of,
     evolve_lse,
     floored_log_density,
@@ -90,29 +90,44 @@ def test_positive_coupling_spreads_faster_than_free():
 
 
 def test_gausson_is_stationary():
-    # static coupling -kappa admits a = exp(-alpha* tau^2), alpha* = kappa m/hbar
+    # static phase rate -kappa, i.e. gamma_l = -kappa m / hbar, admits
+    # a = exp(-alpha* tau^2), alpha* = kappa m / hbar
     s = moderate()
     kappa = 1.0
     alpha_star = kappa * s.m / s.hbar
     grid = GridSpec1D(n_points=512, extent=12.0)
     a = init_gaussian_a(pure_params(alpha_star), grid)
     num = NumericsSpec(dt=1e-3, t_end=1.0, sample_every=200)
-    samples, _ = evolve_lse(a, s, num, coupling=lambda t: -kappa)
+    samples, _ = evolve_lse(a, s, num, gamma_l=lambda t: -kappa * s.m / s.hbar)
     w0 = 0.5 / math.sqrt(alpha_star)
     for smp in samples:
         assert abs(smp.ensemble_width - w0) / w0 < 0.01, f"t={smp.t}"
 
 
-def test_coupling_override_drops_gamma_from_coherence():
-    # with a user coupling the sample's coherence length is 1/sqrt(alpha)
-    s = moderate()
-    grid = GridSpec1D(n_points=512, extent=12.0)
-    a = init_gaussian_a(pure_params(1.0), grid)
-    num = NumericsSpec(dt=1e-3, t_end=0.01, sample_every=5)
-    samples, _ = evolve_lse(a, s, num, coupling=lambda t: -1.0)
-    smp = samples[-1]
-    assert math.isclose(smp.coherence_length,
-                        1.0 / math.sqrt(smp.alpha), rel_tol=1e-12)
+def test_gamma_l_override_is_reported_and_sets_coherence():
+    # an overridden gamma_l is the one the samples report, the one their
+    # coherence length is built from, and the one the field evolved under;
+    # hbar != m so the (hbar/m) phase-rate factor shows against the ODE
+    s = Scenario(m=1.7, hbar=0.8, lam=1.0, b=1.0, sigma=1.0, t0=0.0, label="odd")
+
+    def gamma_l(t):
+        return 0.5 + 3.0 * t
+
+    grid = GridSpec1D(n_points=1024, extent=24.0)
+    num = NumericsSpec(dt=1e-4, t_end=0.2, sample_every=500)
+    samples, _ = evolve_lse(init_gaussian_a(pure_params(s.alpha0), grid), s, num,
+                            gamma_l=gamma_l)
+    traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gamma_l,
+                                      dt=1e-5, t_end=0.2, sample_every=5000)
+    assert [smp.t for smp in samples] == pytest.approx(list(traj.t), abs=1e-12)
+    for i, smp in enumerate(samples):
+        assert smp.gamma == gamma_l(smp.t)
+        assert smp.coherence_length == 1.0 / math.sqrt(smp.alpha + gamma_l(smp.t))
+        assert abs(smp.alpha - traj.alpha[i]) < 1e-8, f"t={smp.t}"
+        assert abs(smp.beta - traj.beta[i]) < 1e-8, f"t={smp.t}"
+    # the default gamma_l would have evolved a different packet
+    default, _ = evolve_lse(init_gaussian_a(pure_params(s.alpha0), grid), s, num)
+    assert abs(default[-1].alpha - samples[-1].alpha) > 1e-3
 
 
 def test_marginal_equation_residual_converges():
@@ -122,7 +137,7 @@ def test_marginal_equation_residual_converges():
 
     def run(stride):
         num = NumericsSpec(dt=1e-4, t_end=0.1, sample_every=stride)
-        _, fields = evolve_lse(init_gaussian_a(p0, grid), s, num, keep_fields=True)
+        _, fields = evolve_lse(init_gaussian_a(p0, grid), s, num)
         return fields
 
     f100, f50 = run(100), run(50)
@@ -181,11 +196,21 @@ def test_epsilon_of_known_profile():
     assert np.allclose(eps1, -2.0 * tau * tau, atol=1e-12)
 
 
-def test_default_coupling_linear_in_time():
-    s = Scenario(m=2.0, hbar=1.0, lam=3.0, b=1.0, sigma=1.0, t0=0.5, label="x")
-    c = default_coupling(s)
-    assert c(0.5) == 0.0
-    assert c(1.5) == pytest.approx(2.0 * 3.0 / 2.0)
+def test_default_phase_rate_is_hbar_over_m_times_linear_short():
+    # a uniform field sees no kinetic term, only the log phase: one step
+    # from t - dt/2 turns it by (hbar/m) gamma_l(t) ln|a|^2 dt, and the
+    # default (hbar/m) linear_short is 2 Lambda (t - t0) / m for any hbar
+    grid = GridSpec1D(n_points=64, extent=8.0)
+    dt = 1e-3
+    for hbar in (1.0, 0.8):
+        s = Scenario(m=2.0, hbar=hbar, lam=3.0, b=1.0, sigma=1.0, t0=0.5, label="x")
+        stepper = LseStepper(s, grid, dt)
+        for t_mid, rate in [(0.5, 0.0), (1.5, 2.0 * 3.0 / 2.0)]:
+            a = ComplexField1D(np.full(64, math.exp(-0.5), dtype=complex), grid,
+                               t=t_mid - 0.5 * dt)  # ln|a|^2 = -1
+            out = stepper.step(a)
+            assert np.allclose(np.angle(out.values / a.values) / dt, rate,
+                               rtol=1e-9, atol=1e-9)
 
 
 def test_negative_span_raises():
@@ -206,7 +231,11 @@ def test_segment_matches_per_step_strang_reference(preset, n):
     assert grid.n_points == 512
     a = init_gaussian_a(pure_params(s.alpha0), grid)
     a.t = 0.25  # a nonzero coupling from the first half-step on
-    c = default_coupling(s)
+    gamma_l = linear_short(s)
+
+    def c(t):
+        return (s.hbar / s.m) * gamma_l(t)
+
     k = grid.wavenumbers()
     kinetic = np.exp(-1j * (s.hbar / (2.0 * s.m)) * k * k * dt)
 
@@ -238,15 +267,15 @@ def test_blow_up_inside_a_segment_is_stamped_at_its_step(t_nan, t_stamp):
     # non-finite only at step 4.
     bundle = preset_bundle("moderate")
     s = bundle.scenario
-    c0 = default_coupling(s)
+    g0 = linear_short(s)
 
-    def coupling(t):
-        return float("nan") if t >= t_nan else c0(t)
+    def gamma_l(t):
+        return float("nan") if t >= t_nan else g0(t)
 
     a = init_gaussian_a(pure_params(s.alpha0), bundle.grid.axis_z)
     num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
     with pytest.raises(IntegrationError, match="field blew up") as err:
-        evolve_lse(a, s, num, coupling=coupling)
+        evolve_lse(a, s, num, gamma_l=gamma_l)
     assert err.value.t == t_stamp
 
 
@@ -297,3 +326,21 @@ def test_one_stepper_call_per_sample_interval(monkeypatch):
     samples, _ = evolve_lse(init_gaussian_a(pure_params(s.alpha0), grid), s, num)
     assert [smp.t for smp in samples] == [0.0, 0.005, 0.01, 0.015, 0.02, 0.023]
     assert calls == [5, 5, 5, 5, 3]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: the strong preset's lse route reuses the spread-sized z "
+    "axis, which the linear-short chirp outruns; mended by the lens frame"))
+def test_strong_preset_lse_route_tracks_its_prescribed_ode():
+    # the route as `run --preset strong --routes lse` runs it, against RK4 on
+    # the same gamma_l, within the AC3 bound over the whole run
+    bundle = preset_bundle("strong")
+    s, num = bundle.scenario, bundle.numerics
+    samples = run_lse(bundle)
+    ref = integrate_prescribed_gamma(s, s.alpha0, 0.0, linear_short(s), dt=num.dt,
+                                     t_end=num.t_end, sample_every=num.sample_every)
+    assert samples[-1].t == pytest.approx(2.0)
+    assert [smp.t for smp in samples] == pytest.approx(list(ref.t), abs=1e-12)
+    for i, smp in enumerate(samples[1:], start=1):  # beta(0) = 0
+        assert abs(smp.alpha / ref.alpha[i] - 1.0) <= 1e-4, f"t={smp.t}"
+        assert abs(smp.beta / ref.beta[i] - 1.0) <= 1e-4, f"t={smp.t}"

@@ -149,15 +149,16 @@ def test_checkpoint_sink_cadence():
     assert [round(c.t / 1e-3) for c in seen] == [7, 14]
 
 
-def test_observer_extras_merged():
+def test_observers_see_every_sample_field_in_order():
     s = moderate()
     f, _ = initial_state(s, n=128)
-    num = NumericsSpec(dt=1e-3, t_end=0.01, sample_every=5)
+    num = NumericsSpec(dt=1e-3, t_end=0.012, sample_every=5)
+    seen = []
     samples, _ = evolve_master_eq(
-        f, s, num, observers=[lambda fld: {"peak": float(np.abs(fld.values).max())}]
+        f, s, num, observers=[lambda fld: seen.append((fld.t, trace_of(fld).real))]
     )
-    assert all("peak" in smp.extras for smp in samples)
-    assert samples[0].extras["peak"] > 0.0
+    assert [t for t, _ in seen] == [smp.t for smp in samples] == [0.0, 0.005, 0.01, 0.012]
+    assert [tr for _, tr in seen] == [smp.norm for smp in samples]
 
 
 def test_negative_span_raises():
