@@ -59,8 +59,18 @@ from .marginal_dynamics import (
     linear_short,
     sample_grid,
 )
-from .master_eq import GridSizeError, evolve_master_eq, init_gaussian_rho
-from .observables import FD_STEP, ObservableSample, qseries_residual
+from .master_eq import (
+    HERMITICITY_BOUND,
+    GridSizeError,
+    evolve_master_eq,
+    init_gaussian_rho,
+)
+from .observables import (
+    FD_STEP,
+    ObservableSample,
+    hermiticity_defect,
+    qseries_residual,
+)
 from .scenario import (
     ConfigBundle,
     GridSpec1D,
@@ -484,6 +494,10 @@ def cmd_checkpoint_resume(bundle: ConfigBundle, checkpoint_path, outdir) -> int:
     extra = (f"resumed_from_t = {f.t!r}",
              f"checkpoint = {os.fspath(checkpoint_path)}")
     try:
+        defect = hermiticity_defect(f)
+        if defect > HERMITICITY_BOUND:  # evolve_master_eq would give wrong rows
+            raise ValueError(f"checkpoint field is not Hermitian (defect "
+                             f"{defect:.3g} > {HERMITICITY_BOUND:g})")
         samples, _ = evolve_master_eq(f, s, num)
     except Exception as exc:
         _write_manifest(bundle, ["master-eq"], outdir,

@@ -21,6 +21,18 @@ step, with no interior. The scheme, dt and O(dt^2) error are those of
 step-by-step Strang; only the order of the transforms differs, which moves
 the results of longer segments by about 1e-14 relative.
 
+Half spectrum. The master equation keeps rho Hermitian, rho(-y, z) =
+conj rho(y, z), so rho^(k_y, -k_z) = conj rho^(k_y, k_z), and both factors
+keep that symmetry. The interior therefore holds only the n_z // 2 + 1 rows
+with k_z >= 0; the k_z Nyquist row is one of them and evolves as it would in
+the full spectrum. The close rebuilds the k_z < 0 columns as conjugates of
+their mirrors before the last kinetic multiplier; a copy left inside a
+segment rebuilds them in (k_z, y), where the mirror also reflects y. The open
+and close keep the full fft2 and ifft2. An rfft/irfft pair would halve them
+too, but irfft projects the Nyquist row onto its Hermitian part, a change of
+scheme rather than round-off, and perfbench's trace counts the route's
+transforms as fft2/ifft2 calls, two per segment.
+
 Resume contract. Segments end only at sample steps and at the final step,
 and the field leaves a segment C-contiguous (the observables sum in memory
 order). A checkpoint taken at a sample step is a segment boundary, so a run
@@ -49,6 +61,7 @@ from .observables import (
 from .scenario import GridSpec2D, NumericsSpec, Scenario
 
 ALIAS_THRESHOLD = 1e-6  # boundary amplitude relative to the peak
+HERMITICITY_BOUND = 1e-9  # hermiticity_defect of an acceptable input field
 
 
 class GridSizeError(ValueError):
@@ -75,8 +88,10 @@ def init_gaussian_rho(p: GaussianParams, grid: GridSpec2D) -> ComplexField2D:
 class MasterEqStepper:
     """Precomputed Strang multipliers for one (scenario, grid, dt) triple.
 
-    The kinetic multiplier is kept in both layouts: (k_y, k_z) for the
-    segment's closing step and (k_z, k_y) for its interior steps.
+    The kinetic multiplier is kept in two forms: the full (k_y, k_z) array for
+    the segment's closing step, and a C-contiguous (k_z >= 0, k_y) copy of its
+    first n_z // 2 + 1 columns for the interior steps, which evolve the
+    Hermitian half spectrum only (see the module docstring).
     """
 
     def __init__(self, s: Scenario, grid: GridSpec2D, dt: float):
@@ -86,10 +101,11 @@ class MasterEqStepper:
         y = grid.axis_y.points()
         self._decay_half = np.exp(-(s.lam / s.hbar) * y * y * (0.5 * dt))
         self._decay = np.exp(-(s.lam / s.hbar) * y * y * dt)
-        ky = grid.axis_y.wavenumbers()[None, :]
-        kz = grid.axis_z.wavenumbers()[:, None]
-        self._kinetic_t = np.exp(-1j * (2.0 * s.hbar / s.m) * ky * kz * dt)
-        self._kinetic = np.ascontiguousarray(self._kinetic_t.T)
+        ky = grid.axis_y.wavenumbers()[:, None]
+        kz = grid.axis_z.wavenumbers()[None, :]
+        self._kinetic = np.exp(-1j * (2.0 * s.hbar / s.m) * ky * kz * dt)
+        self._kinetic_t = np.ascontiguousarray(
+            self._kinetic[:, :grid.n_z // 2 + 1].T)
 
     def step(self, f: ComplexField2D, n: int = 1, leave=None,
              leave_at=()) -> ComplexField2D:
@@ -103,26 +119,38 @@ class MasterEqStepper:
         dh = self._decay_half
         v = np.fft.fft2(f.values * dh[:, None])
         if n > 1:
-            v = np.ascontiguousarray(v.T)
+            n_z, h = v.shape[1], self._kinetic_t.shape[0]
+            w = np.ascontiguousarray(v[:, :h].T)  # (k_z >= 0, k_y)
+            del v  # the full spectrum is not held through the interior
             for j in range(1, n):
-                v *= self._kinetic_t
-                v = np.fft.ifft(v, axis=1)
+                w *= self._kinetic_t
+                w = np.fft.ifft(w, axis=1)
                 if j in leave_at:
-                    leave(j, ComplexField2D(_to_real(v * dh), f.grid,
+                    leave(j, ComplexField2D(_to_real(w * dh, n_z), f.grid,
                                             f.t + j * self.dt))
-                v *= self._decay
-                v = np.fft.fft(v, axis=1)
-            v = np.ascontiguousarray(v.T)
+                w *= self._decay
+                w = np.fft.fft(w, axis=1)
+            # rho^(k_y, -k_z) = conj rho^(k_y, k_z); the Nyquist row is in w
+            v = np.empty((w.shape[1], n_z), dtype=w.dtype)
+            v[:, :h] = w.T
+            np.conjugate(w[n_z - h:0:-1].T, out=v[:, h:])
         v *= self._kinetic
         v = np.fft.ifft2(v)
         v *= dh[:, None]
         return ComplexField2D(v, f.grid, f.t + n * self.dt)
 
 
-def _to_real(m: np.ndarray) -> np.ndarray:
-    """(k_z, y) -> C-contiguous (y, z). The observables sum in memory order,
-    so a resumed run reproduces the rows bit for bit only in a fixed layout."""
-    return np.ascontiguousarray(np.fft.ifft(np.ascontiguousarray(m.T), axis=1))
+def _to_real(m: np.ndarray, n_z: int) -> np.ndarray:
+    """(k_z >= 0, y) half -> C-contiguous (y, z); the observables sum in
+    memory order, so a resumed run reproduces the rows bit for bit only in a
+    fixed layout. The k_z < 0 columns are the conjugates of the mirrored rows
+    taken at -y, the periodic reflection i -> (n - i) mod n of
+    hermiticity_defect."""
+    h, n_y = m.shape
+    g = np.empty((n_y, n_z), dtype=m.dtype)
+    g[:, :h] = m.T
+    g[:, h:] = np.conj(np.roll(m[n_z - h:0:-1, ::-1], 1, axis=1).T)
+    return np.fft.ifft(g, axis=1)
 
 
 def boundary_leak(values: np.ndarray) -> float:
@@ -162,6 +190,12 @@ def evolve_master_eq(
     multiple of sample_every counted from t = 0 (see sample_grid) and the
     last step; a run resumed from any step keeps the time grid of a run from
     t = 0.
+
+    f must be Hermitian, rho(-y, z) = conj rho(y, z): a segment of more
+    than one step evolves only the k_z >= 0 half of its spectrum and rebuilds
+    the rest as its mirror, so a non-Hermitian f gives wrong rows. This is
+    not checked here; a caller holding a field of unknown origin compares
+    hermiticity_defect(f) with HERMITICITY_BOUND first.
 
     observers: optional iterable of callables, each called with the field at
     every sample, after it is sampled. checkpoint_every > 0 hands the field

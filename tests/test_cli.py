@@ -6,9 +6,11 @@ import io
 import math
 import re
 
+import numpy as np
 import pytest
 
 from decwt import cli
+from decwt.fields import load_field_2d, save_field_2d
 from decwt.scenario import config_lines, load_scenario, parse_config
 
 
@@ -394,6 +396,30 @@ def test_every_route_shares_one_sample_grid(tmp_path):
     assert len(stamps) == 1  # the same stamps to the last digit
     _, rows = read_csv(out / "hierarchy.csv")
     assert [r["t"] for r in rows] == list(stamps.pop()[1:])
+
+
+def test_checkpoint_resume_refuses_a_non_hermitian_field(tmp_path, capsys):
+    # the solver evolves the Hermitian half spectrum only: a field with an
+    # anti-Hermitian part would give wrong rows with exit 0
+    cfg = write_cfg(tmp_path)
+    full = tmp_path / "full"
+    assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
+                     "--checkpoint-every", "10", "--outdir", str(full)]) == 0
+    ckpt = full / "master-eq-step000010.ckpt"
+    f = load_field_2d(ckpt)
+    f.values *= np.exp(0.3j * f.grid.axis_z.points())[None, :]
+    bad, res = tmp_path / "bad.ckpt", tmp_path / "res"
+    save_field_2d(bad, f)
+    assert cli.main(["checkpoint-resume", "--config", cfg,
+                     "--checkpoint", str(bad), "--outdir", str(res)]) == 1
+    assert "not Hermitian" in capsys.readouterr().err
+    assert not (res / "master-eq.csv").exists()
+    assert ("status = failed: master-eq resume: checkpoint field is not "
+            "Hermitian") in (res / "MANIFEST.txt").read_text()
+    ok = tmp_path / "ok"
+    assert cli.main(["checkpoint-resume", "--config", cfg,
+                     "--checkpoint", str(ckpt), "--outdir", str(ok)]) == 0
+    assert (ok / "master-eq.csv").exists()
 
 
 def test_checkpoint_resume_missing_file(tmp_path):
