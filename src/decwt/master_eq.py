@@ -12,26 +12,29 @@ step by step.
 
 Segments. The decay factor acts on y alone, so it commutes with the Fourier
 transform along z. evolve_master_eq therefore advances each sample interval
-as one segment: a decay half-step and fft2 open it, then each interior step
-applies the kinetic multiplier, a y-iFFT, one fused full decay step and a
-y-FFT, with the field held as a C-contiguous (k_z, k_y) array so the
-y-transforms run on the contiguous axis; the last kinetic multiplier, ifft2
-and a decay half-step close it. A one-step segment is the plain 2-D Strang
-step, with no interior. The scheme, dt and O(dt^2) error are those of
-step-by-step Strang; only the order of the transforms differs, which moves
-the results of longer segments by about 1e-14 relative.
+as one segment: a decay half-step and a 2-D FFT open it, then each interior
+step applies the kinetic multiplier, a y-iFFT, one fused full decay step and
+a y-FFT, with the field held as a C-contiguous (k_z, k_y) array so the
+y-transforms run on the contiguous axis; the last kinetic multiplier, a
+y-iFFT, a decay half-step and a z-iFFT close it. A one-step segment is the
+plain 2-D Strang step (fft2, kinetic multiplier, ifft2), with no interior.
+The scheme, dt and O(dt^2) error are those of step-by-step Strang; only the
+order of the transforms differs, which moves the results of longer segments
+by about 1e-14 relative.
 
 Half spectrum. The master equation keeps rho Hermitian, rho(-y, z) =
 conj rho(y, z), so rho^(k_y, -k_z) = conj rho^(k_y, k_z), and both factors
-keep that symmetry. The interior therefore holds only the n_z // 2 + 1 rows
-with k_z >= 0; the k_z Nyquist row is one of them and evolves as it would in
-the full spectrum. The close rebuilds the k_z < 0 columns as conjugates of
-their mirrors before the last kinetic multiplier; a copy left inside a
-segment rebuilds them in (k_z, y), where the mirror also reflects y. The open
-and close keep the full fft2 and ifft2. An rfft/irfft pair would halve them
-too, but irfft projects the Nyquist row onto its Hermitian part, a change of
-scheme rather than round-off, and perfbench's trace counts the route's
-transforms as fft2/ifft2 calls, two per segment.
+keep that symmetry. A segment of more than one step therefore holds only the
+n_z // 2 + 1 rows with k_z >= 0; the k_z Nyquist row is one of them and
+evolves as it would in the full spectrum. The open is fft2's own pair of
+1-D transforms in fft2's order, a z-FFT on the contiguous axis and then a
+y-FFT on the k_z >= 0 half only, so the half equals fft2's columns bit for
+bit. The close and a copy left inside a segment are one expression
+(_to_real): the k_z < 0 columns are rebuilt in (k_z, y) as conjugates of
+their mirrors, where the mirror also reflects y, and a z-iFFT returns to
+real space. A copy left after step j is thus the j-step segment's result
+bit for bit. No rfft/irfft pair is used: irfft projects the Nyquist row onto
+its Hermitian part, a change of scheme rather than round-off.
 
 Resume contract. Segments end only at sample steps and at the final step,
 and the field leaves a segment C-contiguous (the observables sum in memory
@@ -44,6 +47,7 @@ does not perturb the run.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -88,24 +92,31 @@ def init_gaussian_rho(p: GaussianParams, grid: GridSpec2D) -> ComplexField2D:
 class MasterEqStepper:
     """Precomputed Strang multipliers for one (scenario, grid, dt) triple.
 
-    The kinetic multiplier is kept in two forms: the full (k_y, k_z) array for
-    the segment's closing step, and a C-contiguous (k_z >= 0, k_y) copy of its
-    first n_z // 2 + 1 columns for the interior steps, which evolve the
-    Hermitian half spectrum only (see the module docstring).
+    Segments of more than one step use only the C-contiguous (k_z >= 0, k_y)
+    half of the kinetic multiplier, which is all __init__ evaluates (see the
+    module docstring). The full (k_y, k_z) multiplier is built on the first
+    one-step segment.
     """
 
     def __init__(self, s: Scenario, grid: GridSpec2D, dt: float):
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError("dt must be positive and finite")
         self.dt = dt
+        self._grid = grid
+        self._rate = -1j * (2.0 * s.hbar / s.m)  # exp(rate k_y k_z dt)
         y = grid.axis_y.points()
         self._decay_half = np.exp(-(s.lam / s.hbar) * y * y * (0.5 * dt))
         self._decay = np.exp(-(s.lam / s.hbar) * y * y * dt)
-        ky = grid.axis_y.wavenumbers()[:, None]
-        kz = grid.axis_z.wavenumbers()[None, :]
-        self._kinetic = np.exp(-1j * (2.0 * s.hbar / s.m) * ky * kz * dt)
-        self._kinetic_t = np.ascontiguousarray(
-            self._kinetic[:, :grid.n_z // 2 + 1].T)
+        ky = grid.axis_y.wavenumbers()[None, :]
+        kz = grid.axis_z.wavenumbers()[:grid.n_z // 2 + 1, None]
+        # operands in _kinetic's order, so each entry is the same product
+        self._kinetic_t = np.exp(self._rate * ky * kz * dt)
+
+    @functools.cached_property
+    def _kinetic(self) -> np.ndarray:
+        ky = self._grid.axis_y.wavenumbers()[:, None]
+        kz = self._grid.axis_z.wavenumbers()[None, :]
+        return np.exp(self._rate * ky * kz * self.dt)
 
     def step(self, f: ComplexField2D, n: int = 1, leave=None,
              leave_at=()) -> ComplexField2D:
@@ -117,27 +128,28 @@ class MasterEqStepper:
         if n < 1:
             raise ValueError("n must be >= 1")
         dh = self._decay_half
-        v = np.fft.fft2(f.values * dh[:, None])
-        if n > 1:
-            n_z, h = v.shape[1], self._kinetic_t.shape[0]
-            w = np.ascontiguousarray(v[:, :h].T)  # (k_z >= 0, k_y)
-            del v  # the full spectrum is not held through the interior
-            for j in range(1, n):
-                w *= self._kinetic_t
-                w = np.fft.ifft(w, axis=1)
-                if j in leave_at:
-                    leave(j, ComplexField2D(_to_real(w * dh, n_z), f.grid,
-                                            f.t + j * self.dt))
-                w *= self._decay
-                w = np.fft.fft(w, axis=1)
-            # rho^(k_y, -k_z) = conj rho^(k_y, k_z); the Nyquist row is in w
-            v = np.empty((w.shape[1], n_z), dtype=w.dtype)
-            v[:, :h] = w.T
-            np.conjugate(w[n_z - h:0:-1].T, out=v[:, h:])
-        v *= self._kinetic
-        v = np.fft.ifft2(v)
-        v *= dh[:, None]
-        return ComplexField2D(v, f.grid, f.t + n * self.dt)
+        if n == 1:
+            v = np.fft.fft2(f.values * dh[:, None])
+            v *= self._kinetic
+            v = np.fft.ifft2(v)
+            v *= dh[:, None]
+            return ComplexField2D(v, f.grid, f.t + self.dt)
+        # fft2's two transforms in its order: z on the contiguous axis, then
+        # y on the k_z >= 0 half only, held as (k_z, k_y)
+        n_z, h = f.grid.n_z, self._kinetic_t.shape[0]
+        w = np.fft.fft(f.values * dh[:, None], axis=1)
+        w = np.fft.fft(np.ascontiguousarray(w[:, :h].T), axis=1)
+        for j in range(1, n + 1):
+            w *= self._kinetic_t
+            w = np.fft.ifft(w, axis=1)
+            if j == n:
+                break
+            if j in leave_at:
+                leave(j, ComplexField2D(_to_real(w * dh, n_z), f.grid,
+                                        f.t + j * self.dt))
+            w *= self._decay
+            w = np.fft.fft(w, axis=1)
+        return ComplexField2D(_to_real(w * dh, n_z), f.grid, f.t + n * self.dt)
 
 
 def _to_real(m: np.ndarray, n_z: int) -> np.ndarray:

@@ -40,7 +40,8 @@ class Scenario:
     b        initial wave-packet width parameter, alpha0 = 1/(4 b^2)
     sigma    width of the environment-mode amplitude profile
     t0       reference time for the prescribed linear coupling
-    label    free-form tag used for output naming
+    label    tag used for output naming: one line, no '#', no leading or
+             trailing whitespace, so a config file reloads it unchanged
     """
 
     m: float = 1.0
@@ -60,6 +61,12 @@ class Scenario:
             raise InvalidParameterError("Lambda", "must be finite and >= 0")
         if not math.isfinite(self.t0):
             raise InvalidParameterError("t0", "must be finite")
+        lb = self.label  # must come back from a UTF-8 config line as is
+        if (lb.splitlines() != [lb] or lb != lb.strip() or "#" in lb
+                or lb.encode("utf-8", "replace").decode("utf-8") != lb):
+            raise InvalidParameterError(
+                "label", f"must be one line of UTF-8 text without '#' or "
+                f"outer whitespace, got {lb!r}")
 
     @property
     def alpha0(self) -> float:

@@ -263,6 +263,34 @@ def test_segment_matches_per_step_strang_reference(scenario, n_y, n_z, n):
     assert out.t == pytest.approx(n * dt)
 
 
+@pytest.mark.parametrize("n_y, n_z", [(32, 64), (64, 32)])
+@pytest.mark.parametrize("scenario", [moderate, strong])
+def test_in_segment_copy_is_the_shorter_segment_bit_for_bit(scenario, n_y, n_z):
+    # a segment's close and its in-segment copies are one expression, so a
+    # copy at step j is the j-step segment's result; j = 1 is the 2-D step
+    s = scenario()
+    f, grid = initial_state(s, n=n_y, n_z=n_z)
+    stepper = MasterEqStepper(s, grid, 1e-3)
+    n, left = 7, {}
+    stepper.step(f, n, leave=lambda j, c: left.setdefault(j, c),
+                 leave_at=range(2, n))
+    assert sorted(left) == list(range(2, n))
+    for j, c in left.items():
+        assert np.array_equal(c.values, stepper.step(f, j).values), f"j={j}"
+
+
+@pytest.mark.parametrize("n_y, n_z", [(64, 64), (32, 64), (64, 32)])
+def test_half_kinetic_multiplier_is_the_full_ones_half(n_y, n_z):
+    # __init__ evaluates the (k_z >= 0, k_y) half directly; it must be the
+    # full multiplier's half bit for bit, the entries one-step segments use.
+    # 2 hbar / m is not a power of two here, so operand order shows
+    s = Scenario(m=1.7, hbar=0.8, lam=10.0, label="off-unit")
+    _, grid = initial_state(s, n=n_y, n_z=n_z)
+    stepper = MasterEqStepper(s, grid, 1e-3)
+    half = np.ascontiguousarray(stepper._kinetic[:, :n_z // 2 + 1].T)
+    assert np.array_equal(stepper._kinetic_t, half)
+
+
 @pytest.mark.parametrize("sample_every, checkpoint_every", [(1, 0), (5, 0), (5, 3)])
 def test_nan_in_field_stops_run(sample_every, checkpoint_every):
     s = moderate()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from decwt.scenario import (
     _INT_KEYS,
@@ -15,6 +17,7 @@ from decwt.scenario import (
     NumericsSpec,
     Scenario,
     characteristic_time,
+    config_lines,
     default_bundle,
     load_scenario,
     parse_config,
@@ -215,3 +218,68 @@ def test_presets(name, lam):
 def test_unknown_preset():
     with pytest.raises(InvalidParameterError):
         preset_bundle("extreme")
+
+
+_pos = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# ordinary text with blanks, or '#' and the line breaks of str.splitlines
+_label_text = (st.text(st.sampled_from("ab=_-. \t\u00e9"), max_size=6)
+               | st.text(st.sampled_from("ab#\n\r\x0b\x0c\x1c\x85\u2028"), max_size=4))
+
+
+@st.composite
+def _bundles(draw):
+    try:
+        scenario = Scenario(
+            m=draw(_pos), hbar=draw(_pos), b=draw(_pos), sigma=draw(_pos),
+            lam=draw(st.floats(min_value=0.0, allow_infinity=False)),
+            t0=draw(_finite), label=draw(_label_text | st.text(min_size=1)))
+    except InvalidParameterError as exc:
+        assert exc.field == "label"
+        assume(False)
+    p2 = st.integers(3, 12).map(lambda e: 2 ** e)
+    grid = GridSpec2D(n_y=draw(p2), n_z=draw(p2),
+                      extent_y=draw(_pos), extent_z=draw(_pos))
+    numerics = NumericsSpec(
+        dt=draw(_pos), t_end=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        sample_every=draw(st.integers(1, 10 ** 6)),
+        ln_floor=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        fit_window=draw(st.integers(1, 50).map(lambda k: 2 * k + 1)))
+    return ConfigBundle(scenario, grid, numerics)
+
+
+@settings(deadline=None)
+@given(_bundles())
+def test_config_lines_reparse_to_the_same_bundle(bundle):
+    # save_scenario writes these lines; any bundle that constructs
+    # must come back equal, label included
+    assert parse_config("\n".join(config_lines(bundle))) == bundle
+
+
+@pytest.mark.parametrize("label", ["a#b", " x", "x ", "", "a\nb", "a\r", "\u2028x",
+                                   "\ud800x"])
+def test_label_that_would_not_reload_is_refused(label):
+    # each of these once saved as a different label or as an unparsable
+    # file; a lone surrogate cannot be written as UTF-8 at all
+    with pytest.raises(InvalidParameterError) as exc:
+        Scenario(label=label)
+    assert exc.value.field == "label"
+
+
+@given(st.text(), st.sampled_from(["#", " ", "\t", "\n", "\r", "\x85", "\u2028"]),
+       st.sampled_from(["prefix", "infix", "suffix"]))
+def test_label_with_comment_break_or_outer_space_is_refused(text, bad, where):
+    if where == "infix":
+        assume(bad in "#\n\r\x85\u2028")  # inner blanks are allowed
+    label = {"prefix": bad + text, "infix": text + bad + "x",
+             "suffix": text + bad}[where]
+    with pytest.raises(InvalidParameterError):
+        Scenario(label=label)
+
+
+@pytest.mark.parametrize("label", ["a=b", "two words", "r\u00e9sum\u00e9"])
+def test_save_load_keeps_an_unusual_label(tmp_path, label):
+    bundle = ConfigBundle(Scenario(label=label), default_bundle().grid,
+                          default_bundle().numerics)
+    save_scenario(tmp_path / "s.cfg", bundle)
+    assert load_scenario(tmp_path / "s.cfg") == bundle
