@@ -37,7 +37,7 @@ def sample_grid(t_start: float, t_end: float, dt: float,
     """Sampled step indices from t_start to t_end; the last one is the step
     count.
 
-    Step k is stamped t_start + k * dt. The samples are step 0, every step
+    Step k lies at t_start + k * dt. The samples are step 0, every step
     that lands on a multiple of sample_every counted from t = 0 (not from
     t_start), and the last step, so a run resumed from any step shares the
     time grid of the run that started at t = 0.

@@ -36,6 +36,20 @@ real space. A copy left after step j is thus the j-step segment's result
 bit for bit. No rfft/irfft pair is used: irfft projects the Nyquist row onto
 its Hermitian part, a change of scheme rather than round-off.
 
+Threads. Between the open and the close, every k_z row of the half spectrum
+evolves on its own: the kinetic multiplier is diagonal, the decay factor acts
+along the row and the y-transforms run along it. A segment of more than one
+step therefore splits the rows into contiguous blocks, one per CPU the
+process may run on (never more blocks than rows), and runs each block's
+y-FFT and interior steps in place on a thread of its own; numpy's FFT and
+ufunc loops release the GIL. The blocks never meet inside a run of steps.
+A segment with copies to leave runs in stretches that end at each such step:
+the blocks join there, the copy is made from the joined rows, and the next
+stretch goes on from them. Each row sees the same operations on the same
+operands whatever the block it falls in, so the segment, its copies and
+every output byte do not depend on the number of blocks. All threads have
+finished when step returns, and an error in any block is raised there.
+
 Resume contract. Segments end only at sample steps and at the final step,
 and the field leaves a segment C-contiguous (the observables sum in memory
 order). A checkpoint taken at a sample step is a segment boundary, so a run
@@ -49,6 +63,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -66,6 +82,9 @@ from .scenario import GridSpec2D, NumericsSpec, Scenario
 
 ALIAS_THRESHOLD = 1e-6  # boundary amplitude relative to the peak
 HERMITICITY_BOUND = 1e-9  # hermiticity_defect of an acceptable input field
+# Row blocks of a segment's interior: one per CPU this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 class GridSizeError(ValueError):
@@ -135,21 +154,56 @@ class MasterEqStepper:
             v *= dh[:, None]
             return ComplexField2D(v, f.grid, f.t + self.dt)
         # fft2's two transforms in its order: z on the contiguous axis, then
-        # y on the k_z >= 0 half only, held as (k_z, k_y)
+        # y on the k_z >= 0 half only, held as (k_z, k_y); each row block
+        # runs its own y-transforms (see Threads in the module docstring)
         n_z, h = f.grid.n_z, self._kinetic_t.shape[0]
         w = np.fft.fft(f.values * dh[:, None], axis=1)
-        w = np.fft.fft(np.ascontiguousarray(w[:, :h].T), axis=1)
-        for j in range(1, n + 1):
-            w *= self._kinetic_t
-            w = np.fft.ifft(w, axis=1)
-            if j == n:
-                break
-            if j in leave_at:
-                leave(j, ComplexField2D(_to_real(w * dh, n_z), f.grid,
-                                        f.t + j * self.dt))
-            w *= self._decay
-            w = np.fft.fft(w, axis=1)
+        w = np.ascontiguousarray(w[:, :h].T)
+        nb = min(_WORKERS, h)
+        rows = [slice(h * i // nb, h * (i + 1) // nb) for i in range(nb)]
+        stops = sorted(j for j in set(leave_at) if 0 < j < n) + [n]
+        j0 = 0
+        for j1 in stops:
+            _run_blocks(self._stretch, [(w, r, j0, j1) for r in rows])
+            if j1 < n:
+                leave(j1, ComplexField2D(_to_real(w * dh, n_z), f.grid,
+                                         f.t + j1 * self.dt))
+            j0 = j1
         return ComplexField2D(_to_real(w * dh, n_z), f.grid, f.t + n * self.dt)
+
+    def _stretch(self, w: np.ndarray, r: slice, j0: int, j1: int) -> None:
+        """Steps j0 + 1 .. j1 on the rows r of w, in place: from (k_z, y)
+        after step j0's y-iFFT (j0 = 0: after the open's z-FFT) to (k_z, y)
+        after step j1's."""
+        b, kin = w[r], self._kinetic_t[r]
+        for j in range(j0, j1):
+            if j:  # the open applied step 1's decay half-step
+                b *= self._decay
+            np.fft.fft(b, axis=1, out=b)
+            b *= kin
+            np.fft.ifft(b, axis=1, out=b)
+
+
+def _run_blocks(fn, jobs) -> None:
+    """fn(*job) for each job, the first on the calling thread and the rest on
+    one thread each; returns when all have finished, re-raising the first
+    error."""
+    errors = []
+
+    def guarded(job):
+        try:
+            fn(*job)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(job,)) for job in jobs[1:]]
+    for t in threads:
+        t.start()
+    guarded(jobs[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def _to_real(m: np.ndarray, n_z: int) -> np.ndarray:
@@ -201,7 +255,9 @@ def evolve_master_eq(
     """Evolve from f.t to numerics.t_end, sampling f, every step on a
     multiple of sample_every counted from t = 0 (see sample_grid) and the
     last step; a run resumed from any step keeps the time grid of a run from
-    t = 0.
+    t = 0. Samples and checkpoints are stamped with their step index counted
+    from t = 0 (round(f.t / dt) at the start) times dt, so a resumed run
+    stamps each row as the uninterrupted run does.
 
     f must be Hermitian, rho(-y, z) = conj rho(y, z): a segment of more
     than one step evolves only the k_z >= 0 half of its spectrum and rebuilds
@@ -227,13 +283,13 @@ def evolve_master_eq(
             obs(fld)
         return smp
 
-    t_start = f.t
+    k0 = round(f.t / numerics.dt)  # stamps from absolute step indices
     ckpt = checkpoint_every if checkpoint_sink else 0
     samples = [observe(f)]
 
     def leave(j: int, c: ComplexField2D) -> None:
         # runs inside stepper.step, while k is still the segment's first step
-        c.t = t_start + (k + j) * numerics.dt
+        c.t = (k0 + k + j) * numerics.dt
         if not np.isfinite(c.values[0, 0]):
             raise IntegrationError(c.t, "field blew up")
         checkpoint_sink(c)
@@ -243,7 +299,7 @@ def evolve_master_eq(
         n = stop - k
         inner = [j for j in range(1, n) if ckpt and (k + j) % ckpt == 0]
         f = stepper.step(f, n, leave, inner)
-        f.t = t_start + stop * numerics.dt  # stamp from the step count, no drift
+        f.t = (k0 + stop) * numerics.dt  # stamp from the step count, no drift
         if not np.isfinite(f.values[0, 0]):
             raise IntegrationError(f.t, "field blew up")
         samples.append(observe(f))

@@ -82,9 +82,14 @@ class GridSpec1D:
 
     def __post_init__(self):
         n = self.n_points
-        if n < 8 or (n & (n - 1)) != 0:
-            raise InvalidParameterError("n_points", "must be a power of two, >= 8")
-        if not (self.extent > 0.0 and math.isfinite(self.extent)):
+        if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+                or n < 8 or (n & (n - 1)) != 0):
+            raise InvalidParameterError("n_points", "must be an integer power of two, >= 8")
+        try:  # an int past the float range cannot be a finite extent
+            ok = self.extent > 0.0 and math.isfinite(self.extent)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
             raise InvalidParameterError("extent", "must be positive and finite")
 
     @property

@@ -5,10 +5,13 @@ structural: the only discretization error is operator non-commutativity.
 Agreement with the closed-form Gaussian flow is the substantive check.
 """
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from decwt import master_eq
 from decwt.fields import ComplexField2D, load_field_2d, save_field_2d
 from decwt.gaussian import GaussianParams, build_cubic, params_exact
 from decwt.marginal_dynamics import IntegrationError
@@ -217,8 +220,8 @@ def test_resume_bit_identical_at_unaligned_checkpoint_cadence(tmp_path):
     def sink(fld):
         save_field_2d(tmp_path / f"{round(fld.t / num.dt)}.ckpt", fld)
 
-    def rows(samples):
-        return {round(smp.t / num.dt): _row(smp) for smp in samples}
+    def rows(samples):  # t too: a resumed run stamps from the step index
+        return {round(smp.t / num.dt): (smp.t, *_row(smp)) for smp in samples}
 
     full, _ = evolve_master_eq(f, s, num, checkpoint_every=7, checkpoint_sink=sink)
     resumed, _ = evolve_master_eq(load_field_2d(tmp_path / "35.ckpt"), s, num)
@@ -261,6 +264,85 @@ def test_segment_matches_per_step_strang_reference(scenario, n_y, n_z, n):
         assert left[mid].t == pytest.approx(mid * dt)
     assert out.values.flags["C_CONTIGUOUS"]
     assert out.t == pytest.approx(n * dt)
+
+
+@pytest.mark.parametrize("n", [2, 7, 50])
+@pytest.mark.parametrize("n_y, n_z", [(32, 64), (64, 32)])
+@pytest.mark.parametrize("scenario", [moderate, strong])
+def test_segment_does_not_depend_on_the_worker_count(monkeypatch, scenario,
+                                                     n_y, n_z, n):
+    # each k_z row evolves on its own, so how the rows are split into
+    # blocks must not move a bit of the segment or of its copies
+    s = scenario()
+    f, grid = initial_state(s, n=n_y, n_z=n_z)
+    stepper = MasterEqStepper(s, grid, 1e-3)
+    mid = min(20, n // 2)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(master_eq, "_WORKERS", workers)
+        left = {}
+        out = stepper.step(f, n, leave=lambda j, c: left.setdefault(j, c),
+                           leave_at=(mid,))
+        runs.append((out.values, left[mid].values))
+    for out, copy in runs[1:]:
+        assert np.array_equal(out, runs[0][0])
+        assert np.array_equal(copy, runs[0][1])
+
+
+def test_many_row_blocks_under_fast_thread_switching(monkeypatch):
+    # more blocks than cores, switched every microsecond: a block that
+    # wrote another's rows or a lost write-back would move the result
+    s = strong()
+    f, grid = initial_state(s, n=64)
+    stepper = MasterEqStepper(s, grid, 1e-3)
+    runs = {}
+
+    def segment(workers):
+        monkeypatch.setattr(master_eq, "_WORKERS", workers)
+        left = []
+        out = stepper.step(f, 50, leave=lambda j, c: left.append(c.values),
+                           leave_at=(3, 17, 49))
+        runs[workers] = [out.values, *left]
+
+    segment(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=segment, args=(16,))
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert len(runs.get(16, ())) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(runs[16], runs[1]))
+
+
+@pytest.mark.parametrize("failing", [None, 0, 2])
+def test_no_thread_outlives_a_segment(monkeypatch, failing):
+    # three row blocks on the 33 rows of a 64 x 64 half spectrum; the
+    # checkpoints split segments into stretches, each joined on its own
+    monkeypatch.setattr(master_eq, "_WORKERS", 3)
+    stretch, seen = MasterEqStepper._stretch, []
+
+    def watched(self, w, r, j0, j1):
+        seen.append(threading.active_count())
+        if failing is not None and r.start == 33 * failing // 3:
+            raise RuntimeError("row block failed")
+        stretch(self, w, r, j0, j1)
+
+    monkeypatch.setattr(MasterEqStepper, "_stretch", watched)
+    s = moderate()
+    f, _ = initial_state(s, n=64)
+    num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
+    before = threading.active_count()
+    if failing is None:
+        evolve_master_eq(f, s, num, checkpoint_every=3, checkpoint_sink=[].append)
+    else:
+        with pytest.raises(RuntimeError, match="row block failed"):
+            evolve_master_eq(f, s, num)
+    assert threading.active_count() == before
+    assert max(seen) > before  # the blocks did run on threads of their own
 
 
 @pytest.mark.parametrize("n_y, n_z", [(32, 64), (64, 32)])

@@ -95,6 +95,37 @@ def test_grid1d_rejects_bad_sizes(n):
         GridSpec1D(n_points=n, extent=4.0)
 
 
+@pytest.mark.parametrize("n", [16.0, 8.5, "16", None, True])
+def test_grid1d_rejects_non_integer_size(n):
+    # 16.0 once raised TypeError from the power-of-two bit test
+    with pytest.raises(InvalidParameterError) as exc:
+        GridSpec1D(n_points=n, extent=4.0)
+    assert exc.value.field == "n_points"
+
+
+def _finite_float(x):
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:  # an int past the float range
+        return False
+
+
+@given(st.one_of(st.integers(), st.floats(), st.none(), st.text(max_size=4)),
+       st.one_of(st.floats(), st.integers(), st.none()))
+def test_grid1d_builds_a_valid_spec_or_refuses(n, extent):
+    valid_n = (isinstance(n, int) and not isinstance(n, bool) and n >= 8
+               and bin(n).count("1") == 1)
+    valid_extent = (isinstance(extent, (int, float)) and extent > 0
+                    and _finite_float(extent))
+    try:
+        g = GridSpec1D(n_points=n, extent=extent)
+    except InvalidParameterError:
+        assert not (valid_n and valid_extent)
+    else:
+        assert valid_n and valid_extent
+        assert (g.n_points, g.extent) == (n, extent)
+
+
 def test_grid2d_axes():
     g = GridSpec2D(n_y=16, n_z=32, extent_y=4.0, extent_z=8.0)
     assert g.axis_y.n_points == 16 and g.axis_y.extent == 4.0
