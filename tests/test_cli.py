@@ -422,6 +422,24 @@ def test_checkpoint_resume_refuses_a_non_hermitian_field(tmp_path, capsys):
     assert (ok / "master-eq.csv").exists()
 
 
+def test_checkpoint_resume_refuses_a_field_off_the_dt_grid(tmp_path, capsys):
+    # resumed rows are stamped from the step index, which needs f.t on the grid
+    cfg = write_cfg(tmp_path)
+    full = tmp_path / "full"
+    assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
+                     "--checkpoint-every", "10", "--outdir", str(full)]) == 0
+    f = load_field_2d(full / "master-eq-step000010.ckpt")
+    f.t += 0.5 * load_scenario(cfg).numerics.dt
+    bad, res = tmp_path / "bad.ckpt", tmp_path / "res"
+    save_field_2d(bad, f)
+    assert cli.main(["checkpoint-resume", "--config", cfg,
+                     "--checkpoint", str(bad), "--outdir", str(res)]) == 1
+    assert "not on the dt" in capsys.readouterr().err
+    assert not (res / "master-eq.csv").exists()
+    assert ("status = failed: master-eq resume: field time"
+            in (res / "MANIFEST.txt").read_text())
+
+
 def test_checkpoint_resume_missing_file(tmp_path):
     assert cli.main(["checkpoint-resume", "--checkpoint",
                      str(tmp_path / "nope.ckpt"),

@@ -5,7 +5,6 @@ structural: the only discretization error is operator non-commutativity.
 Agreement with the closed-form Gaussian flow is the substantive check.
 """
 import math
-import sys
 import threading
 
 import numpy as np
@@ -230,6 +229,21 @@ def test_resume_bit_identical_at_unaligned_checkpoint_cadence(tmp_path):
     assert got == {k: r for k, r in rows(full).items() if k >= 35}
 
 
+def test_start_off_the_dt_grid_is_refused():
+    # a field evolved with another dt: stamping from the step index would
+    # put every later row half a step away from the field's time
+    s = moderate()
+    f, _ = initial_state(s, n=64)
+    num = NumericsSpec(dt=2e-3, t_end=0.05, sample_every=5)
+    f.t = 0.035
+    with pytest.raises(ValueError, match="not on the dt"):
+        evolve_master_eq(f, s, num)
+    f.t = math.nextafter(18 * num.dt, 1.0)  # an ulp off, as sums round
+    samples, out = evolve_master_eq(f, s, num)
+    assert [smp.t for smp in samples[1:3]] == [20 * num.dt, 25 * num.dt]
+    assert out.t == 25 * num.dt
+
+
 # the interior evolves the k_z >= 0 half; non-square grids check the mirror
 @pytest.mark.parametrize("n_y, n_z, n", [
     *(pytest.param(256, 256, n, id=f"{n}") for n in (1, 2, 50)),
@@ -272,50 +286,44 @@ def test_segment_matches_per_step_strang_reference(scenario, n_y, n_z, n):
 def test_segment_does_not_depend_on_the_worker_count(monkeypatch, scenario,
                                                      n_y, n_z, n):
     # each k_z row evolves on its own, so how the rows are split into
-    # blocks must not move a bit of the segment or of its copies
+    # blocks (16: more blocks than cores, up to one row each) must not move
+    # a bit of the segment or of its copies
     s = scenario()
     f, grid = initial_state(s, n=n_y, n_z=n_z)
     stepper = MasterEqStepper(s, grid, 1e-3)
-    mid = min(20, n // 2)
+    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
+    leave_at = sorted({1, min(20, n // 2), n - 1})
     runs = []
-    for workers in (1, 2, 3):
+    for workers in (1, 2, 3, 16):
         monkeypatch.setattr(master_eq, "_WORKERS", workers)
         left = {}
         out = stepper.step(f, n, leave=lambda j, c: left.setdefault(j, c),
-                           leave_at=(mid,))
-        runs.append((out.values, left[mid].values))
-    for out, copy in runs[1:]:
-        assert np.array_equal(out, runs[0][0])
-        assert np.array_equal(copy, runs[0][1])
+                           leave_at=leave_at)
+        runs.append([out.values] + [left[j].values for j in leave_at])
+    for run in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
 
 
-def test_many_row_blocks_under_fast_thread_switching(monkeypatch):
-    # more blocks than cores, switched every microsecond: a block that
-    # wrote another's rows or a lost write-back would move the result
-    s = strong()
+def test_small_stretches_run_on_the_calling_thread(monkeypatch):
+    # a block must carry enough work to pay for its thread: the one-step
+    # stretches that copies every step make start no thread at all
+    monkeypatch.setattr(master_eq, "_WORKERS", 4)
+    s = moderate()
     f, grid = initial_state(s, n=64)
-    stepper = MasterEqStepper(s, grid, 1e-3)
-    runs = {}
+    stepper, names = MasterEqStepper(s, grid, 1e-3), set()
+    stretch = MasterEqStepper._stretch
 
-    def segment(workers):
-        monkeypatch.setattr(master_eq, "_WORKERS", workers)
-        left = []
-        out = stepper.step(f, 50, leave=lambda j, c: left.append(c.values),
-                           leave_at=(3, 17, 49))
-        runs[workers] = [out.values, *left]
+    def watched(self, w, r, j0, j1):
+        names.add(threading.current_thread().name)
+        stretch(self, w, r, j0, j1)
 
-    segment(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        worker = threading.Thread(target=segment, args=(16,))
-        worker.start()
-        worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not worker.is_alive()
-    assert len(runs.get(16, ())) == 4
-    assert all(np.array_equal(a, b) for a, b in zip(runs[16], runs[1]))
+    monkeypatch.setattr(MasterEqStepper, "_stretch", watched)
+    # two steps of all 33 rows of the 64 x 64 half per block
+    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 2 * 33 * 64)
+    stepper.step(f, 5, leave=lambda j, c: None, leave_at=(1, 2, 3, 4))
+    assert names == {threading.current_thread().name}
+    stepper.step(f, 8)  # one stretch of eight steps: four blocks
+    assert len(names) == 4
 
 
 @pytest.mark.parametrize("failing", [None, 0, 2])
@@ -323,6 +331,7 @@ def test_no_thread_outlives_a_segment(monkeypatch, failing):
     # three row blocks on the 33 rows of a 64 x 64 half spectrum; the
     # checkpoints split segments into stretches, each joined on its own
     monkeypatch.setattr(master_eq, "_WORKERS", 3)
+    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
     stretch, seen = MasterEqStepper._stretch, []
 
     def watched(self, w, r, j0, j1):
