@@ -451,7 +451,7 @@ def cmd_verify(bundle: ConfigBundle) -> int:
                                       sample_every=stride)
         _, fields = evolve_lse(init_gaussian_a(_pure_params(s.alpha0), grid),
                                s, lse_num)
-        res = marginalme_residual(fields, s, ln_floor=num.ln_floor)
+        res = marginalme_residual(fields, s)
         add("marginal-equation residual", res, 1e-3,
             note="sensitive to dt: the sampled time derivative converges as"
                  " (sample spacing)^2; reduce dt if this fails")

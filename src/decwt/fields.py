@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +52,17 @@ class ComplexField2D:
 @contextmanager
 def atomic_open(path, mode: str = "w"):
     """Open a temp file beside path for writing (text is UTF-8) and rename it
-    onto path when the block exits cleanly, so path never holds a partial
-    file."""
+    onto path when the block exits cleanly; if it raises, the temp file is
+    removed. Either way path never holds a partial file."""
     tmp = os.fspath(path) + ".tmp"
-    with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-        yield fh
-    os.replace(tmp, os.fspath(path))
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, os.fspath(path))
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def save_field_2d(path, f: ComplexField2D) -> None:

@@ -46,6 +46,8 @@ from .marginal_dynamics import IntegrationError, linear_short, sample_grid
 from .observables import ObservableSample, ensemble_width_from_a, fit_gaussian_alpha_beta
 from .scenario import GridSpec1D, InvalidParameterError, NumericsSpec, Scenario
 
+LN_FLOOR = 1e-15  # amplitude floor of the logarithm, relative to max|a|
+
 
 def init_gaussian_a(p: GaussianParams, grid: GridSpec1D) -> ComplexField1D:
     """a(tau) = exp(delta/2 - (alpha + i beta) tau^2) at t = 0, renormalized
@@ -57,21 +59,20 @@ def init_gaussian_a(p: GaussianParams, grid: GridSpec1D) -> ComplexField1D:
     return f
 
 
-def floored_log_density(values: np.ndarray, ln_floor: float) -> np.ndarray:
-    """ln max(|a|^2, floor^2) with floor = ln_floor * max|a|."""
+def floored_log_density(values: np.ndarray) -> np.ndarray:
+    """ln max(|a|^2, floor^2) with floor = LN_FLOOR * max|a|."""
     amp2 = np.abs(values) ** 2
     peak = float(np.max(amp2))
     if peak == 0.0:
         raise InvalidParameterError("a", "field is identically zero")
-    return np.log(np.maximum(amp2, (ln_floor ** 2) * peak))
+    return np.log(np.maximum(amp2, (LN_FLOOR ** 2) * peak))
 
 
-def epsilon_of(a: ComplexField1D, s: Scenario,
-               ln_floor: float = NumericsSpec.ln_floor) -> np.ndarray:
+def epsilon_of(a: ComplexField1D, s: Scenario) -> np.ndarray:
     """eps(tau) = (hbar^2 / m) gamma_l(t) ln max(|a|^2, floor^2) at t = a.t,
     gamma_l = linear_short(s)."""
     gamma_l = linear_short(s)(a.t)
-    return (s.hbar * s.hbar / s.m) * gamma_l * floored_log_density(a.values, ln_floor)
+    return (s.hbar * s.hbar / s.m) * gamma_l * floored_log_density(a.values)
 
 
 class LseStepper:
@@ -79,19 +80,17 @@ class LseStepper:
     default (e.g. a negative constant for the stationary-Gaussian check)."""
 
     def __init__(self, s: Scenario, grid: GridSpec1D, dt: float,
-                 ln_floor: float = NumericsSpec.ln_floor,
                  gamma_l: Callable[[float], float] | None = None):
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError("dt must be positive and finite")
         self.dt = dt
-        self.ln_floor = ln_floor
         self.gamma_l = gamma_l if gamma_l is not None else linear_short(s)
         self._hbar_m = s.hbar / s.m  # phase rate per unit gamma_l
         k = grid.wavenumbers()
         self._kinetic = np.exp(-1j * (s.hbar / (2.0 * s.m)) * k * k * dt)
 
     def _phase(self, values: np.ndarray, rate: float) -> np.ndarray:
-        log_density = floored_log_density(values, self.ln_floor)
+        log_density = floored_log_density(values)
         return values * np.exp(-1j * rate * log_density * (0.5 * self.dt))
 
     def step(self, a: ComplexField1D, n: int = 1) -> ComplexField1D:
@@ -115,8 +114,8 @@ class LseStepper:
         return ComplexField1D(v, a.grid, a.t + n * dt)
 
 
-def _sample(a: ComplexField1D, fit_window: int, gamma_l: float) -> ObservableSample:
-    alpha, beta = fit_gaussian_alpha_beta(a, fit_window)
+def _sample(a: ComplexField1D, gamma_l: float) -> ObservableSample:
+    alpha, beta = fit_gaussian_alpha_beta(a)
     scale = alpha + gamma_l
     return ObservableSample(
         t=a.t, alpha=alpha, beta=beta, gamma=gamma_l,
@@ -141,17 +140,17 @@ def evolve_lse(
     any sample is taken."""
     if not np.isfinite(a.values).all():
         raise IntegrationError(a.t, "initial field is not finite")
-    stepper = LseStepper(s, a.grid, numerics.dt, numerics.ln_floor, gamma_l)
+    stepper = LseStepper(s, a.grid, numerics.dt, gamma_l)
     ks = sample_grid(a.t, numerics.t_end, numerics.dt, numerics.sample_every)
 
     t_start = a.t
-    samples = [_sample(a, numerics.fit_window, stepper.gamma_l(a.t))]
+    samples = [_sample(a, stepper.gamma_l(a.t))]
     fields = [a]
     for k, stop in zip(ks, ks[1:]):
         # one segment per sample interval
         a = stepper.step(a, stop - k)
         a.t = t_start + stop * numerics.dt  # stamp from the step count, no drift
-        samples.append(_sample(a, numerics.fit_window, stepper.gamma_l(a.t)))
+        samples.append(_sample(a, stepper.gamma_l(a.t)))
         fields.append(a)
     return samples, fields
 
@@ -159,7 +158,6 @@ def evolve_lse(
 def marginalme_residual(
     a_series: Sequence[ComplexField1D],
     s: Scenario,
-    ln_floor: float = NumericsSpec.ln_floor,
 ) -> float:
     """Residual of the marginal-density-matrix equation of motion on a sampled
     wavefunction trajectory.
@@ -192,7 +190,7 @@ def marginalme_residual(
         - ac.values[:, None] * np.conj(a2)[None, :]
     )
 
-    eps_over_h = epsilon_of(ac, s, ln_floor=ln_floor) / s.hbar
+    eps_over_h = epsilon_of(ac, s) / s.hbar
     pot = -1j * (eps_over_h[:, None] - eps_over_h[None, :]) * rho
 
     denom = float(np.max(np.abs(rho)))

@@ -241,10 +241,10 @@ def boundary_leak(values: np.ndarray) -> float:
     return edges / peak
 
 
-def _sample(f: ComplexField2D, fit_window: int) -> ObservableSample:
+def _sample(f: ComplexField2D) -> ObservableSample:
     return ObservableSample(
         t=f.t,
-        coherence_length=coherence_from_rho(f, fit_window),
+        coherence_length=coherence_from_rho(f),
         ensemble_width=ensemble_width_from_rho(f),
         purity=purity(f),
         norm=trace_of(f).real,
@@ -287,7 +287,7 @@ def evolve_master_eq(
     ks = sample_grid(f.t, numerics.t_end, numerics.dt, numerics.sample_every)
 
     def observe(fld: ComplexField2D) -> ObservableSample:
-        smp = _sample(fld, numerics.fit_window)
+        smp = _sample(fld)
         for obs in observers or ():
             obs(fld)
         return smp
@@ -299,11 +299,14 @@ def evolve_master_eq(
     ckpt = checkpoint_every if checkpoint_sink else 0
     samples = [observe(f)]
 
+    def stamp(c: ComplexField2D, step: int) -> None:
+        c.t = (k0 + step) * numerics.dt  # from the step count, no drift
+        if not np.isfinite(c.values[0, 0]):  # the transforms spread a blow-up to every cell
+            raise IntegrationError(c.t, "field blew up")
+
     def leave(j: int, c: ComplexField2D) -> None:
         # runs inside stepper.step, while k is still the segment's first step
-        c.t = (k0 + k + j) * numerics.dt
-        if not np.isfinite(c.values[0, 0]):
-            raise IntegrationError(c.t, "field blew up")
+        stamp(c, k + j)
         checkpoint_sink(c)
 
     for k, stop in zip(ks, ks[1:]):
@@ -311,9 +314,7 @@ def evolve_master_eq(
         n = stop - k
         inner = [j for j in range(1, n) if ckpt and (k + j) % ckpt == 0]
         f = stepper.step(f, n, leave, inner)
-        f.t = (k0 + stop) * numerics.dt  # stamp from the step count, no drift
-        if not np.isfinite(f.values[0, 0]):
-            raise IntegrationError(f.t, "field blew up")
+        stamp(f, stop)
         samples.append(observe(f))
         if ckpt and stop % ckpt == 0:
             checkpoint_sink(f)

@@ -16,7 +16,9 @@ import numpy as np
 
 from .fields import ComplexField1D, ComplexField2D
 from .gaussian import GaussianParams
-from .scenario import InvalidParameterError, NumericsSpec, Scenario
+from .scenario import InvalidParameterError, Scenario
+
+FIT_WINDOW = 9  # points in every curvature fit, odd
 
 
 @dataclass(kw_only=True)
@@ -60,28 +62,29 @@ def hermiticity_defect(f: ComplexField2D) -> float:
     return float(np.max(np.abs(refl - np.conj(f.values))) / denom)
 
 
-def _curvature_fit(x: np.ndarray, vals: np.ndarray, window: int, center: int) -> tuple[float, float]:
+def _curvature_fit(x: np.ndarray, vals: np.ndarray, center: int) -> tuple[float, float]:
     """Quadratic fit of vals around index center; returns (curvature, linear coef)."""
-    half = window // 2
+    half = FIT_WINDOW // 2
     lo, hi = center - half, center + half + 1
     if lo < 0 or hi > len(vals):
-        raise InvalidParameterError("fit_window", "window exceeds the grid")
+        raise InvalidParameterError("grid", f"the {FIT_WINDOW}-point fit window around index"
+                                            f" {center} leaves the {len(vals)}-point grid")
     coeff = np.polyfit(x[lo:hi] - x[center], vals[lo:hi], 2)
     return 2.0 * float(coeff[0]), float(coeff[1])
 
 
-def coherence_from_rho(f: ComplexField2D, fit_window: int = NumericsSpec.fit_window) -> float:
+def coherence_from_rho(f: ComplexField2D) -> float:
     """Off-diagonal 1/e scale: fit -ln|rho(y, z_peak)| = const + c y^2 / 2 over
-    the central fit_window points and return 1/sqrt(c)."""
+    the central FIT_WINDOW points and return 1/sqrt(c)."""
     g = f.grid
     iy0 = g.n_y // 2
     iz_peak = int(np.argmax(np.abs(f.values[iy0, :])))
-    half = fit_window // 2
+    half = FIT_WINDOW // 2
     window = slice(iy0 - half, iy0 + half + 1)
     cut = np.abs(f.values[window, iz_peak])
     if np.min(cut) <= 0.0:
         raise InvalidParameterError("rho", "vanishing amplitude inside the fit window")
-    c, _ = _curvature_fit(g.axis_y.points()[window], -np.log(cut), fit_window, half)
+    c, _ = _curvature_fit(g.axis_y.points()[window], -np.log(cut), half)
     if c <= 0.0:
         raise InvalidParameterError("rho", f"non-convex log profile (curvature {c:g})")
     return 1.0 / math.sqrt(c)
@@ -113,8 +116,7 @@ def ensemble_width_from_a(a: ComplexField1D) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def fit_gaussian_alpha_beta(a: ComplexField1D,
-                            fit_window: int = NumericsSpec.fit_window) -> tuple[float, float]:
+def fit_gaussian_alpha_beta(a: ComplexField1D) -> tuple[float, float]:
     """Extract (alpha, beta) from a Gaussian-like wavefunction.
 
     alpha is half the curvature of -ln|a| at the peak; beta is minus half the
@@ -126,9 +128,9 @@ def fit_gaussian_alpha_beta(a: ComplexField1D,
     amp = np.abs(a.values)
     if amp[i0] <= 0.0:
         raise InvalidParameterError("a", "empty field")
-    c_amp, _ = _curvature_fit(g.points(), -np.log(np.maximum(amp, 1e-300)), fit_window, i0)
+    c_amp, _ = _curvature_fit(g.points(), -np.log(np.maximum(amp, 1e-300)), i0)
     rel_phase = np.angle(a.values / a.values[i0])
-    c_ph, _ = _curvature_fit(g.points(), rel_phase, fit_window, i0)
+    c_ph, _ = _curvature_fit(g.points(), rel_phase, i0)
     return 0.5 * c_amp, -0.5 * c_ph
 
 

@@ -131,8 +131,6 @@ class NumericsSpec:
     dt: float = 1e-3
     t_end: float = 2.0
     sample_every: int = 10
-    ln_floor: float = 1e-15  # amplitude floor, relative to max|a|
-    fit_window: int = 9      # points used by the curvature fit, odd
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -141,10 +139,6 @@ class NumericsSpec:
             raise InvalidParameterError("t_end", "must be finite and >= 0")
         if self.sample_every < 1:
             raise InvalidParameterError("sample_every", "must be >= 1")
-        if not (0.0 < self.ln_floor < 1.0):
-            raise InvalidParameterError("ln_floor", "must be in (0, 1)")
-        if self.fit_window < 3 or self.fit_window % 2 == 0:
-            raise InvalidParameterError("fit_window", "must be odd and >= 3")
 
 
 def characteristic_time(s: Scenario) -> float:
@@ -165,9 +159,8 @@ _KEYS = {
     "extent_y": ("grid", "extent_y"), "extent_z": ("grid", "extent_z"),
     "dt": ("numerics", "dt"), "t_end": ("numerics", "t_end"),
     "sample_every": ("numerics", "sample_every"),
-    "ln_floor": ("numerics", "ln_floor"), "fit_window": ("numerics", "fit_window"),
 }
-_INT_KEYS = {"n_y", "n_z", "sample_every", "fit_window"}
+_INT_KEYS = {"n_y", "n_z", "sample_every"}
 
 
 def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
@@ -190,10 +183,10 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
     return out
 
 
-def parse_config(text: str, base: "ConfigBundle | None" = None) -> "ConfigBundle":
-    """Parse config text over a base bundle (defaults if None)."""
+def parse_config(text: str) -> "ConfigBundle":
+    """Parse config text over the default bundle."""
     entries = _parse_lines(text)
-    bundle = base if base is not None else default_bundle()
+    bundle = default_bundle()
 
     kwargs: dict[str, dict] = {"scenario": {}, "grid": {}, "numerics": {}}
     for key, (line_no, value) in entries.items():

@@ -1,4 +1,4 @@
-"""Checkpoint codec round-trips."""
+"""Checkpoint codec round-trips and the atomic file write."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from decwt.fields import (
     ComplexField1D,
     ComplexField2D,
+    atomic_open,
     load_field_2d,
     save_field_2d,
 )
@@ -25,6 +26,17 @@ def test_field_2d_roundtrip_bits(tmp_path):
     assert g.t == 0.625
     assert g.grid == grid
     assert np.array_equal(g.values, vals)  # bit exact, no tolerance
+
+
+def test_atomic_open_failure_keeps_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with atomic_open(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("mid-write")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_truncated_file_rejected(tmp_path):

@@ -173,14 +173,14 @@ def test_ln_floor_keeps_nodes_finite():
     a.values /= a.norm()
     out = LseStepper(s, grid, 1e-3).step(a)
     assert np.all(np.isfinite(out.values))
-    ln_d = floored_log_density(a.values, 1e-15)
+    ln_d = floored_log_density(a.values)
     assert np.all(np.isfinite(ln_d))
 
 
 def test_floored_log_density_rejects_zero_field():
     grid = GridSpec1D(n_points=64, extent=8.0)
     with pytest.raises(InvalidParameterError):
-        floored_log_density(np.zeros(64, dtype=complex), 1e-15)
+        floored_log_density(np.zeros(64, dtype=complex))
 
 
 def test_epsilon_of_known_profile():
@@ -240,7 +240,7 @@ def test_segment_matches_per_step_strang_reference(preset, n):
     kinetic = np.exp(-1j * (s.hbar / (2.0 * s.m)) * k * k * dt)
 
     def phase_half(v, t_mid):
-        log_density = floored_log_density(v, NumericsSpec.ln_floor)
+        log_density = floored_log_density(v)
         return v * np.exp(-1j * c(t_mid) * log_density * (0.5 * dt))
 
     ref = a.values
@@ -298,7 +298,7 @@ def test_step_refuses_fewer_than_one_step():
 
 @pytest.mark.parametrize("index", [3, 32])
 def test_non_finite_initial_field_fails_at_start(index):
-    # index 3 used to surface as a fit_window error, the peak (32) as a
+    # index 3 used to surface as a fit-window error, the peak (32) as a
     # RuntimeWarning from the Gaussian fit
     s = moderate()
     grid = GridSpec1D(n_points=64, extent=8.0)

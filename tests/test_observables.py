@@ -18,6 +18,7 @@ from decwt.gaussian import (
 )
 from decwt.fields import ComplexField1D, ComplexField2D
 from decwt.observables import (
+    FIT_WINDOW,
     coherence_from_rho,
     ensemble_width_from_a,
     ensemble_width_from_rho,
@@ -28,7 +29,7 @@ from decwt.observables import (
     trace_of,
 )
 from decwt.master_eq import init_gaussian_rho
-from decwt.scenario import GridSpec1D, GridSpec2D, Scenario, preset_bundle
+from decwt.scenario import GridSpec1D, GridSpec2D, InvalidParameterError, Scenario, preset_bundle
 
 
 def moderate():
@@ -137,6 +138,22 @@ def test_fit_tolerates_global_phase_and_scale():
     af, bf = fit_gaussian_alpha_beta(a)
     assert math.isclose(af, 0.25, rel_tol=1e-9)
     assert math.isclose(bf, 0.05, rel_tol=1e-9)
+
+
+def test_coherence_from_rho_refuses_a_y_axis_shorter_than_the_fit_window():
+    s = moderate()
+    p = params_exact(build_cubic(s, s.alpha0, 0.0), s, 1.0)
+    grid = GridSpec2D(n_y=8, n_z=64, extent_y=4.0, extent_z=16.0)
+    with pytest.raises(InvalidParameterError, match=f"{FIT_WINDOW}-point fit window.*8-point grid"):
+        coherence_from_rho(density_matrix_exact(p, grid))
+
+
+def test_fit_gaussian_alpha_beta_refuses_a_peak_near_the_edge():
+    grid = GridSpec1D(n_points=64, extent=8.0)
+    tau = grid.points()
+    a = ComplexField1D(np.exp(-(tau - tau[2]) ** 2).astype(complex), grid, t=0.0)
+    with pytest.raises(InvalidParameterError, match=f"{FIT_WINDOW}-point fit window around index 2"):
+        fit_gaussian_alpha_beta(a)
 
 
 # --- Taylor-coefficient hierarchy ----------------------------------------

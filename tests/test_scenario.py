@@ -138,7 +138,7 @@ def test_numerics_validation():
     with pytest.raises(InvalidParameterError):
         NumericsSpec(dt=1e-3, t_end=-1.0)
     n = NumericsSpec(dt=1e-3, t_end=1.0)
-    assert n.sample_every >= 1 and n.fit_window >= 3
+    assert n.sample_every >= 1
 
 
 CONFIG = """
@@ -166,12 +166,14 @@ def test_parse_config_roundtrip_values():
     assert bundle.numerics.dt == 0.002 and bundle.numerics.t_end == 1.5
 
 
-def test_parse_config_unknown_key_reports_line():
-    text = "m = 1.0\nbogus = 3\n"
+@pytest.mark.parametrize("key", ["bogus", "ln_floor", "fit_window"])
+def test_parse_config_unknown_key_reports_line(key):
+    # the deleted ln_floor and fit_window keys are refused like any unknown key
+    text = f"m = 1.0\n{key} = 3\n"
     with pytest.raises(ConfigParseError) as exc:
         parse_config(text)
     assert exc.value.line_no == 2
-    assert "bogus" in str(exc.value)
+    assert key in str(exc.value)
 
 
 def test_parse_config_duplicate_key_reports_line():
@@ -273,9 +275,7 @@ def _bundles(draw):
                       extent_y=draw(_pos), extent_z=draw(_pos))
     numerics = NumericsSpec(
         dt=draw(_pos), t_end=draw(st.floats(min_value=0.0, allow_infinity=False)),
-        sample_every=draw(st.integers(1, 10 ** 6)),
-        ln_floor=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        fit_window=draw(st.integers(1, 50).map(lambda k: 2 * k + 1)))
+        sample_every=draw(st.integers(1, 10 ** 6)))
     return ConfigBundle(scenario, grid, numerics)
 
 
