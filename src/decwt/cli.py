@@ -77,7 +77,6 @@ from .scenario import (
     NumericsSpec,
     characteristic_time,
     config_lines,
-    default_bundle,
     load_scenario,
     preset_bundle,
 )
@@ -272,12 +271,24 @@ def _write_manifest(bundle: ConfigBundle, routes, outdir, status: str,
         fh.write("\n".join(lines) + "\n")
 
 
-def _status(failures: list, aliasing: bool) -> str:
+def _report(bundle: ConfigBundle, routes, outdir, aliasing: bool,
+            grid_failures=(), hard_failures=(), extra: tuple = ()) -> int:
+    """Write the MANIFEST status, report failures and the aliasing sentinel
+    on stderr, and return the exit code."""
+    failures = [*grid_failures, *hard_failures]
     if failures:
-        return "failed: " + "; ".join(failures)
+        status = "failed: " + "; ".join(failures)
+    else:
+        status = "ok (grid-adequacy sentinel tripped: aliasing flagged)" if aliasing else "ok"
+    _write_manifest(bundle, routes, outdir, status, extra)
+    for line in failures:
+        print(f"route failed: {line}", file=sys.stderr)
+    if hard_failures:
+        return EXIT_FAILURE
     if aliasing:
-        return "ok (grid-adequacy sentinel tripped: aliasing flagged)"
-    return "ok"
+        print("warning: aliasing sentinel tripped; see flags column",
+              file=sys.stderr)
+    return EXIT_SENTINEL if grid_failures or aliasing else EXIT_OK
 
 
 def cmd_run(bundle: ConfigBundle, routes: list, outdir,
@@ -309,19 +320,7 @@ def cmd_run(bundle: ConfigBundle, routes: list, outdir,
         header, rows = _comparison_rows(per_route)
         _write_csv(os.path.join(outdir, "comparison.csv"), header, rows)
 
-    failures = grid_failures + hard_failures
-    _write_manifest(bundle, routes, outdir, _status(failures, aliasing))
-
-    for line in failures:
-        print(f"route failed: {line}", file=sys.stderr)
-    if hard_failures:
-        return EXIT_FAILURE
-    if grid_failures or aliasing:
-        if aliasing:
-            print("warning: aliasing sentinel tripped; see flags column",
-                  file=sys.stderr)
-        return EXIT_SENTINEL
-    return EXIT_OK
+    return _report(bundle, routes, outdir, aliasing, grid_failures, hard_failures)
 
 
 # --- figures command ------------------------------------------------------
@@ -500,14 +499,11 @@ def cmd_checkpoint_resume(bundle: ConfigBundle, checkpoint_path, outdir) -> int:
                              f"{defect:.3g} > {HERMITICITY_BOUND:g})")
         samples, _ = evolve_master_eq(f, s, num)
     except Exception as exc:
-        _write_manifest(bundle, ["master-eq"], outdir,
-                        _status([f"master-eq resume: {exc}"], False), extra)
-        print(f"resume failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return _report(bundle, ["master-eq"], outdir, False,
+                       hard_failures=[f"master-eq resume: {exc}"], extra=extra)
     _write_csv(os.path.join(outdir, "master-eq.csv"), CSV_COLUMNS, samples)
-    sentinel = any(smp.flags for smp in samples)
-    _write_manifest(bundle, ["master-eq"], outdir, _status([], sentinel), extra)
-    return EXIT_SENTINEL if sentinel else EXIT_OK
+    return _report(bundle, ["master-eq"], outdir,
+                   any(smp.flags for smp in samples), extra=extra)
 
 
 # --- argument parsing ------------------------------------------------------
@@ -524,9 +520,7 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 def _bundle_of(args) -> ConfigBundle:
     if args.config:
         return load_scenario(args.config)
-    if args.preset:
-        return preset_bundle(args.preset)
-    return default_bundle()
+    return preset_bundle(args.preset or "moderate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,6 +530,19 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
         return n
 
+    def routes(text: str) -> list:
+        names = [r for r in (x.strip() for x in text.split(",")) if r]
+        if not names:
+            raise argparse.ArgumentTypeError("empty routes list")
+        bad = [r for r in names if r not in ROUTES]
+        if bad:
+            raise argparse.ArgumentTypeError(
+                f"unknown routes {bad}; choose from {tuple(ROUTES)}")
+        twice = sorted({r for r in names if names.count(r) > 1})
+        if twice:
+            raise argparse.ArgumentTypeError(f"routes named more than once: {twice}")
+        return names
+
     parser = argparse.ArgumentParser(
         prog="decwt",
         description="collisional-decoherence simulation toolkit",
@@ -544,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute solver routes, emit CSVs")
     _add_scenario_args(p_run)
-    p_run.add_argument("--routes", default="analytic,ode",
+    p_run.add_argument("--routes", type=routes, default="analytic,ode",
                        help=f"comma-separated subset of {','.join(ROUTES)}")
     p_run.add_argument("--checkpoint-every", type=count, default=0,
                        metavar="N", help="checkpoint master-eq every N steps")
@@ -566,36 +573,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        bundle = _bundle_of(args)
         if args.command == "run":
-            routes = [r for r in (x.strip() for x in args.routes.split(","))
-                      if r]
-            if not routes:
-                print("error: empty routes list", file=sys.stderr)
-                return 2
-            bad = [r for r in routes if r not in ROUTES]
-            if bad:
-                print(f"error: unknown routes {bad}; choose from {tuple(ROUTES)}",
-                      file=sys.stderr)
-                return 2
-            twice = sorted({r for r in routes if routes.count(r) > 1})
-            if twice:
-                print(f"error: routes named more than once: {twice}",
-                      file=sys.stderr)
-                return 2
-            return cmd_run(_bundle_of(args), routes, args.outdir,
-                           args.checkpoint_every)
+            return cmd_run(bundle, args.routes, args.outdir, args.checkpoint_every)
         if args.command == "figures":
-            moderate = (load_scenario(args.config) if args.config
-                        else preset_bundle(args.preset or "moderate"))
-            return cmd_figures(moderate, preset_bundle("strong"), args.outdir)
+            return cmd_figures(bundle, preset_bundle("strong"), args.outdir)
         if args.command == "verify":
-            return cmd_verify(_bundle_of(args))
+            return cmd_verify(bundle)
         if args.command == "checkpoint-resume":
-            return cmd_checkpoint_resume(_bundle_of(args), args.checkpoint,
-                                         args.outdir)
+            return cmd_checkpoint_resume(bundle, args.checkpoint, args.outdir)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except SystemExit:
-        raise
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -71,7 +71,7 @@ import threading
 import numpy as np
 
 from .fields import ComplexField2D
-from .gaussian import GaussianParams, density_matrix_exact, sigma_profile
+from .gaussian import GaussianParams, build_cubic, density_matrix_exact, eval_G, sigma_profile
 from .marginal_dynamics import IntegrationError, sample_grid
 from .observables import (
     ObservableSample,
@@ -312,11 +312,11 @@ def evolve_master_eq(
     for k, stop in zip(ks, ks[1:]):
         # one segment per sample interval; checkpoints inside it get copies
         n = stop - k
-        inner = [j for j in range(1, n) if ckpt and (k + j) % ckpt == 0]
+        inner = [j for j in range(1, n) if ckpt and (k0 + k + j) % ckpt == 0]
         f = stepper.step(f, n, leave, inner)
         stamp(f, stop)
         samples.append(observe(f))
-        if ckpt and stop % ckpt == 0:
+        if ckpt and (k0 + stop) % ckpt == 0:
             checkpoint_sink(f)
 
     return samples, f
@@ -327,8 +327,6 @@ def suggest_extents(s: Scenario, alpha0: float, beta0: float, t_end: float) -> t
     scale only shrinks, so the y extent follows the initial state. Both
     extents are at least the initial 6-sigma minimum that init_gaussian_rho
     checks, evaluated with the same expression, so they never round below it."""
-    from .gaussian import build_cubic, eval_G
-
     g = build_cubic(s, alpha0, beta0)
     sig_y, sig_z = sigma_profile(GaussianParams(alpha=alpha0, beta=beta0, gamma=0.0, delta=0.0))
     ext_y = 6.0 * sig_y

@@ -8,7 +8,7 @@ All floats round-trip bit-exactly through save_scenario/load_scenario (repr form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +67,12 @@ class Scenario:
             raise InvalidParameterError(
                 "label", f"must be one line of UTF-8 text without '#' or "
                 f"outer whitespace, got {lb!r}")
+        try:  # b*b can underflow to 0 or overflow to inf
+            ok = 0.0 < self.alpha0 < math.inf
+        except ZeroDivisionError:
+            ok = False
+        if not ok:
+            raise InvalidParameterError("b", "alpha0 = 1/(4 b^2) must be positive and finite")
 
     @property
     def alpha0(self) -> float:
@@ -184,11 +190,13 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
 
 
 def parse_config(text: str) -> "ConfigBundle":
-    """Parse config text over the default bundle."""
+    """Parse config text over the field defaults of Scenario and NumericsSpec
+    and a 256^2 grid. An omitted extent_y or extent_z is sized by
+    master_eq.suggest_extents from the config's own scenario and t_end."""
     entries = _parse_lines(text)
-    bundle = default_bundle()
 
-    kwargs: dict[str, dict] = {"scenario": {}, "grid": {}, "numerics": {}}
+    kwargs: dict[str, dict] = {"scenario": {}, "grid": {"n_y": 256, "n_z": 256},
+                               "numerics": {}}
     for key, (line_no, value) in entries.items():
         part, attr = _KEYS[key]
         if key == "label":
@@ -202,8 +210,15 @@ def parse_config(text: str) -> "ConfigBundle":
         if not math.isfinite(kwargs[part][attr]):
             raise ConfigParseError(line_no, f"{key}: not a finite number: {value!r}")
 
-    return ConfigBundle(**{part: replace(getattr(bundle, part), **kw)
-                           for part, kw in kwargs.items()})
+    scenario = Scenario(**kwargs["scenario"])
+    numerics = NumericsSpec(**kwargs["numerics"])
+    grid = kwargs["grid"]
+    if "extent_y" not in grid or "extent_z" not in grid:
+        from .master_eq import suggest_extents  # master_eq imports this module
+
+        ext_y, ext_z = suggest_extents(scenario, scenario.alpha0, 0.0, numerics.t_end)
+        grid = {"extent_y": ext_y, "extent_z": ext_z, **grid}
+    return ConfigBundle(scenario, GridSpec2D(**grid), numerics)
 
 
 def config_lines(bundle: "ConfigBundle") -> list[str]:
@@ -223,14 +238,6 @@ class ConfigBundle:
     numerics: NumericsSpec
 
 
-def default_bundle() -> ConfigBundle:
-    return ConfigBundle(
-        scenario=Scenario(),
-        grid=GridSpec2D(n_y=256, n_z=256, extent_y=12.0, extent_z=24.0),
-        numerics=NumericsSpec(),
-    )
-
-
 def load_scenario(path) -> ConfigBundle:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
@@ -244,19 +251,12 @@ def save_scenario(path, bundle: ConfigBundle) -> None:
 
 # Presets reproduce the two decoherence strengths used throughout the figures:
 # Lambda = 1 (moderate) and Lambda = 10 (strong), natural units, alpha0 = 1/4.
+# Their box is derived by parse_config at the default t_end = 2.
 _PRESETS = {"moderate": 1.0, "strong": 10.0}
 
 
 def preset_bundle(name: str) -> ConfigBundle:
     if name not in _PRESETS:
         raise InvalidParameterError("preset", f"unknown preset {name!r}, choose from {sorted(_PRESETS)}")
-    lam = _PRESETS[name]
-    scenario = Scenario(lam=lam, label=name)
-    # Box sized by the 6-sigma rule at t_end = 2: sigma_z = sqrt(G(t_end)).
-    from .master_eq import suggest_extents  # local import to avoid a cycle
-
-    t_end = 2.0
-    ext_y, ext_z = suggest_extents(scenario, scenario.alpha0, 0.0, t_end)
-    grid = GridSpec2D(n_y=512, n_z=512, extent_y=ext_y, extent_z=ext_z)
-    numerics = NumericsSpec(dt=1e-3, t_end=t_end, sample_every=50)
-    return ConfigBundle(scenario=scenario, grid=grid, numerics=numerics)
+    return parse_config(f"label = {name}\nLambda = {_PRESETS[name]!r}\n"
+                        "n_y = 512\nn_z = 512\nsample_every = 50\n")

@@ -11,7 +11,7 @@ import pytest
 
 from decwt import cli
 from decwt.fields import load_field_2d, save_field_2d
-from decwt.scenario import config_lines, load_scenario, parse_config
+from decwt.scenario import config_lines, load_scenario, parse_config, preset_bundle
 
 
 SMALL_CFG = """\
@@ -167,17 +167,23 @@ def test_manifest_content(tmp_path):
 
 
 def test_empty_routes_usage_error(tmp_path):
-    assert cli.main(["run", "--routes", "", "--outdir", str(tmp_path)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--routes", "", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_unknown_route_usage_error(tmp_path):
-    assert cli.main(["run", "--routes", "warp", "--outdir", str(tmp_path)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--routes", "warp", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_route_named_twice_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
-    assert cli.main(["run", "--routes", "analytic,ode, analytic",
-                     "--outdir", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--routes", "analytic,ode, analytic",
+                  "--outdir", str(out)])
+    assert exc.value.code == 2
     assert "analytic" in capsys.readouterr().err
     assert not out.exists()
 
@@ -190,6 +196,24 @@ def test_negative_checkpoint_every_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--checkpoint-every" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "figures", "verify"])
+def test_no_flag_means_the_moderate_preset(command):
+    args = cli.build_parser().parse_args([command])
+    assert cli._bundle_of(args) == preset_bundle("moderate")
+
+
+def test_empty_config_box_holds_the_packet_to_t_end(tmp_path):
+    # the old 12 x 24 default box flagged aliasing from t = 1.7 of t_end = 2
+    cfg = write_cfg(tmp_path, "n_y = 64\nn_z = 64\n", name="empty.cfg")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--routes", "analytic,master-eq",
+                     "--outdir", str(out)]) == 0
+    _, rows = read_csv(out / "master-eq.csv")
+    assert rows[-1]["t"] == "2.0"
+    assert not any(row["flags"] for row in rows)
+    assert "status = ok\n" in (out / "MANIFEST.txt").read_text()
 
 
 def test_config_and_preset_conflict(tmp_path):
@@ -219,7 +243,7 @@ def test_undersized_grid_trips_sentinel_exit(tmp_path):
     assert not (out / "master-eq.csv").exists()
 
 
-def test_boundary_leak_trips_sentinel_exit(tmp_path):
+def test_boundary_leak_trips_sentinel_exit(tmp_path, capsys):
     # box legal at t = 0 (6 sigma exactly) but the spread crosses the edge
     cfg = write_cfg(tmp_path, """\
 label = leak
@@ -231,12 +255,19 @@ dt = 0.001
 t_end = 0.6
 sample_every = 100
 """)
-    out = tmp_path / "out"
+    out, res = tmp_path / "out", tmp_path / "res"
     assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
-                     "--outdir", str(out)]) == 3
+                     "--checkpoint-every", "100", "--outdir", str(out)]) == 3
     _, rows = read_csv(out / "master-eq.csv")
     assert any("aliasing" in row["flags"] for row in rows)
     assert "sentinel" in (out / "MANIFEST.txt").read_text()
+    assert "aliasing sentinel tripped" in capsys.readouterr().err
+    # a resume reports the sentinel as run does
+    assert cli.main(["checkpoint-resume", "--config", cfg, "--checkpoint",
+                     str(out / "master-eq-step000100.ckpt"),
+                     "--outdir", str(res)]) == 3
+    assert "sentinel" in (res / "MANIFEST.txt").read_text()
+    assert "aliasing sentinel tripped" in capsys.readouterr().err
 
 
 def test_partial_outputs_survive_route_failure(tmp_path):

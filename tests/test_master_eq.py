@@ -149,6 +149,13 @@ def test_checkpoint_sink_cadence():
     num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
     evolve_master_eq(f, s, num, checkpoint_every=7, checkpoint_sink=seen.append)
     assert [round(c.t / 1e-3) for c in seen] == [7, 14]
+    # a call starting at step 30 checkpoints where a run from t = 0 does
+    f, _ = initial_state(s, n=128)
+    f.t = 30 * 1e-3
+    seen.clear()
+    num = NumericsSpec(dt=1e-3, t_end=0.06, sample_every=5)
+    evolve_master_eq(f, s, num, checkpoint_every=7, checkpoint_sink=seen.append)
+    assert [round(c.t / 1e-3) for c in seen] == [35, 42, 49, 56]
 
 
 def test_observers_see_every_sample_field_in_order():

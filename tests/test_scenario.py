@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from decwt.master_eq import suggest_extents
 from decwt.scenario import (
     _INT_KEYS,
     _KEYS,
@@ -18,7 +19,6 @@ from decwt.scenario import (
     Scenario,
     characteristic_time,
     config_lines,
-    default_bundle,
     load_scenario,
     parse_config,
     preset_bundle,
@@ -38,6 +38,9 @@ def test_scenario_defaults_and_alpha0():
     ("m", 0.0, "m"), ("m", -1.0, "m"), ("hbar", 0.0, "hbar"),
     ("b", -2.0, "b"), ("sigma", 0.0, "sigma"),
     ("lam", -0.5, "Lambda"),  # reported under its config-file key
+    # alpha0 = 1/(4 b^2): b * b underflows to 0 (division by zero) or
+    # overflows to inf (alpha0 = 0)
+    ("b", 1e-200, "b"), ("b", 1e200, "b"),
 ])
 def test_scenario_rejects_nonphysical(field, value, reported):
     kwargs = dict(m=1.0, hbar=1.0, lam=1.0, b=1.0, sigma=1.0, t0=0.0, label="x")
@@ -228,11 +231,35 @@ def test_roundtrip_preserves_awkward_floats(tmp_path):
     assert back.numerics.t_end == bundle.numerics.t_end
 
 
-def test_default_bundle_is_valid():
-    bundle = default_bundle()
+def test_empty_config_is_valid():
+    bundle = parse_config("")
     assert isinstance(bundle, ConfigBundle)
-    assert bundle.grid.n_y >= 8
-    assert bundle.numerics.t_end > 0
+    assert bundle.scenario == Scenario() and bundle.numerics == NumericsSpec()
+    assert bundle.grid.n_y == bundle.grid.n_z == 256
+
+
+def test_omitted_extents_follow_suggest_extents():
+    for text in ("", "Lambda = 10.0\nb = 0.7\nt_end = 0.5\n"):
+        bundle = parse_config(text)
+        s = bundle.scenario
+        assert (bundle.grid.extent_y, bundle.grid.extent_z) == suggest_extents(
+            s, s.alpha0, 0.0, bundle.numerics.t_end)
+
+
+def test_one_omitted_extent_is_derived_and_the_named_one_kept():
+    bundle = parse_config("extent_y = 3.25\n")
+    s = bundle.scenario
+    assert bundle.grid.extent_y == 3.25
+    assert bundle.grid.extent_z == suggest_extents(s, s.alpha0, 0.0, 2.0)[1]
+
+
+@pytest.mark.parametrize("ext_y, ext_z", [("12.0", "24.0"),
+                                          ("0.1", "1e+300"),
+                                          ("15.600000000000001", "17.11973842635986")])
+def test_named_extents_are_kept_bit_for_bit(ext_y, ext_z):
+    # with both extents named, suggest_extents plays no part, whatever b is
+    bundle = parse_config(f"b = 1e-100\nextent_y = {ext_y}\nextent_z = {ext_z}\n")
+    assert (bundle.grid.extent_y, bundle.grid.extent_z) == (float(ext_y), float(ext_z))
 
 
 @pytest.mark.parametrize("name,lam", [("moderate", 1.0), ("strong", 10.0)])
@@ -264,11 +291,13 @@ _label_text = (st.text(st.sampled_from("ab=_-. \t\u00e9"), max_size=6)
 def _bundles(draw):
     try:
         scenario = Scenario(
-            m=draw(_pos), hbar=draw(_pos), b=draw(_pos), sigma=draw(_pos),
+            m=draw(_pos), hbar=draw(_pos), sigma=draw(_pos),
+            # mostly a b with a representable alpha0, so few draws are refused
+            b=draw(st.floats(min_value=1e-150, max_value=1e150) | _pos),
             lam=draw(st.floats(min_value=0.0, allow_infinity=False)),
             t0=draw(_finite), label=draw(_label_text | st.text(min_size=1)))
     except InvalidParameterError as exc:
-        assert exc.field == "label"
+        assert exc.field in ("label", "b")  # b: alpha0 not positive and finite
         assume(False)
     p2 = st.integers(3, 12).map(lambda e: 2 ** e)
     grid = GridSpec2D(n_y=draw(p2), n_z=draw(p2),
@@ -310,7 +339,7 @@ def test_label_with_comment_break_or_outer_space_is_refused(text, bad, where):
 
 @pytest.mark.parametrize("label", ["a=b", "two words", "r\u00e9sum\u00e9"])
 def test_save_load_keeps_an_unusual_label(tmp_path, label):
-    bundle = ConfigBundle(Scenario(label=label), default_bundle().grid,
-                          default_bundle().numerics)
+    base = parse_config("")
+    bundle = ConfigBundle(Scenario(label=label), base.grid, base.numerics)
     save_scenario(tmp_path / "s.cfg", bundle)
     assert load_scenario(tmp_path / "s.cfg") == bundle
