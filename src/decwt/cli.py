@@ -43,7 +43,6 @@ from .gaussian import (
 )
 from .gfunc import (
     THRESHOLD,
-    ConditionalSampler,
     IdentityReport,
     compute_g_table,
     gauge_transform,
@@ -180,21 +179,18 @@ GFUNC_HEADER = ("name", "value", "threshold", "status")
 
 
 def _g_checks(s):
-    """Order-4 g-table of the sampler at gamma_k = hbar gamma(t_b) (0 when
-    Lambda = 0) and its identity reports: (sampler, table, reports)."""
+    """Order-4 g-table at gamma_k = gamma(t_b) (0 when Lambda = 0) and its
+    identity reports: (gamma_k, table, reports)."""
     gamma_k = 0.0
     if s.lam > 0.0:
         g = build_cubic(s, s.alpha0, 0.0)
-        gamma_k = s.hbar * float(gamma_exact(g, s, characteristic_time(s)))
-    cs = ConditionalSampler(sigma=s.sigma, gamma_k=gamma_k, hbar=s.hbar,
-                            q_grid=GridSpec1D(n_points=1024, extent=20.0 * s.sigma))
-    tau = np.linspace(-4.0 * s.b, 4.0 * s.b, 128)
-    table = compute_g_table(cs, tau)
-    return cs, table, verify_g_identities(table, cs)
+        gamma_k = float(gamma_exact(g, s, characteristic_time(s)))
+    table = compute_g_table(gamma_k, np.linspace(-4.0 * s.b, 4.0 * s.b, 128))
+    return gamma_k, table, verify_g_identities(table)
 
 
 def run_gfunc(bundle: ConfigBundle) -> list[dict]:
-    cs, table, reports = _g_checks(bundle.scenario)
+    gamma_k, table, reports = _g_checks(bundle.scenario)
     rebuilt = reconstruct_from_column(table)
     reports.append(IdentityReport(
         "reconstruction from one-sided column",
@@ -202,7 +198,7 @@ def run_gfunc(bundle: ConfigBundle) -> list[dict]:
             for k in table.entries), THRESHOLD))
     reports.append(IdentityReport(
         "kernel y-derivative at zero gauge potential",
-        abs(kernel_from_k_derivative(cs, tau0=0.0)), THRESHOLD))
+        abs(kernel_from_k_derivative(gamma_k, tau0=0.0)), THRESHOLD))
     return [{"name": rep.name, "value": rep.residual, "threshold": rep.threshold,
              "status": "pass" if rep.passed else "fail"} for rep in reports]
 
@@ -366,9 +362,8 @@ def cmd_figures(bundle_moderate: ConfigBundle, bundle_strong: ConfigBundle,
     )
     write_svg(os.path.join(outdir, "fig1a.svg"), fig1a)
 
-    def coh(traj):  # NaN where a prescribed gamma leaves no coherence scale
-        scale = traj.alpha + traj.gamma
-        return 1.0 / np.sqrt(np.where(scale > 0.0, scale, np.nan))
+    def coh(traj):  # every plotted coupling is >= 0, so alpha + gamma > 0
+        return 1.0 / np.sqrt(traj.alpha + traj.gamma)
 
     fig1b = render_plot(
         [
@@ -423,14 +418,14 @@ def cmd_verify(bundle: ConfigBundle) -> int:
     def skip(name, note):
         checks.append((name, None, note))
 
-    cs, _, reports = _g_checks(s)
+    gamma_k, _, reports = _g_checks(s)
     checks += [(rep.name, rep, "") for rep in reports]
 
     grid1 = GridSpec1D(n_points=256, extent=4.0 * s.b)
     tau1 = grid1.points()
     a_probe = ComplexField1D(
         np.exp(-s.alpha0 * tau1 * tau1).astype(complex), grid1, t=0.0)
-    _, gauge = gauge_transform(a_probe, cs, 0.3 * tau1 / s.b)
+    _, gauge = gauge_transform(a_probe, gamma_k, 0.3 * tau1 / s.b)
     add("gauge invariance of the joint product", gauge.max_psi_deviation, 1e-12)
     add("gauge potential shift law", gauge.max_gauge_law_residual, 1e-8)
 
@@ -489,10 +484,13 @@ def cmd_verify(bundle: ConfigBundle) -> int:
 def cmd_checkpoint_resume(bundle: ConfigBundle, checkpoint_path, outdir) -> int:
     os.makedirs(outdir, exist_ok=True)
     s, num = bundle.scenario, bundle.numerics
-    f = load_field_2d(checkpoint_path)
-    extra = (f"resumed_from_t = {f.t!r}",
-             f"checkpoint = {os.fspath(checkpoint_path)}")
+    extra = (f"checkpoint = {os.fspath(checkpoint_path)}",)
     try:
+        f = load_field_2d(checkpoint_path)
+        extra = (f"resumed_from_t = {f.t!r}", *extra)
+        if f.grid != bundle.grid:  # else the rows and the MANIFEST disagree
+            raise ValueError(f"checkpoint grid {f.grid} differs from the "
+                             f"config's {bundle.grid}")
         defect = hermiticity_defect(f)
         if defect > HERMITICITY_BOUND:  # evolve_master_eq would give wrong rows
             raise ValueError(f"checkpoint field is not Hermitian (defect "

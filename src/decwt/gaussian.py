@@ -3,17 +3,18 @@
 The marginal wavefunction ansatz a(tau) = exp(delta/2 - (alpha + i beta) tau^2)
 with decoherence kernel K = exp(-gamma y^2 / 2) solves
 
-    i hbar drho/dt = -(2 hbar^2 / m) d^2 rho / dy dz - i Lambda y^2 rho
+    i drho/dt = -2 d^2 rho / dy dz - i Lambda y^2 rho
 
-in rotated coordinates y = tau - tau', z = tau + tau', when the parameters obey
+in rotated coordinates y = tau - tau', z = tau + tau' and the fixed natural
+units hbar = m = 1, when the parameters obey
 
-    d(delta)/dt = (2 hbar/m) beta
-    d(alpha)/dt = (4 hbar/m) alpha beta
-    d(gamma)/dt = (4 hbar/m) beta gamma + 2 Lambda / hbar
-    d(beta)/dt  = (2 hbar/m) (beta^2 - alpha^2 - alpha gamma)
+    d(delta)/dt = 2 beta
+    d(alpha)/dt = 4 alpha beta
+    d(gamma)/dt = 4 beta gamma + 2 Lambda
+    d(beta)/dt  = 2 (beta^2 - alpha^2 - alpha gamma)
 
 The inverse width G(t) = 1/alpha(t) is then an exact cubic in t, and gamma
-follows by one quadrature: gamma(t) = (2 Lambda/hbar) * int_0^t G / G(t).
+follows by one quadrature: gamma(t) = 2 Lambda * int_0^t G / G(t).
 Everything in this module is closed-form; no time stepping.
 """
 
@@ -61,16 +62,15 @@ class CubicG:
 def build_cubic(s: Scenario, alpha0: float, beta0: float) -> CubicG:
     """Cubic coefficients from initial conditions (gamma(0) = 0).
 
-    c3 carries 1/m^2: the third derivative of G along the parameter flow is
-    (8 hbar^2/m^2)(2 Lambda/hbar) after the alpha/beta/gamma cross terms cancel.
+    The third derivative of G along the parameter flow is 16 Lambda after the
+    alpha/beta/gamma cross terms cancel.
     """
     if not (alpha0 > 0.0):
         raise InvalidParameterError("alpha0", "must be positive")
-    h_m = s.hbar / s.m
     c0 = 1.0 / alpha0
-    c1 = -4.0 * h_m * beta0 / alpha0
-    c2 = 4.0 * h_m * h_m * (alpha0 + beta0 * beta0 / alpha0)
-    c3 = (8.0 / 3.0) * h_m * s.lam / s.m
+    c1 = -4.0 * beta0 / alpha0
+    c2 = 4.0 * (alpha0 + beta0 * beta0 / alpha0)
+    c3 = (8.0 / 3.0) * s.lam
     return CubicG(c0, c1, c2, c3)
 
 
@@ -88,7 +88,7 @@ def eval_int_G(g: CubicG, t) -> float | np.ndarray:
 
 
 def gamma_exact(g: CubicG, s: Scenario, t) -> float | np.ndarray:
-    return (2.0 * s.lam / s.hbar) * eval_int_G(g, t) / eval_G(g, t)
+    return (2.0 * s.lam) * eval_int_G(g, t) / eval_G(g, t)
 
 
 def params_exact(g: CubicG, s: Scenario, t: float) -> GaussianParams:
@@ -98,15 +98,15 @@ def params_exact(g: CubicG, s: Scenario, t: float) -> GaussianParams:
     if G <= 0.0:
         raise InvalidParameterError("t", f"G(t) = {G} not positive at t = {t}")
     alpha = 1.0 / G
-    beta = -(s.m / (4.0 * s.hbar)) * eval_G_dot(g, t) / G
-    gamma = (2.0 * s.lam / s.hbar) * eval_int_G(g, t) / G
+    beta = -0.25 * eval_G_dot(g, t) / G
+    gamma = (2.0 * s.lam) * eval_int_G(g, t) / G
     delta = 0.5 * math.log(2.0 * alpha / math.pi)
     return GaussianParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
 
 
 def coherence_exact(g: CubicG, s: Scenario, t) -> float | np.ndarray:
-    """Off-diagonal 1/e scale 1/sqrt(alpha + gamma) = sqrt(G / (1 + (2 Lambda/hbar) int G))."""
-    return np.sqrt(eval_G(g, t) / (1.0 + (2.0 * s.lam / s.hbar) * eval_int_G(g, t)))
+    """Off-diagonal 1/e scale 1/sqrt(alpha + gamma) = sqrt(G / (1 + 2 Lambda int G))."""
+    return np.sqrt(eval_G(g, t) / (1.0 + (2.0 * s.lam) * eval_int_G(g, t)))
 
 
 def ensemble_width_exact(g: CubicG, t) -> float | np.ndarray:

@@ -2,13 +2,14 @@
 
 The conditional environment amplitude used throughout is the Gaussian family
 
-    phi(q, tau) = (2 pi sigma^2)^(-1/4) exp(-q^2/(4 sigma^2) + i q tau s / sigma),
-    s = sqrt(gamma_k / hbar),
+    phi(q, tau) = (2 pi)^(-1/4) exp(-q^2/4 + i q tau s),   s = sqrt(gamma_k),
 
-whose pair overlap reproduces the decoherence kernel:
-K(tau, tau') = int conj(phi(q, tau')) phi(q, tau) dq = exp(-(gamma_k/hbar) y^2 / 2).
+in the fixed natural units hbar = m = 1, with q measured in the width sigma = 1
+of the environment-mode amplitude profile. Its pair overlap reproduces the
+decoherence kernel:
+K(tau, tau') = int conj(phi(q, tau')) phi(q, tau) dq = exp(-gamma_k y^2 / 2).
 Because the phase is linear in tau, every tau-derivative is analytic,
-d^n phi / d tau^n = (i q s / sigma)^n phi, and the overlap moments
+d^n phi / d tau^n = (i q s)^n phi, and the overlap moments
 
     g_(n,m)(tau) = int (d^n conj phi)(d^m phi) dq
 
@@ -19,7 +20,7 @@ obeys, identically in tau:
     d/dtau g_(n,m) = g_(n+1,m) + g_(n,m+1)
     sum_k C(N,k) g_(N-k,k) = 0          (N-th derivative of g_(0,0))
     g_(m,n) = conj(g_(n,m))
-    A = -i hbar g_(0,1) real,  Re g_(0,2) = -g_(1,1)
+    A = -i g_(0,1) real,  Re g_(0,2) = -g_(1,1)
 
 and the kernel's y-expansion at fixed z is generated by the one-sided column:
 K = sum_n g_(0,n) y^n / n! + O(y^{N+1}).
@@ -36,63 +37,44 @@ from .fields import ComplexField1D
 from .scenario import GridSpec1D, InvalidParameterError
 
 
-@dataclass(frozen=True)
-class ConditionalSampler:
-    """Gaussian environment-mode family on a q quadrature grid.
-
-    gamma_k is the kernel curvature the family encodes (static per evaluation;
-    time dependence enters by rebuilding the sampler at another gamma_k).
-    """
-
-    sigma: float
-    gamma_k: float
-    hbar: float
-    q_grid: GridSpec1D
-
-    def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise InvalidParameterError("sigma", "must be positive")
-        if self.gamma_k < 0.0:
-            raise InvalidParameterError("gamma_k", "must be >= 0")
-        if not (self.hbar > 0.0):
-            raise InvalidParameterError("hbar", "must be positive")
-        if self.q_grid.extent < 8.0 * self.sigma:
-            raise InvalidParameterError("q_grid", "extent must cover >= 8 sigma")
-
-    @property
-    def phase_slope(self) -> float:
-        return math.sqrt(self.gamma_k / self.hbar)
+Q_GRID = GridSpec1D(1024, 20.0)  # the q quadrature grid, 20 mode widths each way
 
 
-def sample_phi(cs: ConditionalSampler, tau: np.ndarray) -> np.ndarray:
+def _phase_slope(gamma_k: float) -> float:
+    """s = sqrt(gamma_k); gamma_k is the kernel curvature the family encodes."""
+    if gamma_k < 0.0:
+        raise InvalidParameterError("gamma_k", "must be >= 0")
+    return math.sqrt(gamma_k)
+
+
+def sample_phi(gamma_k: float, tau: np.ndarray) -> np.ndarray:
     """phi on the (q, tau) tensor grid; shape (n_q, n_tau), unit q-norm."""
-    q = cs.q_grid.points()[:, None]
+    q = Q_GRID.points()[:, None]
     tau = np.asarray(tau, dtype=float)[None, :]
-    norm = (2.0 * math.pi * cs.sigma ** 2) ** -0.25
-    return norm * np.exp(-q * q / (4.0 * cs.sigma ** 2)
-                         + 1j * q * tau * cs.phase_slope / cs.sigma)
+    norm = (2.0 * math.pi) ** -0.25
+    return norm * np.exp(-q * q / 4.0 + 1j * q * tau * _phase_slope(gamma_k))
 
 
-def _dphi(cs: ConditionalSampler, phi: np.ndarray, order: int) -> np.ndarray:
+def _dphi(gamma_k: float, phi: np.ndarray, order: int) -> np.ndarray:
     """Analytic tau-derivative: the phase is linear in tau."""
-    q = cs.q_grid.points()[:, None]
-    return (1j * q * cs.phase_slope / cs.sigma) ** order * phi
+    q = Q_GRID.points()[:, None]
+    return (1j * q * _phase_slope(gamma_k)) ** order * phi
 
 
-def _quad(cs: ConditionalSampler, integrand: np.ndarray) -> np.ndarray:
-    """Trapezoid over q (periodic-uniform grid: plain Riemann sum, the
-    integrand decays to ~exp(-32) at the boundary)."""
-    return np.sum(integrand, axis=0) * cs.q_grid.spacing
+def _quad(integrand: np.ndarray) -> np.ndarray:
+    """Trapezoid over q (periodic-uniform grid: plain Riemann sum, |phi|^2
+    decays to exp(-200) at the boundary q = 20)."""
+    return np.sum(integrand, axis=0) * Q_GRID.spacing
 
 
-def compute_K(cs: ConditionalSampler, tau: np.ndarray, tau_p: np.ndarray) -> np.ndarray:
+def compute_K(gamma_k: float, tau: np.ndarray, tau_p: np.ndarray) -> np.ndarray:
     """Pair overlap K(tau, tau') by quadrature; broadcasts over both arguments."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     tau_p = np.atleast_1d(np.asarray(tau_p, dtype=float))
-    phi = sample_phi(cs, tau)
-    phi_p = sample_phi(cs, tau_p)
+    phi = sample_phi(gamma_k, tau)
+    phi_p = sample_phi(gamma_k, tau_p)
     # conj(phi(q,tau')) phi(q,tau), contracted over q
-    out = np.einsum("qa,qb->ab", np.conj(phi_p), phi) * cs.q_grid.spacing
+    out = np.einsum("qa,qb->ab", np.conj(phi_p), phi) * Q_GRID.spacing
     return out.T  # rows tau, columns tau'
 
 
@@ -108,14 +90,14 @@ class GFunctionTable:
     entries: dict = field(default_factory=dict)
 
 
-def compute_g_table(cs: ConditionalSampler, tau: np.ndarray) -> GFunctionTable:
+def compute_g_table(gamma_k: float, tau: np.ndarray) -> GFunctionTable:
     tau = np.asarray(tau, dtype=float)
-    phi = sample_phi(cs, tau)
-    derivs = [_dphi(cs, phi, n) for n in range(ORDER + 1)]
+    phi = sample_phi(gamma_k, tau)
+    derivs = [_dphi(gamma_k, phi, n) for n in range(ORDER + 1)]
     table = GFunctionTable(tau=tau)
     for n in range(ORDER + 1):
         for m in range(ORDER + 1 - n):
-            table.entries[(n, m)] = _quad(cs, np.conj(derivs[n]) * derivs[m])
+            table.entries[(n, m)] = _quad(np.conj(derivs[n]) * derivs[m])
     return table
 
 
@@ -139,7 +121,7 @@ class IdentityReport:
         return self.residual <= self.threshold
 
 
-def verify_g_identities(table: GFunctionTable, cs: ConditionalSampler) -> list[IdentityReport]:
+def verify_g_identities(table: GFunctionTable) -> list[IdentityReport]:
     """Residuals of the structural identities; all should sit at quadrature
     round-off for the Gaussian family, below THRESHOLD."""
     out: list[IdentityReport] = []
@@ -172,7 +154,7 @@ def verify_g_identities(table: GFunctionTable, cs: ConditionalSampler) -> list[I
 
     out.append(IdentityReport(
         "gauge potential -i hbar g_(0,1) real",
-        float(np.max(np.abs(np.imag(-1j * g[(0, 1)])))) * cs.hbar, THRESHOLD))
+        float(np.max(np.abs(np.imag(-1j * g[(0, 1)])))), THRESHOLD))
     out.append(IdentityReport(
         "Re g_(0,2) = -g_(1,1)",
         float(np.max(np.abs(np.real(g[(0, 2)]) + g[(1, 1)]))), THRESHOLD))
@@ -190,12 +172,12 @@ def reconstruct_from_column(table: GFunctionTable) -> dict:
     return rebuilt
 
 
-def kernel_from_k_derivative(cs: ConditionalSampler, tau0: float) -> complex:
+def kernel_from_k_derivative(gamma_k: float, tau0: float) -> complex:
     """Centered dK/dy at y = 0 (step 1e-5), z fixed at 2 tau0: equals
-    (i/hbar) A(tau0)."""
+    i A(tau0)."""
     h = 1e-5
-    kp = compute_K(cs, np.array([tau0 + 0.5 * h]), np.array([tau0 - 0.5 * h]))[0, 0]
-    km = compute_K(cs, np.array([tau0 - 0.5 * h]), np.array([tau0 + 0.5 * h]))[0, 0]
+    kp = compute_K(gamma_k, np.array([tau0 + 0.5 * h]), np.array([tau0 - 0.5 * h]))[0, 0]
+    km = compute_K(gamma_k, np.array([tau0 - 0.5 * h]), np.array([tau0 + 0.5 * h]))[0, 0]
     return complex((kp - km) / (2.0 * h))
 
 
@@ -207,11 +189,11 @@ class GaugeReport:
     potential_after: np.ndarray
 
 
-def gauge_transform(a: ComplexField1D, cs: ConditionalSampler,
+def gauge_transform(a: ComplexField1D, gamma_k: float,
                     theta: np.ndarray) -> tuple[ComplexField1D, GaugeReport]:
     """Apply a -> a e^{i theta}, phi -> phi e^{-i theta} and report the gauge
     checks: the product a(tau) phi(q, tau) must be pointwise invariant, and the
-    induced potential must shift by -hbar d(theta)/d tau.
+    induced potential must shift by -d(theta)/d tau.
 
     theta is sampled on a's tau grid; its derivative is taken with np.gradient
     (exact for the linear phases used as oracles, second order otherwise).
@@ -224,18 +206,19 @@ def gauge_transform(a: ComplexField1D, cs: ConditionalSampler,
 
     a_new = ComplexField1D(a.values * phase, a.grid, a.t)
 
-    phi = sample_phi(cs, tau)
+    phi = sample_phi(gamma_k, tau)
     phi_new = phi * np.conj(phase)[None, :]
     psi_dev = float(np.max(np.abs(a_new.values[None, :] * phi_new
                                   - a.values[None, :] * phi)))
 
     theta_dot = np.gradient(theta, a.grid.spacing)
     # induced potential from the transformed modes: analytic product rule
-    dphi_new = (_dphi(cs, phi, 1) - 1j * theta_dot[None, :] * phi) * np.conj(phase)[None, :]
-    g01_before = _quad(cs, np.conj(phi) * _dphi(cs, phi, 1))
-    g01_after = _quad(cs, np.conj(phi_new) * dphi_new)
-    pot_before = np.real(-1j * cs.hbar * g01_before)
-    pot_after = np.real(-1j * cs.hbar * g01_after)
-    law = float(np.max(np.abs(pot_after - (pot_before - cs.hbar * theta_dot))))
+    dphi = _dphi(gamma_k, phi, 1)
+    dphi_new = (dphi - 1j * theta_dot[None, :] * phi) * np.conj(phase)[None, :]
+    g01_before = _quad(np.conj(phi) * dphi)
+    g01_after = _quad(np.conj(phi_new) * dphi_new)
+    pot_before = np.real(-1j * g01_before)
+    pot_after = np.real(-1j * g01_after)
+    law = float(np.max(np.abs(pot_after - (pot_before - theta_dot))))
 
     return a_new, GaugeReport(psi_dev, law, pot_before, pot_after)

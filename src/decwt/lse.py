@@ -1,11 +1,12 @@
 """Split-step solver for the marginal-wavefunction equation with a
 time-dependent logarithmic self-coupling:
 
-    i da/dt = -(hbar / 2m) d^2 a / d tau^2 + (hbar / m) gamma_l(t) ln|a|^2 a
+    i da/dt = -(1/2) d^2 a / d tau^2 + gamma_l(t) ln|a|^2 a
 
-where gamma_l is a prescribed decoherence coupling, the same callable that
-integrate_prescribed_gamma integrates (marginal_dynamics; linear_short by
-default). The potential is eps / hbar with eps = (hbar^2 / m) gamma_l ln|a|^2.
+in the fixed natural units hbar = m = 1, where gamma_l is a prescribed
+decoherence coupling, the same callable that integrate_prescribed_gamma
+integrates (marginal_dynamics; linear_short by default). The potential is
+eps = gamma_l ln|a|^2.
 Both Strang factors preserve the L2 norm exactly: the kinetic factor is a
 unimodular Fourier multiplier and the potential factor is a pure local phase,
 |a| being invariant under it. The potential half-steps evaluate gamma_l at
@@ -18,7 +19,7 @@ splitting of Bao, Carles, Su & Tang, Numer. Math. 143, 461 (2019).
 
 Segments. The phase factor leaves |a| unchanged, so the closing half-step of
 one step and the opening half-step of the next act on the same |a| and fuse
-into one factor exp(-i (hbar/m)(gamma_l(t + 3dt/4) + gamma_l(t + 5dt/4))
+into one factor exp(-i (gamma_l(t + 3dt/4) + gamma_l(t + 5dt/4))
 ln max(|a|^2, floor^2) dt/2). evolve_lse therefore advances each sample
 interval as one segment: an opening half-step, then per step a kinetic FFT
 pair followed by the fused factor (the closing half-step alone after the
@@ -69,10 +70,9 @@ def floored_log_density(values: np.ndarray) -> np.ndarray:
 
 
 def epsilon_of(a: ComplexField1D, s: Scenario) -> np.ndarray:
-    """eps(tau) = (hbar^2 / m) gamma_l(t) ln max(|a|^2, floor^2) at t = a.t,
+    """eps(tau) = gamma_l(t) ln max(|a|^2, floor^2) at t = a.t,
     gamma_l = linear_short(s)."""
-    gamma_l = linear_short(s)(a.t)
-    return (s.hbar * s.hbar / s.m) * gamma_l * floored_log_density(a.values)
+    return linear_short(s)(a.t) * floored_log_density(a.values)
 
 
 class LseStepper:
@@ -85,9 +85,8 @@ class LseStepper:
             raise ValueError("dt must be positive and finite")
         self.dt = dt
         self.gamma_l = gamma_l if gamma_l is not None else linear_short(s)
-        self._hbar_m = s.hbar / s.m  # phase rate per unit gamma_l
         k = grid.wavenumbers()
-        self._kinetic = np.exp(-1j * (s.hbar / (2.0 * s.m)) * k * k * dt)
+        self._kinetic = np.exp(-1j * 0.5 * k * k * dt)
 
     def _phase(self, values: np.ndarray, rate: float) -> np.ndarray:
         log_density = floored_log_density(values)
@@ -99,13 +98,13 @@ class LseStepper:
         field non-finite."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        dt, g, hm = self.dt, self.gamma_l, self._hbar_m
-        v = self._phase(a.values, hm * g(a.t + 0.25 * dt))
+        dt, g = self.dt, self.gamma_l
+        v = self._phase(a.values, g(a.t + 0.25 * dt))
         for j in range(1, n + 1):
             t = a.t + (j - 1) * dt  # start of step j
             u = np.fft.ifft(self._kinetic * np.fft.fft(v))
-            rate = hm * g(t + 0.75 * dt)
-            v = self._phase(u, rate + hm * g(t + 1.25 * dt) if j < n else rate)
+            rate = g(t + 0.75 * dt)
+            v = self._phase(u, rate + g(t + 1.25 * dt) if j < n else rate)
             if not np.isfinite(v).all():
                 # the fused factor also holds step j + 1's opening half-step
                 if j < n and np.isfinite(self._phase(u, rate)).all():
@@ -166,7 +165,7 @@ def marginalme_residual(
     of a_series and its two neighbors, differences the neighbors for
     d rho_m/dt, and evaluates the right-hand side on the middle one:
     spectral kinetic cross-derivative plus the potential difference
-    -(i/hbar)[eps(tau) - eps(tau')] rho_m, which is how the prescribed linear
+    -i [eps(tau) - eps(tau')] rho_m, which is how the prescribed linear
     coupling acts on the marginal. Returns max |lhs - rhs| / max |rho_m|.
     """
     if len(a_series) < 3:
@@ -185,13 +184,13 @@ def marginalme_residual(
 
     k = ac.grid.wavenumbers()
     a2 = np.fft.ifft(-(k * k) * np.fft.fft(ac.values))
-    kin = (0.5j * s.hbar / s.m) * (
+    kin = 0.5j * (
         a2[:, None] * np.conj(ac.values)[None, :]
         - ac.values[:, None] * np.conj(a2)[None, :]
     )
 
-    eps_over_h = epsilon_of(ac, s) / s.hbar
-    pot = -1j * (eps_over_h[:, None] - eps_over_h[None, :]) * rho
+    eps = epsilon_of(ac, s)
+    pot = -1j * (eps[:, None] - eps[None, :]) * rho
 
     denom = float(np.max(np.abs(rho)))
     return float(np.max(np.abs(rho_dot - kin - pot)) / denom)

@@ -7,7 +7,7 @@ slot has zero rate and only (alpha, beta) move. Both sample on the grid of
 sample_grid, which the grid and wavefunction routes share.
 
 delta never enters a right-hand side: normalization pins exp(delta) =
-sqrt(2 alpha / pi), and d(delta)/dt = (2 hbar/m) beta is exactly d(ln alpha)/2
+sqrt(2 alpha / pi), and d(delta)/dt = 2 beta is exactly d(ln alpha)/2
 along either flow, so delta is reported analytically from alpha. Fixed step
 keeps runs bit-reproducible; no adaptive control.
 """
@@ -61,19 +61,19 @@ def exact_closure(s: Scenario, alpha0: float, beta0: float) -> Callable[[float],
 
 
 def linear_short(s: Scenario) -> Callable[[float], float]:
-    """Early-time tangent 2 Lambda (t - t0) / hbar."""
-    slope = 2.0 * s.lam / s.hbar
-    return lambda t: slope * (t - s.t0)
+    """Early-time tangent 2 Lambda t."""
+    slope = 2.0 * s.lam
+    return lambda t: slope * t
 
 
 def linear_long(s: Scenario, alpha0: float, beta0: float) -> Callable[[float], float]:
-    """Late-time tangent c2 m^2 / (16 hbar^2) + (Lambda / 2 hbar) t."""
+    """Late-time tangent c2 / 16 + (Lambda / 2) t."""
     # The offset is the residue of the early-time memory in the long-time
     # expansion of the exact quadrature. c2 comes from the same cubic that
     # the closed form uses.
     c2 = build_cubic(s, alpha0, beta0).c2
-    const = c2 * s.m * s.m / (16.0 * s.hbar * s.hbar)
-    slope = 0.5 * s.lam / s.hbar
+    const = c2 / 16.0
+    slope = 0.5 * s.lam
     return lambda t: const + slope * t
 
 
@@ -139,14 +139,12 @@ def integrate_closed_system(
     sample_every: int = 1,
 ) -> ParamTrajectory:
     """RK4 on the closed (alpha, beta, gamma) flow from gamma(0) = 0."""
-    c_ab = 4.0 * s.hbar / s.m     # alpha coupling
-    c_b = 2.0 * s.hbar / s.m      # beta coupling
-    c_g = 2.0 * s.lam / s.hbar    # gamma source
+    c_g = 2.0 * s.lam  # gamma source
 
     def rhs(t, a, b, g):
-        return (c_ab * a * b,
-                c_b * (b * b - a * a - a * g),
-                c_ab * b * g + c_g)
+        return (4.0 * a * b,
+                2.0 * (b * b - a * a - a * g),
+                4.0 * b * g + c_g)
 
     return _trajectory(*_rk4(rhs, float(alpha0), float(beta0), 0.0, dt, t_end,
                              sample_every))
@@ -163,12 +161,9 @@ def integrate_prescribed_gamma(
 ) -> ParamTrajectory:
     """RK4 on (alpha, beta) with gamma_l(t) prescribed; the gamma column of the
     result reports gamma_l at the sample times."""
-    c_ab = 4.0 * s.hbar / s.m
-    c_b = 2.0 * s.hbar / s.m
-
     def rhs(t, a, b, _g):
         g = gamma_l(t)
-        return c_ab * a * b, c_b * (b * b - a * a - a * g), 0.0
+        return 4.0 * a * b, 2.0 * (b * b - a * a - a * g), 0.0
 
     ts, al, be, _ = _rk4(rhs, float(alpha0), float(beta0), 0.0, dt, t_end,
                          sample_every)

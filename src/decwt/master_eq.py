@@ -1,14 +1,14 @@
 """Split-step spectral solver for the collisional-decoherence master equation.
 
-    drho/dt = (2 i hbar / m) d^2 rho / dy dz - (Lambda / hbar) y^2 rho
+    drho/dt = 2 i d^2 rho / dy dz - Lambda y^2 rho
 
-on a periodic (y, z) grid. Strang splitting: half-step of the local decay
-factor exp(-(Lambda/hbar) y^2 dt/2), full kinetic step in Fourier space where
-d^2/dy dz is the diagonal multiplier -k_y k_z, half-step of the decay factor
-again. Both factors are exact, so the only time error is the O(dt^2)
-non-commutativity of the pair. The decay factor is unity on y = 0 and the
-kinetic multiplier is unity on k_z = 0, so the trace is conserved to round-off
-step by step.
+on a periodic (y, z) grid, in the fixed natural units hbar = m = 1. Strang
+splitting: half-step of the local decay factor exp(-Lambda y^2 dt/2), full
+kinetic step in Fourier space where d^2/dy dz is the diagonal multiplier
+-k_y k_z, half-step of the decay factor again. Both factors are exact, so the
+only time error is the O(dt^2) non-commutativity of the pair. The decay
+factor is unity on y = 0 and the kinetic multiplier is unity on k_z = 0, so
+the trace is conserved to round-off step by step.
 
 Segments. The decay factor acts on y alone, so it commutes with the Fourier
 transform along z. evolve_master_eq therefore advances each sample interval
@@ -129,10 +129,10 @@ class MasterEqStepper:
             raise ValueError("dt must be positive and finite")
         self.dt = dt
         self._grid = grid
-        self._rate = -1j * (2.0 * s.hbar / s.m)  # exp(rate k_y k_z dt)
+        self._rate = -1j * 2.0  # exp(rate k_y k_z dt)
         y = grid.axis_y.points()
-        self._decay_half = np.exp(-(s.lam / s.hbar) * y * y * (0.5 * dt))
-        self._decay = np.exp(-(s.lam / s.hbar) * y * y * dt)
+        self._decay_half = np.exp(-s.lam * y * y * (0.5 * dt))
+        self._decay = np.exp(-s.lam * y * y * dt)
         ky = grid.axis_y.wavenumbers()[None, :]
         kz = grid.axis_z.wavenumbers()[:grid.n_z // 2 + 1, None]
         # operands in _kinetic's order, so each entry is the same product

@@ -3,7 +3,8 @@
 Coordinate bookkeeping for density matrices rho(y, z): the physical pair is
 tau = (z + y)/2, tau' = (z - y)/2, so d tau d tau' = (1/2) dy dz. Every trace-like
 sum below carries that Jacobian 1/2, and the diagonal density lives on the
-y = 0 slice with p(tau) = rho(0, 2 tau).
+y = 0 slice with p(tau) = rho(0, 2 tau). Units are the fixed natural ones,
+hbar = m = 1.
 """
 
 from __future__ import annotations
@@ -90,30 +91,26 @@ def coherence_from_rho(f: ComplexField2D) -> float:
     return 1.0 / math.sqrt(c)
 
 
+def _spread(x: np.ndarray, p: np.ndarray, what: str) -> float:
+    """Standard deviation of x under the weights p; what names the field."""
+    w = np.sum(p)
+    if w <= 0.0:
+        raise InvalidParameterError(what, "field has no weight")
+    mean = np.sum(x * p) / w
+    var = np.sum((x - mean) ** 2 * p) / w
+    return math.sqrt(max(var, 0.0))
+
+
 def ensemble_width_from_rho(f: ComplexField2D) -> float:
     """Std of the diagonal density: second moment of rho(0, z) over z, halved
     (tau = z/2 on the diagonal)."""
     g = f.grid
-    z = g.axis_z.points()
-    p = np.real(f.values[g.n_y // 2, :])
-    w = np.sum(p)
-    if w <= 0.0:
-        raise InvalidParameterError("rho", "diagonal has no weight")
-    mean = np.sum(z * p) / w
-    var = np.sum((z - mean) ** 2 * p) / w
-    return 0.5 * math.sqrt(max(var, 0.0))
+    return 0.5 * _spread(g.axis_z.points(), np.real(f.values[g.n_y // 2, :]), "rho")
 
 
 def ensemble_width_from_a(a: ComplexField1D) -> float:
     """Std of |a|^2 over tau."""
-    tau = a.grid.points()
-    p = np.abs(a.values) ** 2
-    w = np.sum(p)
-    if w <= 0.0:
-        raise InvalidParameterError("a", "field has no weight")
-    mean = np.sum(tau * p) / w
-    var = np.sum((tau - mean) ** 2 * p) / w
-    return math.sqrt(max(var, 0.0))
+    return _spread(a.grid.points(), np.abs(a.values) ** 2, "a")
 
 
 def fit_gaussian_alpha_beta(a: ComplexField1D) -> tuple[float, float]:
@@ -144,8 +141,8 @@ def fit_gaussian_alpha_beta(a: ComplexField1D) -> tuple[float, float]:
 #   Q_0 = delta - alpha z^2 / 2,  Q_1 = -i beta z,  Q_2 = -alpha,  Q_{n>=3} = 0,
 #   Gth_2 = -gamma, all other Gth_n = 0.
 # Order n of the master equation then reads
-#   dQ_n/dt + dGth_n/dt = (2 i hbar/m) [F'_{n+1} + sum_k C(n,k) F_{k+1} F'_{n-k}]
-#                          - (2 Lambda/hbar) delta_{n,2}
+#   dQ_n/dt + dGth_n/dt = 2 i [F'_{n+1} + sum_k C(n,k) F_{k+1} F'_{n-k}]
+#                          - 2 Lambda delta_{n,2}
 # with F = Q + Gth and prime = d/dz. The sum closes at n = 2 because every
 # higher coefficient vanishes identically for Gaussians.
 # ---------------------------------------------------------------------------
@@ -200,8 +197,8 @@ def qseries_residual(
     acc = f_dz[n + 1].astype(np.complex128)
     for k in range(n + 1):
         acc = acc + math.comb(n, k) * f_now[k + 1] * f_dz[n - k]
-    rhs = (2j * s.hbar / s.m) * acc
+    rhs = 2j * acc
     if n == 2:
-        rhs = rhs - 2.0 * s.lam / s.hbar
+        rhs = rhs - 2.0 * s.lam
 
     return float(np.max(np.abs(lhs - rhs)))

@@ -31,36 +31,24 @@ class InvalidParameterError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Physical inputs. Natural units (hbar = m = b = 1) are the default;
-    the symbols are kept so dimensional variants remain testable.
+    """Physical inputs in the fixed natural units hbar = m = 1 (README,
+    "Units and conventions", maps other units onto them).
 
-    m        particle mass
-    hbar     Planck constant
     lam      long-wavelength scattering strength (decoherence rate density)
     b        initial wave-packet width parameter, alpha0 = 1/(4 b^2)
-    sigma    width of the environment-mode amplitude profile
-    t0       reference time for the prescribed linear coupling
     label    tag used for output naming: one line, no '#', no leading or
              trailing whitespace, so a config file reloads it unchanged
     """
 
-    m: float = 1.0
-    hbar: float = 1.0
     lam: float = 1.0
     b: float = 1.0
-    sigma: float = 1.0
-    t0: float = 0.0
     label: str = "run"
 
     def __post_init__(self):
-        for name in ("m", "hbar", "b", "sigma"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise InvalidParameterError(name, "must be positive and finite")
+        if not (self.b > 0.0 and math.isfinite(self.b)):
+            raise InvalidParameterError("b", "must be positive and finite")
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise InvalidParameterError("Lambda", "must be finite and >= 0")
-        if not math.isfinite(self.t0):
-            raise InvalidParameterError("t0", "must be finite")
         lb = self.label  # must come back from a UTF-8 config line as is
         if (lb.splitlines() != [lb] or lb != lb.strip() or "#" in lb
                 or lb.encode("utf-8", "replace").decode("utf-8") != lb):
@@ -148,19 +136,17 @@ class NumericsSpec:
 
 
 def characteristic_time(s: Scenario) -> float:
-    """Coherence-decay timescale hbar / (Lambda b^2) of the initial packet."""
+    """Coherence-decay timescale 1 / (Lambda b^2) of the initial packet."""
     if s.lam == 0.0:
         raise InvalidParameterError("Lambda", "no decoherence timescale when Lambda = 0")
-    return s.hbar / (s.lam * s.b * s.b)
+    return 1.0 / (s.lam * s.b * s.b)
 
 
 # Config keys in file order -> (bundle part, attribute). 'Lambda' is the
 # file-facing name of lam.
 _KEYS = {
     "label": ("scenario", "label"),
-    "m": ("scenario", "m"), "hbar": ("scenario", "hbar"),
     "Lambda": ("scenario", "lam"), "b": ("scenario", "b"),
-    "sigma": ("scenario", "sigma"), "t0": ("scenario", "t0"),
     "n_y": ("grid", "n_y"), "n_z": ("grid", "n_z"),
     "extent_y": ("grid", "extent_y"), "extent_z": ("grid", "extent_z"),
     "dt": ("numerics", "dt"), "t_end": ("numerics", "t_end"),

@@ -20,7 +20,6 @@ from decwt.gaussian import (
     params_exact,
 )
 from decwt.gfunc import (
-    ConditionalSampler,
     compute_g_table,
     gauge_transform,
     verify_g_identities,
@@ -166,13 +165,13 @@ def test_ac4_coherence_length_asymptotics():
     rate = (float(coherence_exact(g, s, t_probe + h))
             - float(coherence_exact(g, s, t_probe - h))) / (2.0 * h)
     rate /= float(coherence_exact(g, s, 0.0))
-    target = -4.0 * s.lam * s.b ** 2 / s.hbar
+    target = -4.0 * s.lam * s.b ** 2
     rate_dev = abs(rate / target - 1.0)
 
     ok = abs(slope + 0.5) <= 5e-3 and spread <= 1e-2 and rate_dev <= 2e-2
     verdict("AC4 coherence length asymptotics", ok,
             f"log-log slope {slope:.5f} over [10,100] t_b, l*sqrt(t) spread "
-            f"{spread:.2%}, initial rate within {rate_dev:.2%} of -4*lam*b^2/hbar")
+            f"{spread:.2%}, initial rate within {rate_dev:.2%} of -4*lam*b^2")
     assert abs(slope + 0.5) <= 5e-3
     assert spread <= 1e-2
     assert rate_dev <= 2e-2
@@ -287,34 +286,31 @@ def test_ac6_structural_identities():
     t_b = characteristic_time(s)
     g = build_cubic(s, s.alpha0, 0.0)
 
-    gamma_k = s.hbar * float(gamma_exact(g, s, t_b))
-    cs = ConditionalSampler(sigma=s.sigma, gamma_k=gamma_k, hbar=s.hbar,
-                            q_grid=GridSpec1D(n_points=1024,
-                                              extent=20.0 * s.sigma))
+    gamma_k = float(gamma_exact(g, s, t_b))
     tau = np.linspace(-4.0, 4.0, 128)
-    table = compute_g_table(cs, tau)
-    reports = verify_g_identities(table, cs)
+    table = compute_g_table(gamma_k, tau)
+    reports = verify_g_identities(table)
     worst_identity = max(r.residual for r in reports)
 
     probe_grid = GridSpec1D(n_points=256, extent=4.0)
     pts = probe_grid.points()
     probe = ComplexField1D(np.exp(-s.alpha0 * pts * pts).astype(complex),
                            probe_grid, t=0.0)
-    _, rep = gauge_transform(probe, cs, 0.3 * pts)
+    _, rep = gauge_transform(probe, gamma_k, 0.3 * pts)
     gauge_dev = max(rep.max_psi_deviation, rep.max_gauge_law_residual)
 
     z = np.linspace(-3.0, 3.0, 64)
     params_fn = lambda t: params_exact(g, s, t)
     worst_q = max(qseries_residual(params_fn, s, n, t_b, z) for n in (0, 1, 2))
     control = qseries_residual(params_fn, replace(s, lam=0.0), 2, t_b, z)
-    control_ok = math.isclose(control, 2.0 * s.lam / s.hbar, rel_tol=1e-3)
+    control_ok = math.isclose(control, 2.0 * s.lam, rel_tol=1e-3)
 
     ok = (all(r.passed for r in reports) and worst_identity < 1e-8
           and gauge_dev < 1e-12 and worst_q < 1e-6 and control_ok)
     verdict("AC6 structural identities", ok,
             f"overlap identities {worst_identity:.1e}, gauge residual "
             f"{gauge_dev:.1e}, hierarchy orders 0-2 residual {worst_q:.1e}, "
-            f"no-source control {control:.6f} = 2*lam/hbar")
+            f"no-source control {control:.6f} = 2*lam")
     assert all(r.passed for r in reports)
     assert worst_identity < 1e-8
     assert gauge_dev < 1e-12

@@ -3,8 +3,6 @@ exit codes, and checkpoint resume. Commands are invoked in-process through
 cli.main, which returns the exit code."""
 import csv
 import io
-import math
-import re
 
 import numpy as np
 import pytest
@@ -321,22 +319,6 @@ def test_figures_embedded_data_matches_curves(tmp_path):
     assert t0 == 0.0 and g0 == 0.0
 
 
-def test_figures_late_t0_leaves_nan_coherence_out_of_polylines(tmp_path, capsys):
-    # linear-short gamma is negative before t0, so alpha + gamma drops below
-    # zero early on: no coherence scale there, NaN in the data, no point drawn
-    cfg = write_cfg(tmp_path, "t0 = 0.3\n", name="late.cfg")
-    out = tmp_path / "figs"
-    assert cli.main(["figures", "--config", cfg, "--outdir", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    text = (out / "fig1b.svg").read_text()
-    block = text.split('<!-- data "linear-short" (x,y):\n', 1)[1]
-    ys = [float(row.split(",")[1]) for row in block.split("\n-->", 1)[0].splitlines()]
-    n_nan = sum(math.isnan(y) for y in ys)
-    assert n_nan > 0
-    polylines = re.findall(r'<polyline [^>]*points="([^"]*)"', text)
-    assert len(polylines[1].split()) == len(ys) - n_nan  # curve order: exact first
-
-
 def test_verify_passes_on_moderate(tmp_path, capsys):
     assert cli.main(["verify", "--preset", "moderate"]) == 0
     out = capsys.readouterr().out
@@ -468,6 +450,41 @@ def test_checkpoint_resume_refuses_a_field_off_the_dt_grid(tmp_path, capsys):
     assert "not on the dt" in capsys.readouterr().err
     assert not (res / "master-eq.csv").exists()
     assert ("status = failed: master-eq resume: field time"
+            in (res / "MANIFEST.txt").read_text())
+
+
+@pytest.mark.parametrize("other", [
+    SMALL_CFG.replace("n_y = 64\nn_z = 64", "n_y = 32\nn_z = 32"),
+    SMALL_CFG.replace("extent_z = 14.0", "extent_z = 15.0"),
+], ids=["points", "extent"])
+def test_checkpoint_resume_refuses_a_checkpoint_from_another_grid(tmp_path, capsys, other):
+    # the rows would come from the checkpoint's grid under a MANIFEST that
+    # names the config's
+    full = tmp_path / "full"
+    assert cli.main(["run", "--config", write_cfg(tmp_path), "--routes", "master-eq",
+                     "--checkpoint-every", "10", "--outdir", str(full)]) == 0
+    res = tmp_path / "res"
+    assert cli.main(["checkpoint-resume", "--config", write_cfg(tmp_path, other, "other.cfg"),
+                     "--checkpoint", str(full / "master-eq-step000010.ckpt"),
+                     "--outdir", str(res)]) == 1
+    assert "checkpoint grid" in capsys.readouterr().err
+    assert not (res / "master-eq.csv").exists()
+    assert ("status = failed: master-eq resume: checkpoint grid"
+            in (res / "MANIFEST.txt").read_text())
+
+
+@pytest.mark.parametrize("size", [10, 100])
+def test_checkpoint_resume_of_a_truncated_file_writes_the_manifest(tmp_path, size):
+    full = tmp_path / "full"
+    cfg = write_cfg(tmp_path)
+    assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
+                     "--checkpoint-every", "10", "--outdir", str(full)]) == 0
+    bad, res = tmp_path / "bad.ckpt", tmp_path / "res"
+    bad.write_bytes((full / "master-eq-step000010.ckpt").read_bytes()[:size])
+    assert cli.main(["checkpoint-resume", "--config", cfg,
+                     "--checkpoint", str(bad), "--outdir", str(res)]) == 1
+    assert not (res / "master-eq.csv").exists()
+    assert ("status = failed: master-eq resume: "
             in (res / "MANIFEST.txt").read_text())
 
 

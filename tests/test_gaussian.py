@@ -2,7 +2,8 @@
 coherence length, ensemble width, and the sampled density matrix.
 
 Oracle values below were derived by hand from the parameter ODEs
-(natural units m = hbar = b = 1, Lambda = 1, alpha0 = 1/4, beta0 = 0):
+(the fixed natural units m = hbar = 1, b = 1, Lambda = 1, alpha0 = 1/4,
+beta0 = 0):
 
     c = (4, 0, 1, 8/3)
     G(1) = 23/3          intG(1) = 5          Gdot(1) = 10
@@ -34,8 +35,7 @@ from decwt.scenario import GridSpec2D, Scenario
 
 
 def moderate():
-    return Scenario(m=1.0, hbar=1.0, lam=1.0, b=1.0, sigma=1.0, t0=0.0,
-                    label="moderate")
+    return Scenario(lam=1.0, b=1.0, label="moderate")
 
 
 def test_cubic_coefficients_standard_ic():
@@ -48,7 +48,7 @@ def test_cubic_coefficients_standard_ic():
 
 
 def test_cubic_coefficients_boosted_ic():
-    # beta0 = 1/4: c1 = -4*hbar*beta0/(m*alpha0) = -4, c2 = 4*(a0 + b0^2/a0) = 2
+    # beta0 = 1/4: c1 = -4*beta0/alpha0 = -4, c2 = 4*(a0 + b0^2/a0) = 2
     s = moderate()
     g = build_cubic(s, 0.25, 0.25)
     assert g.c1 == -4.0
@@ -56,14 +56,35 @@ def test_cubic_coefficients_boosted_ic():
 
 
 def test_cubic_third_derivative_value():
-    # G''' = 16 hbar Lambda / m^2, probed with a third central difference
-    s = Scenario(m=2.0, hbar=1.5, lam=3.0, b=1.0, sigma=1.0, t0=0.0, label="x")
+    # G''' = 16 Lambda, probed with a third central difference
+    s = Scenario(lam=3.0, b=1.0, label="x")
     g = build_cubic(s, s.alpha0, 0.1)
     h = 0.1
     t = 0.7
     d3 = (eval_G(g, t + 1.5 * h) - 3 * eval_G(g, t + 0.5 * h)
           + 3 * eval_G(g, t - 0.5 * h) - eval_G(g, t - 1.5 * h)) / h ** 3
-    assert math.isclose(d3, 16.0 * s.hbar * s.lam / s.m ** 2, rel_tol=1e-9)
+    assert math.isclose(d3, 16.0 * s.lam, rel_tol=1e-9)
+
+
+def test_natural_units_map_a_dimensional_scenario():
+    # mass m, Planck constant hbar and strength Lambda at time t are the
+    # natural-unit scenario Lambda' = m Lambda / hbar^2 at t' = hbar t / m;
+    # lengths and alpha, beta, gamma are unchanged. The dimensional side is
+    # written out: G = 1/alpha0 + 4 (hbar/m)^2 alpha0 t^2
+    # + (8/3)(hbar/m)(Lambda/m) t^3 and gamma = (2 Lambda/hbar) int_0^t G / G.
+    m, hbar, lam, alpha0 = 1.7, 0.8, 1.3, 0.25
+    h_m, l_m = hbar / m, lam / m
+    s = Scenario(lam=m * lam / hbar ** 2, b=1.0, label="mapped")
+    g = build_cubic(s, alpha0, 0.0)
+    for t in (0.1, 0.7, 2.0, 5.0):
+        G = 1.0 / alpha0 + 4.0 * h_m ** 2 * alpha0 * t ** 2 + (8.0 / 3.0) * h_m * l_m * t ** 3
+        G_dot = 8.0 * h_m ** 2 * alpha0 * t + 8.0 * h_m * l_m * t ** 2
+        int_G = (t / alpha0 + (4.0 / 3.0) * h_m ** 2 * alpha0 * t ** 3
+                 + (2.0 / 3.0) * h_m * l_m * t ** 4)
+        p = params_exact(g, s, hbar * t / m)
+        assert math.isclose(p.alpha, 1.0 / G, rel_tol=1e-13)
+        assert math.isclose(p.beta, -(m / (4.0 * hbar)) * G_dot / G, rel_tol=1e-13)
+        assert math.isclose(p.gamma, (2.0 * lam / hbar) * int_G / G, rel_tol=1e-13)
 
 
 def test_G_values_and_derivatives():
@@ -127,7 +148,7 @@ def test_ensemble_width_values():
 
 def test_free_particle_limit():
     # Lambda = 0: no cubic term, gamma stays 0, pure wave-packet spreading
-    s = Scenario(m=1.0, hbar=1.0, lam=0.0, b=1.0, sigma=1.0, t0=0.0, label="free")
+    s = Scenario(lam=0.0, b=1.0, label="free")
     g = build_cubic(s, s.alpha0, 0.0)
     assert g.c3 == 0.0
     assert gamma_exact(g, s, 2.0) == 0.0

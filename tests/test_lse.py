@@ -3,7 +3,7 @@
 Oracles: the prescribed-coupling parameter ODE (same dynamics, independent
 discretization), the free-particle closed form at zero coupling, and the
 stationary Gaussian of the static negative-coupling equation, whose inverse
-width alpha* = kappa m / hbar follows from balancing the kinetic curvature
+width alpha* = kappa follows from balancing the kinetic curvature
 against the log-potential curvature.
 """
 import math
@@ -34,8 +34,7 @@ from decwt.scenario import (
 
 
 def moderate(lam=1.0):
-    return Scenario(m=1.0, hbar=1.0, lam=lam, b=1.0, sigma=1.0, t0=0.0,
-                    label="moderate")
+    return Scenario(lam=lam, b=1.0, label="moderate")
 
 
 def pure_params(alpha):
@@ -55,7 +54,7 @@ def test_norm_conserved_exactly():
 
 def test_matches_prescribed_gamma_ode():
     # independent oracle: RK4 on the Gaussian parameter system with the
-    # linear coupling gamma_l = 2 Lambda (t - t0) / hbar
+    # linear coupling gamma_l = 2 Lambda t
     s = moderate()
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-4, t_end=0.5, sample_every=1000)
@@ -90,15 +89,15 @@ def test_positive_coupling_spreads_faster_than_free():
 
 
 def test_gausson_is_stationary():
-    # static phase rate -kappa, i.e. gamma_l = -kappa m / hbar, admits
-    # a = exp(-alpha* tau^2), alpha* = kappa m / hbar
+    # static phase rate -kappa, i.e. gamma_l = -kappa, admits
+    # a = exp(-alpha* tau^2), alpha* = kappa
     s = moderate()
     kappa = 1.0
-    alpha_star = kappa * s.m / s.hbar
+    alpha_star = kappa
     grid = GridSpec1D(n_points=512, extent=12.0)
     a = init_gaussian_a(pure_params(alpha_star), grid)
     num = NumericsSpec(dt=1e-3, t_end=1.0, sample_every=200)
-    samples, _ = evolve_lse(a, s, num, gamma_l=lambda t: -kappa * s.m / s.hbar)
+    samples, _ = evolve_lse(a, s, num, gamma_l=lambda t: -kappa)
     w0 = 0.5 / math.sqrt(alpha_star)
     for smp in samples:
         assert abs(smp.ensemble_width - w0) / w0 < 0.01, f"t={smp.t}"
@@ -106,9 +105,8 @@ def test_gausson_is_stationary():
 
 def test_gamma_l_override_is_reported_and_sets_coherence():
     # an overridden gamma_l is the one the samples report, the one their
-    # coherence length is built from, and the one the field evolved under;
-    # hbar != m so the (hbar/m) phase-rate factor shows against the ODE
-    s = Scenario(m=1.7, hbar=0.8, lam=1.0, b=1.0, sigma=1.0, t0=0.0, label="odd")
+    # coherence length is built from, and the one the field evolved under
+    s = moderate()
 
     def gamma_l(t):
         return 0.5 + 3.0 * t
@@ -184,7 +182,7 @@ def test_floored_log_density_rejects_zero_field():
 
 
 def test_epsilon_of_known_profile():
-    # |a|^2 = exp(-tau^2): eps = (2 hbar Lambda / m) t ln|a|^2 = -4 tau^2 at t = 2
+    # |a|^2 = exp(-tau^2): eps = 2 Lambda t ln|a|^2 = -4 tau^2 at t = 2
     s = moderate()
     grid = GridSpec1D(n_points=64, extent=8.0)
     tau = grid.points()
@@ -198,19 +196,17 @@ def test_epsilon_of_known_profile():
 
 def test_default_phase_rate_is_hbar_over_m_times_linear_short():
     # a uniform field sees no kinetic term, only the log phase: one step
-    # from t - dt/2 turns it by (hbar/m) gamma_l(t) ln|a|^2 dt, and the
-    # default (hbar/m) linear_short is 2 Lambda (t - t0) / m for any hbar
+    # from t - dt/2 turns it by gamma_l(t) ln|a|^2 dt (hbar / m = 1), and the
+    # default linear_short is 2 Lambda t, the tangent at t = 0
     grid = GridSpec1D(n_points=64, extent=8.0)
     dt = 1e-3
-    for hbar in (1.0, 0.8):
-        s = Scenario(m=2.0, hbar=hbar, lam=3.0, b=1.0, sigma=1.0, t0=0.5, label="x")
-        stepper = LseStepper(s, grid, dt)
-        for t_mid, rate in [(0.5, 0.0), (1.5, 2.0 * 3.0 / 2.0)]:
-            a = ComplexField1D(np.full(64, math.exp(-0.5), dtype=complex), grid,
-                               t=t_mid - 0.5 * dt)  # ln|a|^2 = -1
-            out = stepper.step(a)
-            assert np.allclose(np.angle(out.values / a.values) / dt, rate,
-                               rtol=1e-9, atol=1e-9)
+    stepper = LseStepper(Scenario(lam=3.0, b=1.0, label="x"), grid, dt)
+    for t_mid, rate in [(0.0, 0.0), (1.5, 2.0 * 3.0 * 1.5)]:
+        a = ComplexField1D(np.full(64, math.exp(-0.5), dtype=complex), grid,
+                           t=t_mid - 0.5 * dt)  # ln|a|^2 = -1
+        out = stepper.step(a)
+        assert np.allclose(np.angle(out.values / a.values) / dt, rate,
+                           rtol=1e-9, atol=1e-9)
 
 
 def test_negative_span_raises():
@@ -232,16 +228,12 @@ def test_segment_matches_per_step_strang_reference(preset, n):
     a = init_gaussian_a(pure_params(s.alpha0), grid)
     a.t = 0.25  # a nonzero coupling from the first half-step on
     gamma_l = linear_short(s)
-
-    def c(t):
-        return (s.hbar / s.m) * gamma_l(t)
-
     k = grid.wavenumbers()
-    kinetic = np.exp(-1j * (s.hbar / (2.0 * s.m)) * k * k * dt)
+    kinetic = np.exp(-1j * 0.5 * k * k * dt)
 
     def phase_half(v, t_mid):
         log_density = floored_log_density(v)
-        return v * np.exp(-1j * c(t_mid) * log_density * (0.5 * dt))
+        return v * np.exp(-1j * gamma_l(t_mid) * log_density * (0.5 * dt))
 
     ref = a.values
     for j in range(n):

@@ -18,13 +18,11 @@ from decwt.scenario import Scenario
 
 
 def moderate():
-    return Scenario(m=1.0, hbar=1.0, lam=1.0, b=1.0, sigma=1.0, t0=0.0,
-                    label="moderate")
+    return Scenario(lam=1.0, b=1.0, label="moderate")
 
 
 def strong():
-    return Scenario(m=1.0, hbar=1.0, lam=10.0, b=1.0, sigma=1.0, t0=0.0,
-                    label="strong")
+    return Scenario(lam=10.0, b=1.0, label="strong")
 
 
 def test_closed_system_matches_cubic():
@@ -49,7 +47,7 @@ def test_closed_system_boosted_initial_beta():
 
 
 def test_log_alpha_rate_identity():
-    # d/dt ln alpha = (4 hbar / m) beta, checked with centered differences
+    # d/dt ln alpha = 4 beta, checked with centered differences
     s = moderate()
     traj = integrate_closed_system(s, s.alpha0, 0.0, dt=1e-4, t_end=2.0,
                                    sample_every=10)
@@ -97,8 +95,8 @@ def test_blowup_reports_time():
 
 def test_gamma_model_eval_forms():
     s = moderate()
-    assert linear_short(s)(1.0) == 2.0  # 2 Lambda t / hbar
-    # c2/16 + Lambda t / (2 hbar) = 0.0625 + 0.5
+    assert linear_short(s)(1.0) == 2.0  # 2 Lambda t
+    # c2/16 + Lambda t / 2 = 0.0625 + 0.5
     assert math.isclose(linear_long(s, s.alpha0, 0.0)(1.0), 0.5625, rel_tol=1e-14)
     assert math.isclose(exact_closure(s, s.alpha0, 0.0)(1.0), 30.0 / 23.0,
                         rel_tol=1e-13)
@@ -116,7 +114,7 @@ def test_prescribed_with_exact_gamma_reproduces_cubic():
 
 
 def test_linear_short_initial_beta_rate():
-    # with gamma_l = 2 Lambda t/hbar, beta'(0) = -2 (hbar/m) alpha0^2 = -1/8
+    # with gamma_l = 2 Lambda t, beta'(0) = -2 alpha0^2 = -1/8
     s = moderate()
     gm = linear_short(s)
     traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=1e-6,
@@ -143,7 +141,7 @@ def test_linear_long_width_converges_to_exact():
     for s, t_lo, t_hi in ((moderate(), 50.0, 100.0), (strong(), 19.0, 21.0)):
         g = build_cubic(s, s.alpha0, 0.0)
         gm = linear_long(s, s.alpha0, 0.0)
-        tb = s.hbar / (s.lam * s.b ** 2)
+        tb = 1.0 / (s.lam * s.b ** 2)
         traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=1e-3 * tb,
                                           t_end=t_hi, sample_every=100)
         w_lin = 0.5 / np.sqrt(traj.alpha)
@@ -175,7 +173,7 @@ def test_linear_long_gamma_crossings():
     for s, crossing in ((moderate(), 7.25), (strong(), 35.2)):
         g = build_cubic(s, s.alpha0, 0.0)
         gm = linear_long(s, s.alpha0, 0.0)
-        tb = s.hbar / (s.lam * s.b ** 2)
+        tb = 1.0 / (s.lam * s.b ** 2)
         t = np.linspace(0.5 * tb, 60.0 * tb, 4000)
         rel = np.abs(gm(t) / gamma_exact(g, s, t) - 1.0)
         t_cross = t[np.where(rel > 0.01)[0][-1]] / tb

@@ -27,13 +27,11 @@ from decwt.scenario import GridSpec2D, NumericsSpec, Scenario
 
 
 def moderate():
-    return Scenario(m=1.0, hbar=1.0, lam=1.0, b=1.0, sigma=1.0, t0=0.0,
-                    label="moderate")
+    return Scenario(lam=1.0, b=1.0, label="moderate")
 
 
 def strong():
-    return Scenario(m=1.0, hbar=1.0, lam=10.0, b=1.0, sigma=1.0, t0=0.0,
-                    label="strong")
+    return Scenario(lam=10.0, b=1.0, label="strong")
 
 
 def pure_params(alpha):
@@ -263,10 +261,10 @@ def test_segment_matches_per_step_strang_reference(scenario, n_y, n_z, n):
     f, grid = initial_state(s, n=n_y, n_z=n_z)
     dt = 1e-3
     y = grid.axis_y.points()[:, None]
-    h = np.exp(-(s.lam / s.hbar) * y * y * (0.5 * dt))
+    h = np.exp(-s.lam * y * y * (0.5 * dt))
     ky = grid.axis_y.wavenumbers()[:, None]
     kz = grid.axis_z.wavenumbers()[None, :]
-    kin = np.exp(-1j * (2.0 * s.hbar / s.m) * ky * kz * dt)
+    kin = np.exp(-1j * 2.0 * ky * kz * dt)
     ref, v = {}, f.values
     for k in range(1, n + 1):
         # spectrum first, as the stepper's v *= kin: numpy's complex product
@@ -381,8 +379,8 @@ def test_in_segment_copy_is_the_shorter_segment_bit_for_bit(scenario, n_y, n_z):
 def test_half_kinetic_multiplier_is_the_full_ones_half(n_y, n_z):
     # __init__ evaluates the (k_z >= 0, k_y) half directly; it must be the
     # full multiplier's half bit for bit, the entries one-step segments use.
-    # 2 hbar / m is not a power of two here, so operand order shows
-    s = Scenario(m=1.7, hbar=0.8, lam=10.0, label="off-unit")
+    # dt = 1e-3 is not a power of two, so operand order shows
+    s = strong()
     _, grid = initial_state(s, n=n_y, n_z=n_z)
     stepper = MasterEqStepper(s, grid, 1e-3)
     half = np.ascontiguousarray(stepper._kinetic[:, :n_z // 2 + 1].T)

@@ -33,8 +33,7 @@ from decwt.scenario import GridSpec1D, GridSpec2D, InvalidParameterError, Scenar
 
 
 def moderate():
-    return Scenario(m=1.0, hbar=1.0, lam=1.0, b=1.0, sigma=1.0, t0=0.0,
-                    label="moderate")
+    return Scenario(lam=1.0, b=1.0, label="moderate")
 
 
 def mixed_params():
@@ -175,16 +174,15 @@ def test_qseries_residual_small_along_exact_flow(order, t):
 
 def test_qseries_negative_control_recovers_source():
     # an evaluator with Lambda = 0 drops the collisional source at order 2,
-    # which leaves exactly 2 Lambda/hbar
+    # which leaves exactly 2 Lambda
     s = moderate()
     z = np.linspace(-3.0, 3.0, 64)
     res = qseries_residual(exact_params_fn(s), replace(s, lam=0.0), 2, 1.0, z)
-    assert math.isclose(res, 2.0 * s.lam / s.hbar, rel_tol=1e-6)
+    assert math.isclose(res, 2.0 * s.lam, rel_tol=1e-6)
 
 
 def test_qseries_scales_with_coupling():
-    s2 = Scenario(m=1.0, hbar=1.0, lam=10.0, b=1.0, sigma=1.0, t0=0.0,
-                  label="strong")
+    s2 = Scenario(lam=10.0, b=1.0, label="strong")
     z = np.linspace(-3.0, 3.0, 64)
     res = qseries_residual(exact_params_fn(s2), replace(s2, lam=0.0), 2, 1.0,
                            z)

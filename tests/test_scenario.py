@@ -27,23 +27,22 @@ from decwt.scenario import (
 
 
 def test_scenario_defaults_and_alpha0():
-    s = Scenario(m=1.0, hbar=1.0, lam=1.0, b=1.0, sigma=1.0, t0=0.0, label="x")
+    s = Scenario(lam=1.0, b=1.0, label="x")
     # alpha0 = 1/(4 b^2) for a real Gaussian of width b
     assert s.alpha0 == 0.25
-    s2 = Scenario(m=1.0, hbar=1.0, lam=1.0, b=2.0, sigma=1.0, t0=0.0, label="x")
+    s2 = Scenario(lam=1.0, b=2.0, label="x")
     assert s2.alpha0 == 1.0 / 16.0
 
 
 @pytest.mark.parametrize("field,value,reported", [
-    ("m", 0.0, "m"), ("m", -1.0, "m"), ("hbar", 0.0, "hbar"),
-    ("b", -2.0, "b"), ("sigma", 0.0, "sigma"),
+    ("b", -2.0, "b"),
     ("lam", -0.5, "Lambda"),  # reported under its config-file key
     # alpha0 = 1/(4 b^2): b * b underflows to 0 (division by zero) or
     # overflows to inf (alpha0 = 0)
     ("b", 1e-200, "b"), ("b", 1e200, "b"),
 ])
 def test_scenario_rejects_nonphysical(field, value, reported):
-    kwargs = dict(m=1.0, hbar=1.0, lam=1.0, b=1.0, sigma=1.0, t0=0.0, label="x")
+    kwargs = dict(lam=1.0, b=1.0, label="x")
     kwargs[field] = value
     with pytest.raises(InvalidParameterError) as exc:
         Scenario(**kwargs)
@@ -53,27 +52,27 @@ def test_scenario_rejects_nonphysical(field, value, reported):
 @pytest.mark.parametrize("cls, kwargs", [
     (Scenario, {"lam": math.nan}),
     (Scenario, {"lam": math.inf}),
-    (Scenario, {"m": math.inf}),
+    (Scenario, {"b": math.inf}),
     (NumericsSpec, {"dt": math.inf}),
     (NumericsSpec, {"t_end": math.inf}),
     (NumericsSpec, {"t_end": math.nan}),
     (GridSpec1D, {"n_points": 64, "extent": math.inf}),
-], ids=["lam-nan", "lam-inf", "m-inf", "dt-inf", "t_end-inf", "t_end-nan",
+], ids=["lam-nan", "lam-inf", "b-inf", "dt-inf", "t_end-inf", "t_end-nan",
         "extent-inf"])
 def test_non_finite_parameter_rejected_at_construction(cls, kwargs):
     # NumericsSpec(dt=inf) once ran and wrote only the t = 0 row
     with pytest.raises(InvalidParameterError) as exc:
         cls(**kwargs)
-    assert exc.value.field in ("Lambda", "m", "dt", "t_end", "extent")
+    assert exc.value.field in ("Lambda", "b", "dt", "t_end", "extent")
 
 
 def test_characteristic_time_scaling():
-    # t_b = hbar / (Lambda b^2): doubling b quarters it, doubling Lambda halves it
-    s = Scenario(m=1.0, hbar=1.0, lam=2.0, b=1.0, sigma=1.0, t0=0.0, label="x")
+    # t_b = 1 / (Lambda b^2): doubling b quarters it, doubling Lambda halves it
+    s = Scenario(lam=2.0, b=1.0, label="x")
     assert characteristic_time(s) == 0.5
-    s = Scenario(m=1.0, hbar=3.0, lam=2.0, b=2.0, sigma=1.0, t0=0.0, label="x")
-    assert characteristic_time(s) == 3.0 / 8.0
-    free = Scenario(m=1.0, hbar=1.0, lam=0.0, b=1.0, sigma=1.0, t0=0.0, label="x")
+    s = Scenario(lam=2.0, b=2.0, label="x")
+    assert characteristic_time(s) == 1.0 / 8.0
+    free = Scenario(lam=0.0, b=1.0, label="x")
     with pytest.raises(InvalidParameterError):
         characteristic_time(free)
 
@@ -146,8 +145,6 @@ def test_numerics_validation():
 
 CONFIG = """
 # natural units
-m = 1.0
-hbar = 1.0
 Lambda = 2.0
 b = 1.5
 label = demo
@@ -169,10 +166,12 @@ def test_parse_config_roundtrip_values():
     assert bundle.numerics.dt == 0.002 and bundle.numerics.t_end == 1.5
 
 
-@pytest.mark.parametrize("key", ["bogus", "ln_floor", "fit_window"])
+@pytest.mark.parametrize("key", ["bogus", "ln_floor", "fit_window",
+                                 "m", "hbar", "sigma", "t0"])
 def test_parse_config_unknown_key_reports_line(key):
-    # the deleted ln_floor and fit_window keys are refused like any unknown key
-    text = f"m = 1.0\n{key} = 3\n"
+    # the deleted ln_floor and fit_window keys, and the fixed units m, hbar,
+    # sigma and t0, are refused like any unknown key
+    text = f"b = 1.0\n{key} = 3\n"
     with pytest.raises(ConfigParseError) as exc:
         parse_config(text)
     assert exc.value.line_no == 2
@@ -180,7 +179,7 @@ def test_parse_config_unknown_key_reports_line(key):
 
 
 def test_parse_config_duplicate_key_reports_line():
-    text = "m = 1.0\nm = 2.0\n"
+    text = "b = 1.0\nb = 2.0\n"
     with pytest.raises(ConfigParseError) as exc:
         parse_config(text)
     assert exc.value.line_no == 2
@@ -188,13 +187,13 @@ def test_parse_config_duplicate_key_reports_line():
 
 def test_parse_config_malformed_line():
     with pytest.raises(ConfigParseError) as exc:
-        parse_config("m 1.0\n")
+        parse_config("b 1.0\n")
     assert exc.value.line_no == 1
 
 
 def test_parse_config_bad_number_reports_line():
     with pytest.raises(ConfigParseError) as exc:
-        parse_config("m = twelve\n")
+        parse_config("b = twelve\n")
     assert exc.value.line_no == 1
 
 
@@ -267,12 +266,11 @@ def test_presets(name, lam):
     bundle = preset_bundle(name)
     s = bundle.scenario
     assert s.lam == lam
-    assert s.m == s.hbar == s.b == 1.0
+    assert s.b == 1.0
     assert bundle.grid.n_y == 512 and bundle.grid.n_z == 512
     assert bundle.numerics.dt == 1e-3 and bundle.numerics.t_end == 2.0
-    # decoherence strength m Lambda b^4 / hbar^2 matches the preset name
-    strength = s.m * s.lam * s.b ** 4 / s.hbar ** 2
-    assert math.isclose(strength, lam)
+    # decoherence strength Lambda b^4 matches the preset name
+    assert math.isclose(s.lam * s.b ** 4, lam)
 
 
 def test_unknown_preset():
@@ -281,7 +279,6 @@ def test_unknown_preset():
 
 
 _pos = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-_finite = st.floats(allow_nan=False, allow_infinity=False)
 # ordinary text with blanks, or '#' and the line breaks of str.splitlines
 _label_text = (st.text(st.sampled_from("ab=_-. \t\u00e9"), max_size=6)
                | st.text(st.sampled_from("ab#\n\r\x0b\x0c\x1c\x85\u2028"), max_size=4))
@@ -291,11 +288,10 @@ _label_text = (st.text(st.sampled_from("ab=_-. \t\u00e9"), max_size=6)
 def _bundles(draw):
     try:
         scenario = Scenario(
-            m=draw(_pos), hbar=draw(_pos), sigma=draw(_pos),
             # mostly a b with a representable alpha0, so few draws are refused
             b=draw(st.floats(min_value=1e-150, max_value=1e150) | _pos),
             lam=draw(st.floats(min_value=0.0, allow_infinity=False)),
-            t0=draw(_finite), label=draw(_label_text | st.text(min_size=1)))
+            label=draw(_label_text | st.text(min_size=1)))
     except InvalidParameterError as exc:
         assert exc.field in ("label", "b")  # b: alpha0 not positive and finite
         assume(False)
