@@ -198,9 +198,13 @@ def test_parse_config_bad_number_reports_line():
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
-@pytest.mark.parametrize("key", sorted(set(_KEYS) - _INT_KEYS - {"label"}))
+@pytest.mark.parametrize("key", sorted(set(_KEYS) - _INT_KEYS - {"label"})
+                         + ["hbar", "m", "sigma", "t0"])
 def test_parse_config_rejects_non_finite_float(key, value):
-    # a non-finite value must not reach a run: NaN passes every ">" check
+    # a non-finite value must not reach a run: NaN passes every ">" check.
+    # The fixed units hbar, m, sigma and t0 were float keys once; an old
+    # config setting one of them to a non-finite value is still refused at
+    # its line
     with pytest.raises(ConfigParseError) as exc:
         parse_config(f"label = x\n# comment\n{key} = {value}\n")
     assert exc.value.line_no == 3
