@@ -491,6 +491,8 @@ def cmd_checkpoint_resume(bundle: ConfigBundle, checkpoint_path, outdir) -> int:
         if f.grid != bundle.grid:  # else the rows and the MANIFEST disagree
             raise ValueError(f"checkpoint grid {f.grid} differs from the "
                              f"config's {bundle.grid}")
+        if not np.isfinite(f.values).all():  # the defect of a NaN is NaN
+            raise ValueError("checkpoint field is not finite")
         defect = hermiticity_defect(f)
         if defect > HERMITICITY_BOUND:  # evolve_master_eq would give wrong rows
             raise ValueError(f"checkpoint field is not Hermitian (defect "

@@ -36,21 +36,30 @@ real space. A copy left after step j is thus the j-step segment's result
 bit for bit. No rfft/irfft pair is used: irfft projects the Nyquist row onto
 its Hermitian part, a change of scheme rather than round-off.
 
-Threads. Between the open and the close, every k_z row of the half spectrum
-evolves on its own: the kinetic multiplier is diagonal, the decay factor acts
-along the row and the y-transforms run along it. A segment of more than one
-step therefore splits the rows into contiguous blocks, one per CPU the
-process may run on, but never more blocks than rows and none with too little
-work to pay for its thread, and runs each block's y-FFT and interior steps
-in place on a thread of its own; numpy's FFT and ufunc loops release the
-GIL. The blocks never meet inside a run of steps. The gain has been
-measured on 2 cores only.
+Threads. Every full-grid pass of a run splits its rows into contiguous
+blocks, one per CPU the process may run on, but never more blocks than rows
+and none with too little work to pay for its thread (a pass over the grid
+counts as one step of the interior's rule), and runs each block on a thread
+of its own; numpy's FFT and ufunc loops release the GIL. The passes are the
+Gaussian initial state and its division by the trace, by y rows; the open of
+a multi-step segment, whose decay half-step and z-FFT act along y rows; the
+interior; and the close and each copy (_to_real), whose mirror rebuild and
+z-iFFT act along y rows of the real-space array. Between the open and the
+close, every k_z row of the half spectrum evolves on its own: the kinetic
+multiplier is diagonal, the decay factor acts along the row and the
+y-transforms run along it, so each block runs its y-FFT and interior steps
+in place and the blocks never meet inside a run of steps. Worker threads
+allocate no array of the grid's size: each block writes with out= into
+arrays the calling thread allocated, since every thread's malloc arena keeps
+what it frees and the process would grow. The gain has been measured on
+2 cores only.
 A segment with copies to leave runs in stretches that end at each such step:
 the blocks join there, the copy is made from the joined rows, and the next
-stretch goes on from them. Each row sees the same operations on the same
-operands whatever the block it falls in, so the segment, its copies and
-every output byte do not depend on the number of blocks. All threads have
-finished when step returns, and an error in any block is raised there.
+stretch goes on from them. Each element sees the same operations on the same
+operands whatever the block it falls in, so the initial state, the segment,
+its copies and every output byte do not depend on the number of blocks. All
+threads have finished when a pass returns, and an error in any block is
+raised there.
 
 Resume contract. Segments end only at sample steps and at the final step,
 and the field leaves a segment C-contiguous (the observables sum in memory
@@ -71,7 +80,7 @@ import threading
 import numpy as np
 
 from .fields import ComplexField2D
-from .gaussian import GaussianParams, build_cubic, density_matrix_exact, eval_G, sigma_profile
+from .gaussian import GaussianParams, build_cubic, density_matrix_rows, eval_G, sigma_profile
 from .marginal_dynamics import IntegrationError, sample_grid
 from .observables import (
     ObservableSample,
@@ -84,11 +93,11 @@ from .scenario import GridSpec2D, NumericsSpec, Scenario
 
 ALIAS_THRESHOLD = 1e-6  # boundary amplitude relative to the peak
 HERMITICITY_BOUND = 1e-9  # hermiticity_defect of an acceptable input field
-# Row blocks of a segment's interior: one per CPU this process may run on,
-# but none with less than _MIN_BLOCK_WORK grid points times steps to do. A
-# thread's start and join cost about as much as 1e4 point-steps (0.2 ms
-# against 22 ns per point-step at 512^2 on a 2-vCPU Xeon), so a block carries
-# at least ten times that.
+# Row blocks of a full-grid pass (_row_blocks): one per CPU this process may
+# run on, but none with less than _MIN_BLOCK_WORK grid points times steps to
+# do, a single pass counting as one step. A thread's start and join cost
+# about as much as 1e4 point-steps (0.2 ms against 22 ns per point-step at
+# 512^2 on a 2-vCPU Xeon), so a block carries at least ten times that.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _MIN_BLOCK_WORK = 1 << 17
@@ -110,8 +119,13 @@ def init_gaussian_rho(p: GaussianParams, grid: GridSpec2D) -> ComplexField2D:
             f"grid extents ({grid.extent_y:g}, {grid.extent_z:g}) below the "
             f"6-sigma minimum ({6.0 * sig_y:g}, {6.0 * sig_z:g})"
         )
-    f = density_matrix_exact(p, grid)
-    f.values /= trace_of(f).real
+    # gaussian.density_matrix_exact and its division by the trace, by rows
+    v = np.empty((grid.n_y, grid.n_z), dtype=np.complex128)
+    expo, blocks = np.empty(v.shape), _row_blocks(grid.n_y, v.size)
+    _run_blocks(density_matrix_rows, [(p, grid, v, expo, r) for r in blocks])
+    f = ComplexField2D(v, grid, 0.0)
+    tr = trace_of(f).real
+    _run_blocks(np.true_divide, [(v[r], tr, v[r]) for r in blocks])
     return f
 
 
@@ -162,22 +176,23 @@ class MasterEqStepper:
             return ComplexField2D(v, f.grid, f.t + self.dt)
         # fft2's two transforms in its order: z on the contiguous axis, then
         # y on the k_z >= 0 half only, held as (k_z, k_y); each row block
-        # runs its own y-transforms (see Threads in the module docstring)
-        n_z, h = f.grid.n_z, self._kinetic_t.shape[0]
-        w = np.fft.fft(f.values * dh[:, None], axis=1)
-        w = np.ascontiguousarray(w[:, :h].T)
+        # runs its own y-transforms (see Threads in the module docstring).
+        # The open's full-size scratch o also takes the close
+        shape, h = f.values.shape, self._kinetic_t.shape[0]
+        o = np.empty(shape, dtype=np.complex128)
+        w = np.empty((h, shape[0]), dtype=np.complex128)
+        _run_blocks(_open_rows, [(f.values, dh, o, w, r)
+                                 for r in _row_blocks(shape[0], o.size)])
         stops = sorted(j for j in set(leave_at) if 0 < j < n) + [n]
         j0 = 0
         for j1 in stops:
-            nb = max(1, min(_WORKERS, h, (j1 - j0) * w.size // _MIN_BLOCK_WORK))
-            _run_blocks(self._stretch, [
-                (w, slice(h * i // nb, h * (i + 1) // nb), j0, j1)
-                for i in range(nb)])
+            _run_blocks(self._stretch, [(w, r, j0, j1) for r in
+                                        _row_blocks(h, (j1 - j0) * w.size)])
             if j1 < n:
-                leave(j1, ComplexField2D(_to_real(w * dh, n_z), f.grid,
-                                         f.t + j1 * self.dt))
+                c = _to_real(w, dh, np.empty(shape, dtype=np.complex128))
+                leave(j1, ComplexField2D(c, f.grid, f.t + j1 * self.dt))
             j0 = j1
-        return ComplexField2D(_to_real(w * dh, n_z), f.grid, f.t + n * self.dt)
+        return ComplexField2D(_to_real(w, dh, o), f.grid, f.t + n * self.dt)
 
     def _stretch(self, w: np.ndarray, r: slice, j0: int, j1: int) -> None:
         """Steps j0 + 1 .. j1 on the rows r of w, in place: from (k_z, y)
@@ -190,6 +205,14 @@ class MasterEqStepper:
             np.fft.fft(b, axis=1, out=b)  # out= needs numpy >= 2.0
             b *= kin
             np.fft.ifft(b, axis=1, out=b)
+
+
+def _row_blocks(rows: int, work: int) -> list[slice]:
+    """Contiguous blocks of rows for a pass of work grid points times steps:
+    one per CPU this process may run on, never more than rows, and none with
+    less than _MIN_BLOCK_WORK to do."""
+    nb = max(1, min(_WORKERS, rows, work // _MIN_BLOCK_WORK))
+    return [slice(rows * i // nb, rows * (i + 1) // nb) for i in range(nb)]
 
 
 def _run_blocks(fn, jobs) -> None:
@@ -214,17 +237,41 @@ def _run_blocks(fn, jobs) -> None:
         raise errors[0]
 
 
-def _to_real(m: np.ndarray, n_z: int) -> np.ndarray:
-    """(k_z >= 0, y) half -> C-contiguous (y, z); the observables sum in
-    memory order, so a resumed run reproduces the rows bit for bit only in a
-    fixed layout. The k_z < 0 columns are the conjugates of the mirrored rows
-    taken at -y, the periodic reflection i -> (n - i) mod n of
-    hermiticity_defect."""
-    h, n_y = m.shape
-    g = np.empty((n_y, n_z), dtype=m.dtype)
-    g[:, :h] = m.T
-    g[:, h:] = np.conj(np.roll(m[n_z - h:0:-1, ::-1], 1, axis=1).T)
-    return np.fft.ifft(g, axis=1)
+def _open_rows(v: np.ndarray, dh: np.ndarray, o: np.ndarray, w: np.ndarray,
+               r: slice) -> None:
+    """The open on the y rows r: decay half-step and z-FFT of v[r] into o[r],
+    whose k_z >= 0 columns go to w[:, r]."""
+    b = o[r]
+    np.multiply(v[r], dh[r, None], out=b)
+    np.fft.fft(b, axis=1, out=b)
+    w[:, r] = b[:, :w.shape[0]].T
+
+
+def _to_real(w: np.ndarray, dh: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Decay half-step of the (k_z >= 0, y) half w, then back to real space
+    in g, a C-contiguous (y, z) array: the observables sum in memory order,
+    so a resumed run reproduces the rows bit for bit only in a fixed layout.
+    Runs in blocks of y rows."""
+    _run_blocks(_close_rows, [(w, dh, g, r)
+                              for r in _row_blocks(g.shape[0], g.size)])
+    return g
+
+
+def _close_rows(w: np.ndarray, dh: np.ndarray, g: np.ndarray, r: slice) -> None:
+    """_to_real on the y rows r. The k_z < 0 columns are the conjugates of
+    the mirrored k_z rows taken at -y, the periodic reflection
+    i -> (n - i) mod n of hermiticity_defect: row 0 is its own mirror, and
+    rows a .. e - 1 with a >= 1 mirror the columns n - a down to n - e + 1."""
+    h, n_y = w.shape
+    k = g.shape[1] - h  # the k_z < 0 columns
+    b, a = g[r], max(r.start, 1)
+    np.multiply(w[:, r].T, dh[r, None], out=b[:, :h])
+    if r.start == 0:
+        np.multiply(w[k:0:-1, :1].T, dh[:1, None], out=b[:1, h:])
+    m = slice(n_y - a, n_y - r.stop, -1)
+    np.multiply(w[k:0:-1, m].T, dh[m, None], out=g[a:r.stop, h:])
+    np.conjugate(b[:, h:], out=b[:, h:])
+    np.fft.ifft(b, axis=1, out=b)
 
 
 def boundary_leak(values: np.ndarray) -> float:

@@ -364,6 +364,24 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     assert "resumed_from_t = 0.01" in (res / "MANIFEST.txt").read_text()
 
 
+def test_master_eq_artifacts_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
+    # init, open, interior and close split their rows over threads, one
+    # block per core; every output byte must be the same for any count
+    from decwt import master_eq
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("sample_every = 10", "sample_every = 5"))
+    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
+    outs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(master_eq, "_WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
+                         "--checkpoint-every", "3", "--outdir", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                     if p.suffix in (".csv", ".ckpt")})
+    assert len([n for n in outs[0] if n.endswith(".ckpt")]) == 16
+    assert outs[0] == outs[1]
+
+
 def test_checkpoint_resume_at_misaligned_step_keeps_the_time_grid(tmp_path):
     # step 7 is not a multiple of sample_every = 5: the resumed run still
     # samples on 0.01, 0.015, ... like the run it continues
@@ -433,6 +451,27 @@ def test_checkpoint_resume_refuses_a_non_hermitian_field(tmp_path, capsys):
     assert cli.main(["checkpoint-resume", "--config", cfg,
                      "--checkpoint", str(ckpt), "--outdir", str(ok)]) == 0
     assert (ok / "master-eq.csv").exists()
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_checkpoint_resume_refuses_a_non_finite_field(tmp_path, capsys, bad_value):
+    # hermiticity_defect is NaN then, which passes the Hermiticity bound; the
+    # run would fail later and blame the first sample time after the resume
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("t_end = 0.05", "t_end = 0.02")
+                    .replace("sample_every = 10", "sample_every = 5"))
+    full = tmp_path / "full"
+    assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
+                     "--checkpoint-every", "5", "--outdir", str(full)]) == 0
+    f = load_field_2d(full / "master-eq-step000010.ckpt")
+    f.values[20, 40] = bad_value
+    bad, res = tmp_path / "bad.ckpt", tmp_path / "res"
+    save_field_2d(bad, f)
+    assert cli.main(["checkpoint-resume", "--config", cfg,
+                     "--checkpoint", str(bad), "--outdir", str(res)]) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert not (res / "master-eq.csv").exists()
+    assert ("status = failed: master-eq resume: checkpoint field is not "
+            "finite") in (res / "MANIFEST.txt").read_text()
 
 
 def test_checkpoint_resume_refuses_a_field_off_the_dt_grid(tmp_path, capsys):

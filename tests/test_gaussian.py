@@ -222,3 +222,16 @@ def test_density_matrix_gamma_doubling_halves_y_variance():
     assert l2 < l1  # more decoherence, narrower off-diagonal profile
     assert math.isclose(l1 ** 2 / l2 ** 2, 2.0, rel_tol=1e-6)
 
+
+
+def test_density_matrix_is_its_one_expression_bit_for_bit():
+    # density_matrix_exact fills rows with out= so master_eq can split them
+    # over threads; each element must still see the expression's operations
+    # in its order (beta and gamma nonzero, so every term shows)
+    p = GaussianParams(alpha=0.5, beta=0.3, gamma=0.2, delta=-0.7)
+    grid = GridSpec2D(n_y=32, n_z=64, extent_y=14.0, extent_z=11.0)
+    y = grid.axis_y.points()[:, None]
+    z = grid.axis_z.points()[None, :]
+    want = np.exp(p.delta - 0.5 * p.alpha * (z * z + y * y)
+                  - 1j * p.beta * y * z - 0.5 * p.gamma * y * y)
+    assert density_matrix_exact(p, grid).values.tobytes() == want.tobytes()

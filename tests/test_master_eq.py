@@ -12,7 +12,7 @@ import pytest
 
 from decwt import master_eq
 from decwt.fields import ComplexField2D, load_field_2d, save_field_2d
-from decwt.gaussian import GaussianParams, build_cubic, params_exact
+from decwt.gaussian import GaussianParams, build_cubic, density_matrix_exact, params_exact
 from decwt.marginal_dynamics import IntegrationError
 from decwt.master_eq import (
     GridSizeError,
@@ -357,6 +357,74 @@ def test_no_thread_outlives_a_segment(monkeypatch, failing):
             evolve_master_eq(f, s, num)
     assert threading.active_count() == before
     assert max(seen) > before  # the blocks did run on threads of their own
+
+
+def mixed_params():
+    # beta and gamma nonzero, so every term of the closed form shows
+    return GaussianParams(alpha=0.5, beta=0.3, gamma=0.2, delta=-0.7)
+
+
+@pytest.mark.parametrize("n_y, n_z", [(32, 64), (64, 32)])
+def test_init_is_the_closed_form_over_its_trace_for_any_worker_count(
+        monkeypatch, n_y, n_z):
+    p = mixed_params()
+    grid = GridSpec2D(n_y=n_y, n_z=n_z, extent_y=14.0, extent_z=11.0)
+    want = density_matrix_exact(p, grid)
+    want.values /= trace_of(want).real
+    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
+    for workers in (1, 2, 3, 16):
+        monkeypatch.setattr(master_eq, "_WORKERS", workers)
+        got = init_gaussian_rho(p, grid)
+        assert got.values.tobytes() == want.values.tobytes(), workers
+
+
+def test_init_open_and_close_run_on_threads_of_their_own(monkeypatch):
+    # every full-grid pass of a run goes through _run_blocks in row blocks
+    monkeypatch.setattr(master_eq, "_WORKERS", 3)
+    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
+    run_blocks, names = master_eq._run_blocks, {}
+
+    def watched(fn, jobs):  # the threads of each call, by the function run
+        call = set()
+        names.setdefault(fn.__name__, []).append(call)
+
+        def named(*job):
+            call.add(threading.current_thread().name)
+            fn(*job)
+        run_blocks(named, jobs)
+
+    monkeypatch.setattr(master_eq, "_run_blocks", watched)
+    s = moderate()
+    f, grid = initial_state(s, n=32, n_z=64)
+    MasterEqStepper(s, grid, 1e-3).step(f, 4, leave=lambda j, c: None, leave_at=(2,))
+    calls = {"density_matrix_rows": 1, "divide": 1, "_open_rows": 1,
+             "_close_rows": 2, "_stretch": 2}  # a copy at step 2, then the close
+    assert {fn: len(c) for fn, c in names.items()} == calls
+    assert all(len(call) == 3 for c in names.values() for call in c)
+
+
+@pytest.mark.parametrize("block", [0, 2])
+@pytest.mark.parametrize("stage", ["_open_rows", "_close_rows"])
+def test_an_open_or_close_block_error_reaches_the_caller(monkeypatch, stage, block):
+    # block 0 runs on the calling thread, block 2 on a thread of its own
+    monkeypatch.setattr(master_eq, "_WORKERS", 3)
+    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
+    s = moderate()
+    f, grid = initial_state(s, n=64)
+    stepper, fn, seen = MasterEqStepper(s, grid, 1e-3), getattr(master_eq, stage), []
+
+    def failing(*args):
+        seen.append(threading.active_count())
+        if args[-1].start == 64 * block // 3:
+            raise RuntimeError("row block failed")
+        fn(*args)
+
+    monkeypatch.setattr(master_eq, stage, failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="row block failed"):
+        stepper.step(f, 5)
+    assert threading.active_count() == before
+    assert len(seen) == 3 and max(seen) > before
 
 
 @pytest.mark.parametrize("n_y, n_z", [(32, 64), (64, 32)])
