@@ -436,8 +436,10 @@ def cmd_verify(bundle: ConfigBundle) -> int:
             skip(f"hierarchy residual order {n}",
                  "Lambda = 0: decoherence-specific check")
     else:
+        # a tenth of the faster of decoherence (t_b) and free spreading
+        # (2 b^2, the packet's doubling time), so the 16 b box holds it
         t_b = characteristic_time(s)
-        horizon = min(num.t_end, 0.1 * t_b)
+        horizon = min(num.t_end, 0.1 * min(t_b, 2.0 * s.b ** 2))
         n_steps = max(8, int(round(horizon / num.dt)))
         stride = max(1, n_steps // 4)
         grid = GridSpec1D(n_points=512, extent=16.0 * s.b)

@@ -24,6 +24,14 @@ obeys, identically in tau:
 
 and the kernel's y-expansion at fixed z is generated by the one-sided column:
 K = sum_n g_(0,n) y^n / n! + O(y^{N+1}).
+
+Threads. The q-quadrature of each tau column reads only that column, so
+compute_g_table and gauge_transform split the tau columns into the row
+blocks of decwt.blocks and run each block on a thread of its own. Every
+column sees the same operations on the same operands whatever its block,
+so the results do not depend on the number of blocks, bit for bit. A block
+holds at least two columns: numpy sums a lone column over q pairwise, but
+two or more row by row, as the whole table does.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import row_blocks, run_blocks
 from .fields import ComplexField1D
 from .scenario import GridSpec1D, InvalidParameterError
 
@@ -90,15 +99,30 @@ class GFunctionTable:
     entries: dict = field(default_factory=dict)
 
 
+_PAIRS = [(n, m) for n in range(ORDER + 1) for m in range(ORDER + 1 - n)]
+
+
+def _tau_blocks(n_tau: int, passes: int) -> list[slice]:
+    """Blocks of at least two tau columns for passes over the (q, tau) grid."""
+    return row_blocks(n_tau, passes * Q_GRID.n_points * n_tau, least=2)
+
+
 def compute_g_table(gamma_k: float, tau: np.ndarray) -> GFunctionTable:
     tau = np.asarray(tau, dtype=float)
-    phi = sample_phi(gamma_k, tau)
+    entries = np.empty((len(_PAIRS), tau.size), dtype=np.complex128)
+    # phi and its derivatives take 10 passes, each entry 3
+    run_blocks(_table_columns, [(gamma_k, tau, entries, c)
+                                for c in _tau_blocks(tau.size, 10 + 3 * len(_PAIRS))])
+    return GFunctionTable(tau=tau, entries=dict(zip(_PAIRS, entries)))
+
+
+def _table_columns(gamma_k: float, tau: np.ndarray, entries: np.ndarray,
+                   c: slice) -> None:
+    """The table on the tau columns c, into entries[:, c] in _PAIRS order."""
+    phi = sample_phi(gamma_k, tau[c])
     derivs = [_dphi(gamma_k, phi, n) for n in range(ORDER + 1)]
-    table = GFunctionTable(tau=tau)
-    for n in range(ORDER + 1):
-        for m in range(ORDER + 1 - n):
-            table.entries[(n, m)] = _quad(np.conj(derivs[n]) * derivs[m])
-    return table
+    for row, (n, m) in zip(entries, _PAIRS):
+        row[c] = _quad(np.conj(derivs[n]) * derivs[m])
 
 
 def _spectral_ddtau(vals: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -205,20 +229,32 @@ def gauge_transform(a: ComplexField1D, gamma_k: float,
     phase = np.exp(1j * theta)
 
     a_new = ComplexField1D(a.values * phase, a.grid, a.t)
-
-    phi = sample_phi(gamma_k, tau)
-    phi_new = phi * np.conj(phase)[None, :]
-    psi_dev = float(np.max(np.abs(a_new.values[None, :] * phi_new
-                                  - a.values[None, :] * phi)))
-
     theta_dot = np.gradient(theta, a.grid.spacing)
+
+    blocks = _tau_blocks(tau.size, 21)  # 21 passes over the (q, tau) grid
+    g01, dev = np.empty((2, tau.size), dtype=np.complex128), np.empty(len(blocks))
+    run_blocks(_gauge_columns, [(a.values, a_new.values, gamma_k, tau, phase,
+                                 theta_dot, g01, dev, i, c)
+                                for i, c in enumerate(blocks)])
+    pot_before = np.real(-1j * g01[0])
+    pot_after = np.real(-1j * g01[1])
+    law = float(np.max(np.abs(pot_after - (pot_before - theta_dot))))
+
+    return a_new, GaugeReport(float(np.max(dev)), law, pot_before, pot_after)
+
+
+def _gauge_columns(a, a_new, gamma_k, tau, phase, theta_dot, g01, dev, i,
+                   c: slice) -> None:
+    """gauge_transform's checks on the tau columns c: the largest deviation
+    of the joint product into dev[i], g_(0,1) before and after the transform
+    into g01[:, c]."""
+    a, a_new, phase, theta_dot = a[c], a_new[c], phase[c], theta_dot[c]
+    phi = sample_phi(gamma_k, tau[c])
+    phi_new = phi * np.conj(phase)[None, :]
+    dev[i] = np.max(np.abs(a_new[None, :] * phi_new - a[None, :] * phi))
+
     # induced potential from the transformed modes: analytic product rule
     dphi = _dphi(gamma_k, phi, 1)
     dphi_new = (dphi - 1j * theta_dot[None, :] * phi) * np.conj(phase)[None, :]
-    g01_before = _quad(np.conj(phi) * dphi)
-    g01_after = _quad(np.conj(phi_new) * dphi_new)
-    pot_before = np.real(-1j * g01_before)
-    pot_after = np.real(-1j * g01_after)
-    law = float(np.max(np.abs(pot_after - (pot_before - theta_dot))))
-
-    return a_new, GaugeReport(psi_dev, law, pot_before, pot_after)
+    g01[0, c] = _quad(np.conj(phi) * dphi)
+    g01[1, c] = _quad(np.conj(phi_new) * dphi_new)

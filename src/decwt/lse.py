@@ -29,6 +29,16 @@ Strang only by round-off. The finite check runs after every step inside the
 segment, so a blow-up is stamped at the step where the field turned
 non-finite.
 
+Buffers and threads. A segment allocates its work arrays once, one real and
+two complex, and the field moves between the complex two, so the input
+field is left as it is and each segment returns an array of its own. The
+stepper runs on the calling thread: its arrays hold one tau axis, far below
+a row block's work minimum. marginalme_residual splits the rows of its
+outer products into the row blocks of decwt.blocks, one thread each, and
+takes the largest of the blocks' maxima; every entry sees the same
+operations whatever its block, so the residual does not depend on the
+number of blocks, bit for bit.
+
 A positive gamma_l is unbounded (the effective potential deepens with time
 and the packet spreads without limit); only a negative constant gamma_l
 admits the stationary Gaussian used as a sanity check in the tests.
@@ -41,6 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .blocks import row_blocks, run_blocks
 from .fields import ComplexField1D
 from .gaussian import GaussianParams
 from .marginal_dynamics import IntegrationError, linear_short, sample_grid
@@ -60,13 +71,16 @@ def init_gaussian_a(p: GaussianParams, grid: GridSpec1D) -> ComplexField1D:
     return f
 
 
-def floored_log_density(values: np.ndarray) -> np.ndarray:
-    """ln max(|a|^2, floor^2) with floor = LN_FLOOR * max|a|."""
-    amp2 = np.abs(values) ** 2
+def floored_log_density(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ln max(|a|^2, floor^2) with floor = LN_FLOOR * max|a|, computed in
+    place in out (a real array of values' shape) when it is given."""
+    amp2 = np.abs(values, out=out)
+    np.square(amp2, out=amp2)
     peak = float(np.max(amp2))
     if peak == 0.0:
         raise InvalidParameterError("a", "field is identically zero")
-    return np.log(np.maximum(amp2, (LN_FLOOR ** 2) * peak))
+    np.maximum(amp2, (LN_FLOOR ** 2) * peak, out=amp2)
+    return np.log(amp2, out=amp2)
 
 
 def epsilon_of(a: ComplexField1D, s: Scenario) -> np.ndarray:
@@ -88,28 +102,44 @@ class LseStepper:
         k = grid.wavenumbers()
         self._kinetic = np.exp(-1j * 0.5 * k * k * dt)
 
-    def _phase(self, values: np.ndarray, rate: float) -> np.ndarray:
-        log_density = floored_log_density(values)
-        return values * np.exp(-1j * rate * log_density * (0.5 * self.dt))
+    def _phase(self, u: np.ndarray, rate: float, theta: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+        """out = u exp(-i rate ln max(|u|^2, floor^2) dt/2), with theta as a
+        real work array; u is left as it is. The angle is taken in real
+        arithmetic, which gives the bits of the complex product
+        -1j * rate * ln * (dt/2), whose real part is zero."""
+        theta = floored_log_density(u, out=theta)
+        np.multiply(theta, -rate, out=theta)
+        np.multiply(theta, 0.5 * self.dt, out=theta)
+        np.cos(theta, out=out.real)
+        np.sin(theta, out=out.imag)
+        return np.multiply(u, out, out=out)
 
     def step(self, a: ComplexField1D, n: int = 1) -> ComplexField1D:
         """Advance n Strang steps as one segment (see the module docstring);
         raises IntegrationError stamped a.t + j * dt if step j leaves the
-        field non-finite."""
+        field non-finite. The returned field owns its values; a is left as
+        it is."""
         if n < 1:
             raise ValueError("n must be >= 1")
         dt, g = self.dt, self.gamma_l
-        v = self._phase(a.values, g(a.t + 0.25 * dt))
+        # the field moves between v and w, each phase writing into the other
+        theta = np.empty(a.values.shape)
+        v, w = (np.empty(a.values.shape, dtype=np.complex128) for _ in range(2))
+        self._phase(a.values, g(a.t + 0.25 * dt), theta, v)
         for j in range(1, n + 1):
             t = a.t + (j - 1) * dt  # start of step j
-            u = np.fft.ifft(self._kinetic * np.fft.fft(v))
+            np.fft.fft(v, out=v)
+            np.multiply(self._kinetic, v, out=v)
+            np.fft.ifft(v, out=v)
             rate = g(t + 0.75 * dt)
-            v = self._phase(u, rate + g(t + 1.25 * dt) if j < n else rate)
-            if not np.isfinite(v).all():
+            self._phase(v, rate + g(t + 1.25 * dt) if j < n else rate, theta, w)
+            if not np.isfinite(w).all():
                 # the fused factor also holds step j + 1's opening half-step
-                if j < n and np.isfinite(self._phase(u, rate)).all():
+                if j < n and np.isfinite(self._phase(v, rate, theta, w)).all():
                     j += 1
                 raise IntegrationError(a.t + j * dt, "field blew up")
+            v, w = w, v
         return ComplexField1D(v, a.grid, a.t + n * dt)
 
 
@@ -176,21 +206,31 @@ def marginalme_residual(
     if not math.isclose(dt_m, dt_p, rel_tol=1e-9):
         raise InvalidParameterError("a_series", "snapshots not equally spaced in t")
 
-    def outer(f: ComplexField1D) -> np.ndarray:
-        return f.values[:, None] * np.conj(f.values)[None, :]
-
-    rho = outer(ac)
-    rho_dot = (outer(ap) - outer(am)) / (dt_p + dt_m)
-
     k = ac.grid.wavenumbers()
     a2 = np.fft.ifft(-(k * k) * np.fft.fft(ac.values))
-    kin = 0.5j * (
-        a2[:, None] * np.conj(ac.values)[None, :]
-        - ac.values[:, None] * np.conj(a2)[None, :]
-    )
-
     eps = epsilon_of(ac, s)
-    pot = -1j * (eps[:, None] - eps[None, :]) * rho
 
-    denom = float(np.max(np.abs(rho)))
-    return float(np.max(np.abs(rho_dot - kin - pot)) / denom)
+    n = ac.values.size
+    blocks = row_blocks(n, 18 * n * n)  # 18 passes over the n x n products
+    peaks = np.empty((len(blocks), 2))
+    run_blocks(_residual_rows, [(am.values, ac.values, ap.values, dt_p + dt_m,
+                                 a2, eps, peaks, i, r)
+                                for i, r in enumerate(blocks)])
+    resid, denom = np.max(peaks, axis=0)
+    return float(resid) / float(denom)
+
+
+def _residual_rows(am, ac, ap, span, a2, eps, peaks, i, r: slice) -> None:
+    """marginalme_residual on the rows r of the outer products: the largest
+    |lhs - rhs| and |rho_m| there into peaks[i]."""
+    def outer(v: np.ndarray) -> np.ndarray:
+        return v[r, None] * np.conj(v)[None, :]
+
+    rho = outer(ac)
+    rho_dot = (outer(ap) - outer(am)) / span
+    kin = 0.5j * (
+        a2[r, None] * np.conj(ac)[None, :]
+        - ac[r, None] * np.conj(a2)[None, :]
+    )
+    pot = -1j * (eps[r, None] - eps[None, :]) * rho
+    peaks[i] = np.max(np.abs(rho_dot - kin - pot)), np.max(np.abs(rho))

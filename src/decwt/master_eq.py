@@ -36,30 +36,28 @@ real space. A copy left after step j is thus the j-step segment's result
 bit for bit. No rfft/irfft pair is used: irfft projects the Nyquist row onto
 its Hermitian part, a change of scheme rather than round-off.
 
-Threads. Every full-grid pass of a run splits its rows into contiguous
-blocks, one per CPU the process may run on, but never more blocks than rows
-and none with too little work to pay for its thread (a pass over the grid
-counts as one step of the interior's rule), and runs each block on a thread
-of its own; numpy's FFT and ufunc loops release the GIL. The passes are the
-Gaussian initial state and its division by the trace, by y rows; the open of
-a multi-step segment, whose decay half-step and z-FFT act along y rows; the
-interior; and the close and each copy (_to_real), whose mirror rebuild and
-z-iFFT act along y rows of the real-space array. Between the open and the
-close, every k_z row of the half spectrum evolves on its own: the kinetic
-multiplier is diagonal, the decay factor acts along the row and the
-y-transforms run along it, so each block runs its y-FFT and interior steps
-in place and the blocks never meet inside a run of steps. Worker threads
-allocate no array of the grid's size: each block writes with out= into
-arrays the calling thread allocated, since every thread's malloc arena keeps
-what it frees and the process would grow. The gain has been measured on
-2 cores only.
+Threads. Every full-grid pass of a run splits its rows into the row blocks
+of decwt.blocks, one per CPU the process may run on but none with too little
+work to pay for its thread, and runs each block on a thread of its own. The
+passes are the Gaussian initial state and its division by the trace, by y
+rows; the open of a multi-step segment, whose decay half-step and z-FFT act
+along y rows; the interior; and the close and each copy (_to_real), whose
+mirror rebuild and z-iFFT act along y rows of the real-space array. Between
+the open and the close, every k_z row of the half spectrum evolves on its
+own: the kinetic multiplier is diagonal, the decay factor acts along the row
+and the y-transforms run along it, so each block runs its y-FFT and interior
+steps in place and the blocks never meet inside a run of steps. Worker
+threads allocate no array of the grid's size: each block writes with out=
+into arrays the calling thread allocated, since every thread's malloc arena
+keeps what it frees and the process would grow. The gain has been measured
+on 2 cores only.
 A segment with copies to leave runs in stretches that end at each such step:
 the blocks join there, the copy is made from the joined rows, and the next
 stretch goes on from them. Each element sees the same operations on the same
 operands whatever the block it falls in, so the initial state, the segment,
-its copies and every output byte do not depend on the number of blocks. All
-threads have finished when a pass returns, and an error in any block is
-raised there.
+its copies and every output byte do not depend on the number of blocks.
+_sample, which reads |rho| once for the leak and the purity, runs on the
+calling thread.
 
 Resume contract. Segments end only at sample steps and at the final step,
 and the field leaves a segment C-contiguous (the observables sum in memory
@@ -74,11 +72,10 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 
 import numpy as np
 
+from .blocks import row_blocks, run_blocks
 from .fields import ComplexField2D
 from .gaussian import GaussianParams, build_cubic, density_matrix_rows, eval_G, sigma_profile
 from .marginal_dynamics import IntegrationError, sample_grid
@@ -93,14 +90,6 @@ from .scenario import GridSpec2D, NumericsSpec, Scenario
 
 ALIAS_THRESHOLD = 1e-6  # boundary amplitude relative to the peak
 HERMITICITY_BOUND = 1e-9  # hermiticity_defect of an acceptable input field
-# Row blocks of a full-grid pass (_row_blocks): one per CPU this process may
-# run on, but none with less than _MIN_BLOCK_WORK grid points times steps to
-# do, a single pass counting as one step. A thread's start and join cost
-# about as much as 1e4 point-steps (0.2 ms against 22 ns per point-step at
-# 512^2 on a 2-vCPU Xeon), so a block carries at least ten times that.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_MIN_BLOCK_WORK = 1 << 17
 
 
 class GridSizeError(ValueError):
@@ -121,11 +110,11 @@ def init_gaussian_rho(p: GaussianParams, grid: GridSpec2D) -> ComplexField2D:
         )
     # gaussian.density_matrix_exact and its division by the trace, by rows
     v = np.empty((grid.n_y, grid.n_z), dtype=np.complex128)
-    expo, blocks = np.empty(v.shape), _row_blocks(grid.n_y, v.size)
-    _run_blocks(density_matrix_rows, [(p, grid, v, expo, r) for r in blocks])
+    expo, blocks = np.empty(v.shape), row_blocks(grid.n_y, v.size)
+    run_blocks(density_matrix_rows, [(p, grid, v, expo, r) for r in blocks])
     f = ComplexField2D(v, grid, 0.0)
     tr = trace_of(f).real
-    _run_blocks(np.true_divide, [(v[r], tr, v[r]) for r in blocks])
+    run_blocks(np.true_divide, [(v[r], tr, v[r]) for r in blocks])
     return f
 
 
@@ -181,13 +170,13 @@ class MasterEqStepper:
         shape, h = f.values.shape, self._kinetic_t.shape[0]
         o = np.empty(shape, dtype=np.complex128)
         w = np.empty((h, shape[0]), dtype=np.complex128)
-        _run_blocks(_open_rows, [(f.values, dh, o, w, r)
-                                 for r in _row_blocks(shape[0], o.size)])
+        run_blocks(_open_rows, [(f.values, dh, o, w, r)
+                                for r in row_blocks(shape[0], o.size)])
         stops = sorted(j for j in set(leave_at) if 0 < j < n) + [n]
         j0 = 0
         for j1 in stops:
-            _run_blocks(self._stretch, [(w, r, j0, j1) for r in
-                                        _row_blocks(h, (j1 - j0) * w.size)])
+            run_blocks(self._stretch, [(w, r, j0, j1) for r in
+                                       row_blocks(h, (j1 - j0) * w.size)])
             if j1 < n:
                 c = _to_real(w, dh, np.empty(shape, dtype=np.complex128))
                 leave(j1, ComplexField2D(c, f.grid, f.t + j1 * self.dt))
@@ -207,36 +196,6 @@ class MasterEqStepper:
             np.fft.ifft(b, axis=1, out=b)
 
 
-def _row_blocks(rows: int, work: int) -> list[slice]:
-    """Contiguous blocks of rows for a pass of work grid points times steps:
-    one per CPU this process may run on, never more than rows, and none with
-    less than _MIN_BLOCK_WORK to do."""
-    nb = max(1, min(_WORKERS, rows, work // _MIN_BLOCK_WORK))
-    return [slice(rows * i // nb, rows * (i + 1) // nb) for i in range(nb)]
-
-
-def _run_blocks(fn, jobs) -> None:
-    """fn(*job) for each job, the first on the calling thread and the rest on
-    one thread each; returns when all have finished, re-raising the first
-    error."""
-    errors = []
-
-    def guarded(job):
-        try:
-            fn(*job)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(job,)) for job in jobs[1:]]
-    for t in threads:
-        t.start()
-    guarded(jobs[0])
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-
-
 def _open_rows(v: np.ndarray, dh: np.ndarray, o: np.ndarray, w: np.ndarray,
                r: slice) -> None:
     """The open on the y rows r: decay half-step and z-FFT of v[r] into o[r],
@@ -252,8 +211,8 @@ def _to_real(w: np.ndarray, dh: np.ndarray, g: np.ndarray) -> np.ndarray:
     in g, a C-contiguous (y, z) array: the observables sum in memory order,
     so a resumed run reproduces the rows bit for bit only in a fixed layout.
     Runs in blocks of y rows."""
-    _run_blocks(_close_rows, [(w, dh, g, r)
-                              for r in _row_blocks(g.shape[0], g.size)])
+    run_blocks(_close_rows, [(w, dh, g, r)
+                             for r in row_blocks(g.shape[0], g.size)])
     return g
 
 
@@ -274,28 +233,31 @@ def _close_rows(w: np.ndarray, dh: np.ndarray, g: np.ndarray, r: slice) -> None:
     np.fft.ifft(b, axis=1, out=b)
 
 
-def boundary_leak(values: np.ndarray) -> float:
-    """Largest edge amplitude relative to the peak; the aliasing sentinel."""
-    peak = float(np.max(np.abs(values)))
+def boundary_leak(amp: np.ndarray) -> float:
+    """Largest edge value of the amplitude amp = |rho| relative to its peak;
+    the aliasing sentinel."""
+    peak = float(np.max(amp))
     if peak == 0.0:
         return 0.0
     edges = max(
-        float(np.max(np.abs(values[0, :]))),
-        float(np.max(np.abs(values[-1, :]))),
-        float(np.max(np.abs(values[:, 0]))),
-        float(np.max(np.abs(values[:, -1]))),
+        float(np.max(amp[0, :])),
+        float(np.max(amp[-1, :])),
+        float(np.max(amp[:, 0])),
+        float(np.max(amp[:, -1])),
     )
     return edges / peak
 
 
 def _sample(f: ComplexField2D) -> ObservableSample:
+    amp = np.abs(f.values)  # one pass for the leak and, squared, the purity
+    leak = boundary_leak(amp)
     return ObservableSample(
         t=f.t,
         coherence_length=coherence_from_rho(f),
         ensemble_width=ensemble_width_from_rho(f),
-        purity=purity(f),
+        purity=purity(f, np.square(amp, out=amp)),
         norm=trace_of(f).real,
-        flags=("aliasing",) if boundary_leak(f.values) > ALIAS_THRESHOLD else (),
+        flags=("aliasing",) if leak > ALIAS_THRESHOLD else (),
     )
 
 

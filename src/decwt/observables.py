@@ -45,11 +45,13 @@ def trace_of(f: ComplexField2D) -> complex:
     return complex(0.5 * np.sum(row) * f.grid.axis_z.spacing)
 
 
-def purity(f: ComplexField2D) -> float:
+def purity(f: ComplexField2D, abs2: np.ndarray | None = None) -> float:
     """tr(rho^2) = (1/2) * sum |rho|^2 dy dz (hermiticity folds the double trace
-    into a plain square sum)."""
+    into a plain square sum); abs2 is |rho|^2 when the caller has it already."""
     g = f.grid
-    val = 0.5 * np.sum(np.abs(f.values) ** 2) * g.axis_y.spacing * g.axis_z.spacing
+    if abs2 is None:
+        abs2 = np.abs(f.values) ** 2
+    val = 0.5 * np.sum(abs2) * g.axis_y.spacing * g.axis_z.spacing
     return float(val)
 
 

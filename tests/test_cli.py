@@ -334,6 +334,16 @@ def test_verify_fails_on_coarse_dt(tmp_path, capsys):
     assert "reduce dt" in out  # explanatory message
 
 
+@pytest.mark.parametrize("b", ["0.5", "0.75"])
+def test_verify_passes_on_a_narrow_packet(tmp_path, capsys, b):
+    # the LSE horizon follows the packet's spreading time 2 b^2 as well as
+    # t_b; on t_b alone these packets outran their 16 b box's resolution
+    cfg = write_cfg(tmp_path, f"b = {b}\n", name="narrow.cfg")
+    assert cli.main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "marginal-equation residual" in out and "FAIL" not in out
+
+
 def test_verify_skips_decoherence_checks_at_zero_coupling(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "Lambda = 0.0\n", name="free.cfg")
     assert cli.main(["verify", "--config", cfg]) == 0
@@ -367,12 +377,12 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
 def test_master_eq_artifacts_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
     # init, open, interior and close split their rows over threads, one
     # block per core; every output byte must be the same for any count
-    from decwt import master_eq
+    from decwt import blocks
     cfg = write_cfg(tmp_path, SMALL_CFG.replace("sample_every = 10", "sample_every = 5"))
-    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
     outs = []
     for workers in (1, 3):
-        monkeypatch.setattr(master_eq, "_WORKERS", workers)
+        monkeypatch.setattr(blocks, "WORKERS", workers)
         out = tmp_path / f"w{workers}"
         assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
                          "--checkpoint-every", "3", "--outdir", str(out)]) == 0

@@ -7,11 +7,13 @@ width alpha* = kappa follows from balancing the kinetic curvature
 against the log-potential curvature.
 """
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from decwt import blocks, lse
 from decwt.cli import run_lse
 from decwt.fields import ComplexField1D
 from decwt.gaussian import GaussianParams
@@ -251,6 +253,30 @@ def test_segment_matches_per_step_strang_reference(preset, n):
         assert rel < 1e-12  # measured about 2e-15 at n = 50
 
 
+@pytest.mark.parametrize("preset", ["moderate", "strong"])
+def test_buffered_segment_is_the_fused_expression_bit_for_bit(preset):
+    # the stepper works in place in real and complex buffers; the segment
+    # must equal the plain fused expression, complex phase chain included
+    bundle = preset_bundle(preset)
+    s, grid, dt, n = bundle.scenario, bundle.grid.axis_z, 1e-3, 50
+    a = init_gaussian_a(pure_params(s.alpha0), grid)
+    a.t = 0.25
+    g = linear_short(s)
+    k = grid.wavenumbers()
+    kinetic = np.exp(-1j * 0.5 * k * k * dt)
+
+    def phase(v, rate):
+        return v * np.exp(-1j * rate * floored_log_density(v) * (0.5 * dt))
+
+    ref = phase(a.values, g(a.t + 0.25 * dt))
+    for j in range(1, n + 1):
+        t = a.t + (j - 1) * dt
+        ref = np.fft.ifft(kinetic * np.fft.fft(ref))
+        rate = g(t + 0.75 * dt)
+        ref = phase(ref, rate + g(t + 1.25 * dt) if j < n else rate)
+    assert np.array_equal(LseStepper(s, grid, dt).step(a, n).values, ref)
+
+
 @pytest.mark.parametrize("t_nan, t_stamp", [(0.0026, 0.003), (0.0032, 0.004)])
 def test_blow_up_inside_a_segment_is_stamped_at_its_step(t_nan, t_stamp):
     # NaN from 0.0026 on: step 3's closing half-step (0.00275) blows up.
@@ -336,3 +362,75 @@ def test_strong_preset_lse_route_tracks_its_prescribed_ode():
     for i, smp in enumerate(samples[1:], start=1):  # beta(0) = 0
         assert abs(smp.alpha / ref.alpha[i] - 1.0) <= 1e-4, f"t={smp.t}"
         assert abs(smp.beta / ref.beta[i] - 1.0) <= 1e-4, f"t={smp.t}"
+
+
+def residual_series(n=64):
+    s = moderate()
+    grid = GridSpec1D(n_points=n, extent=8.0)
+    num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
+    _, fields = evolve_lse(init_gaussian_a(pure_params(s.alpha0), grid), s, num)
+    return fields, s
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_residual_does_not_depend_on_the_block_count(monkeypatch, n):
+    # each row of the outer products is computed whole in one block, and the
+    # residual is a ratio of maxima, so the split must not move a bit
+    fields, s = residual_series(n)
+    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
+    got = []
+    for workers in (1, 2, 3, n):
+        monkeypatch.setattr(blocks, "WORKERS", workers)
+        got.append(marginalme_residual(fields, s))
+    assert got[0] > 0.0
+    assert all(r == got[0] for r in got[1:])
+
+
+@pytest.mark.parametrize("failing", [None, 0, 2])
+def test_residual_blocks_run_on_threads_and_join(monkeypatch, failing):
+    # three row blocks of 64 rows; block 0 runs on the calling thread
+    monkeypatch.setattr(blocks, "WORKERS", 3)
+    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
+    rows, names, seen = lse._residual_rows, set(), []
+
+    def watched(*args):
+        names.add(threading.current_thread().name)
+        seen.append(threading.active_count())
+        if failing is not None and args[-1].start == 64 * failing // 3:
+            raise RuntimeError("row block failed")
+        rows(*args)
+
+    monkeypatch.setattr(lse, "_residual_rows", watched)
+    fields, s = residual_series()
+    before = threading.active_count()
+    if failing is None:
+        marginalme_residual(fields, s)
+    else:
+        with pytest.raises(RuntimeError, match="row block failed"):
+            marginalme_residual(fields, s)
+    assert threading.active_count() == before
+    assert len(names) == 3 and max(seen) > before
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_step_leaves_its_input_and_returns_a_field_it_owns(n):
+    s = moderate()
+    grid = GridSpec1D(n_points=64, extent=8.0)
+    a = init_gaussian_a(pure_params(s.alpha0), grid)
+    before = a.values.copy()
+    out = LseStepper(s, grid, 1e-3).step(a, n)
+    assert np.array_equal(a.values, before) and a.t == 0.0
+    assert not np.shares_memory(out.values, a.values)
+    again = LseStepper(s, grid, 1e-3).step(a, n)
+    assert np.array_equal(again.values, out.values)
+    assert not np.shares_memory(again.values, out.values)
+
+
+def test_evolve_lse_returns_distinct_fields():
+    # marginalme_residual reads three neighbouring fields of one run
+    fields, _ = residual_series()
+    assert len(fields) == 5
+    for i, f in enumerate(fields):
+        for g in fields[i + 1:]:
+            assert not np.shares_memory(f.values, g.values)
+    assert len({f.t for f in fields}) == 5

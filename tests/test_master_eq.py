@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from decwt import master_eq
+from decwt import blocks, master_eq
 from decwt.fields import ComplexField2D, load_field_2d, save_field_2d
 from decwt.gaussian import GaussianParams, build_cubic, density_matrix_exact, params_exact
 from decwt.marginal_dynamics import IntegrationError
@@ -114,10 +114,27 @@ def test_boundary_leak_flags_aliasing():
     sig = 1.0 / math.sqrt(s.alpha0)
     grid = GridSpec2D(n_y=64, n_z=64, extent_y=4.5 * sig, extent_z=4.5 * sig)
     f = density_matrix_exact(p0, grid)
-    assert boundary_leak(f.values) > 1e-6
+    assert boundary_leak(np.abs(f.values)) > 1e-6
     num = NumericsSpec(dt=1e-3, t_end=0.01, sample_every=5)
     samples, _ = evolve_master_eq(f, s, num)
     assert "aliasing" in samples[-1].flags
+
+
+@pytest.mark.parametrize("extent", [4.5, 8.0])
+def test_sample_reads_the_observables_of_the_field(extent):
+    # _sample takes |rho| once for the leak and the purity; the purity is
+    # summed in the same order as purity(f) alone, so it is equal bit for bit
+    s = strong()
+    sig = 1.0 / math.sqrt(s.alpha0)
+    grid = GridSpec2D(n_y=64, n_z=128, extent_y=extent * sig, extent_z=extent * sig)
+    f = MasterEqStepper(s, grid, 1e-3).step(
+        density_matrix_exact(pure_params(s.alpha0), grid), 3)
+    smp = master_eq._sample(f)
+    leak = boundary_leak(np.abs(f.values))
+    assert smp.purity == purity(f) and 0.0 < smp.purity < 1.0
+    assert smp.flags == (("aliasing",) if leak > master_eq.ALIAS_THRESHOLD else ())
+    assert (leak > master_eq.ALIAS_THRESHOLD) == (extent == 4.5)
+    assert smp.norm == trace_of(f).real
 
 
 def test_no_aliasing_on_recommended_box():
@@ -296,11 +313,11 @@ def test_segment_does_not_depend_on_the_worker_count(monkeypatch, scenario,
     s = scenario()
     f, grid = initial_state(s, n=n_y, n_z=n_z)
     stepper = MasterEqStepper(s, grid, 1e-3)
-    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
     leave_at = sorted({1, min(20, n // 2), n - 1})
     runs = []
     for workers in (1, 2, 3, 16):
-        monkeypatch.setattr(master_eq, "_WORKERS", workers)
+        monkeypatch.setattr(blocks, "WORKERS", workers)
         left = {}
         out = stepper.step(f, n, leave=lambda j, c: left.setdefault(j, c),
                            leave_at=leave_at)
@@ -312,7 +329,7 @@ def test_segment_does_not_depend_on_the_worker_count(monkeypatch, scenario,
 def test_small_stretches_run_on_the_calling_thread(monkeypatch):
     # a block must carry enough work to pay for its thread: the one-step
     # stretches that copies every step make start no thread at all
-    monkeypatch.setattr(master_eq, "_WORKERS", 4)
+    monkeypatch.setattr(blocks, "WORKERS", 4)
     s = moderate()
     f, grid = initial_state(s, n=64)
     stepper, names = MasterEqStepper(s, grid, 1e-3), set()
@@ -324,7 +341,7 @@ def test_small_stretches_run_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(MasterEqStepper, "_stretch", watched)
     # two steps of all 33 rows of the 64 x 64 half per block
-    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 2 * 33 * 64)
+    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 2 * 33 * 64)
     stepper.step(f, 5, leave=lambda j, c: None, leave_at=(1, 2, 3, 4))
     assert names == {threading.current_thread().name}
     stepper.step(f, 8)  # one stretch of eight steps: four blocks
@@ -335,8 +352,8 @@ def test_small_stretches_run_on_the_calling_thread(monkeypatch):
 def test_no_thread_outlives_a_segment(monkeypatch, failing):
     # three row blocks on the 33 rows of a 64 x 64 half spectrum; the
     # checkpoints split segments into stretches, each joined on its own
-    monkeypatch.setattr(master_eq, "_WORKERS", 3)
-    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(blocks, "WORKERS", 3)
+    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
     stretch, seen = MasterEqStepper._stretch, []
 
     def watched(self, w, r, j0, j1):
@@ -371,18 +388,18 @@ def test_init_is_the_closed_form_over_its_trace_for_any_worker_count(
     grid = GridSpec2D(n_y=n_y, n_z=n_z, extent_y=14.0, extent_z=11.0)
     want = density_matrix_exact(p, grid)
     want.values /= trace_of(want).real
-    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
     for workers in (1, 2, 3, 16):
-        monkeypatch.setattr(master_eq, "_WORKERS", workers)
+        monkeypatch.setattr(blocks, "WORKERS", workers)
         got = init_gaussian_rho(p, grid)
         assert got.values.tobytes() == want.values.tobytes(), workers
 
 
 def test_init_open_and_close_run_on_threads_of_their_own(monkeypatch):
-    # every full-grid pass of a run goes through _run_blocks in row blocks
-    monkeypatch.setattr(master_eq, "_WORKERS", 3)
-    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
-    run_blocks, names = master_eq._run_blocks, {}
+    # every full-grid pass of a run goes through run_blocks in row blocks
+    monkeypatch.setattr(blocks, "WORKERS", 3)
+    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
+    run_blocks, names = master_eq.run_blocks, {}
 
     def watched(fn, jobs):  # the threads of each call, by the function run
         call = set()
@@ -393,7 +410,7 @@ def test_init_open_and_close_run_on_threads_of_their_own(monkeypatch):
             fn(*job)
         run_blocks(named, jobs)
 
-    monkeypatch.setattr(master_eq, "_run_blocks", watched)
+    monkeypatch.setattr(master_eq, "run_blocks", watched)
     s = moderate()
     f, grid = initial_state(s, n=32, n_z=64)
     MasterEqStepper(s, grid, 1e-3).step(f, 4, leave=lambda j, c: None, leave_at=(2,))
@@ -407,8 +424,8 @@ def test_init_open_and_close_run_on_threads_of_their_own(monkeypatch):
 @pytest.mark.parametrize("stage", ["_open_rows", "_close_rows"])
 def test_an_open_or_close_block_error_reaches_the_caller(monkeypatch, stage, block):
     # block 0 runs on the calling thread, block 2 on a thread of its own
-    monkeypatch.setattr(master_eq, "_WORKERS", 3)
-    monkeypatch.setattr(master_eq, "_MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(blocks, "WORKERS", 3)
+    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
     s = moderate()
     f, grid = initial_state(s, n=64)
     stepper, fn, seen = MasterEqStepper(s, grid, 1e-3), getattr(master_eq, stage), []
