@@ -29,15 +29,16 @@ Strang only by round-off. The finite check runs after every step inside the
 segment, so a blow-up is stamped at the step where the field turned
 non-finite.
 
-Buffers and threads. A segment allocates its work arrays once, one real and
-two complex, and the field moves between the complex two, so the input
-field is left as it is and each segment returns an array of its own. The
-stepper runs on the calling thread: its arrays hold one tau axis, far below
-a row block's work minimum. marginalme_residual splits the rows of its
-outer products into the row blocks of decwt.blocks, one thread each, and
-takes the largest of the blocks' maxima; every entry sees the same
-operations whatever its block, so the residual does not depend on the
-number of blocks, bit for bit.
+Buffers. A segment allocates its work arrays once, one real and two
+complex, and the field moves between the complex two, so the input field is
+left as it is and each segment returns an array of its own. The stepper runs
+on the calling thread: its arrays hold one tau axis, far below a row block's
+work minimum (decwt.blocks).
+
+Residual. marginalme_residual checks the marginal equation of motion on
+rho_m = a conj(a)^T. Its lhs - rhs is a sum of six outer products
+u_k conj(v_k)^T of tau vectors (see its docstring), so the n x n residual
+is one (n x 6) @ (6 x n) matrix product on the calling thread.
 
 A positive gamma_l is unbounded (the effective potential deepens with time
 and the packet spreads without limit); only a negative constant gamma_l
@@ -51,7 +52,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blocks import row_blocks, run_blocks
 from .fields import ComplexField1D
 from .gaussian import GaussianParams
 from .marginal_dynamics import IntegrationError, linear_short, sample_grid
@@ -191,12 +191,18 @@ def marginalme_residual(
     """Residual of the marginal-density-matrix equation of motion on a sampled
     wavefunction trajectory.
 
-    Builds rho_m(tau, tau') = a(tau) conj(a(tau')) from the middle snapshot
-    of a_series and its two neighbors, differences the neighbors for
-    d rho_m/dt, and evaluates the right-hand side on the middle one:
-    spectral kinetic cross-derivative plus the potential difference
+    Builds rho_m(tau, tau') = c(tau) conj(c(tau')) from the middle snapshot c
+    of a_series, differences its neighbors m and p for d rho_m/dt, and
+    evaluates the right-hand side on c: the spectral kinetic term
+    (i/2) [c'' conj(c)^T - c conj(c'')^T] plus the potential difference
     -i [eps(tau) - eps(tau')] rho_m, which is how the prescribed linear
-    coupling acts on the marginal. Returns max |lhs - rhs| / max |rho_m|.
+    coupling acts on the marginal. With span the time between m and p and
+    e = i eps c, lhs - rhs is the sum of six outer products u_k conj(v_k)^T:
+
+        u = [p/span, -m/span, -(i/2) c'', (i/2) c, e, c]
+        v = [p,       m,       c,         c'',     c, e]
+
+    Returns max |lhs - rhs| / max |rho_m|, with max |rho_m| = max |c|^2.
     """
     if len(a_series) < 3:
         raise InvalidParameterError("a_series", "need at least three snapshots")
@@ -206,31 +212,12 @@ def marginalme_residual(
     if not math.isclose(dt_m, dt_p, rel_tol=1e-9):
         raise InvalidParameterError("a_series", "snapshots not equally spaced in t")
 
+    m, c, p = am.values, ac.values, ap.values
     k = ac.grid.wavenumbers()
-    a2 = np.fft.ifft(-(k * k) * np.fft.fft(ac.values))
-    eps = epsilon_of(ac, s)
-
-    n = ac.values.size
-    blocks = row_blocks(n, 18 * n * n)  # 18 passes over the n x n products
-    peaks = np.empty((len(blocks), 2))
-    run_blocks(_residual_rows, [(am.values, ac.values, ap.values, dt_p + dt_m,
-                                 a2, eps, peaks, i, r)
-                                for i, r in enumerate(blocks)])
-    resid, denom = np.max(peaks, axis=0)
-    return float(resid) / float(denom)
-
-
-def _residual_rows(am, ac, ap, span, a2, eps, peaks, i, r: slice) -> None:
-    """marginalme_residual on the rows r of the outer products: the largest
-    |lhs - rhs| and |rho_m| there into peaks[i]."""
-    def outer(v: np.ndarray) -> np.ndarray:
-        return v[r, None] * np.conj(v)[None, :]
-
-    rho = outer(ac)
-    rho_dot = (outer(ap) - outer(am)) / span
-    kin = 0.5j * (
-        a2[r, None] * np.conj(ac)[None, :]
-        - ac[r, None] * np.conj(a2)[None, :]
-    )
-    pot = -1j * (eps[r, None] - eps[None, :]) * rho
-    peaks[i] = np.max(np.abs(rho_dot - kin - pot)), np.max(np.abs(rho))
+    a2 = np.fft.ifft(-(k * k) * np.fft.fft(c))
+    ieps = 1j * epsilon_of(ac, s) * c
+    span = dt_p + dt_m
+    u = np.stack([p / span, -m / span, -0.5j * a2, 0.5j * c, ieps, c])
+    v = np.stack([p, m, c, a2, c, ieps])
+    resid = np.max(np.abs(u.T @ v.conj()))
+    return float(resid) / float(np.max(np.abs(c)) ** 2)

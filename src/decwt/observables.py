@@ -174,33 +174,31 @@ def _q_coeffs_dz(p: GaussianParams, z: np.ndarray) -> list[np.ndarray]:
 def qseries_residual(
     params_fn: Callable[[float], GaussianParams],
     s: Scenario,
-    n: int,
     t: float,
     z_grid: np.ndarray,
-) -> float:
-    """Max-norm residual of hierarchy order n at time t on z_grid.
+) -> list[float]:
+    """Max-norm residuals of hierarchy orders 0..2 at time t on z_grid, from
+    one evaluation of params_fn at each of t - FD_STEP, t and t + FD_STEP.
 
     Time derivatives come from central differences of params_fn with
     half-width FD_STEP, so t must be at least FD_STEP; z derivatives
     are analytic.
     """
-    if not (0 <= n <= _MAX_ORDER):
-        raise InvalidParameterError("n", f"order must be in [0, {_MAX_ORDER}]")
     z = np.asarray(z_grid, dtype=float)
-
     f_plus = _q_coeffs(params_fn(t + FD_STEP), z)
     f_minus = _q_coeffs(params_fn(t - FD_STEP), z)
-    lhs = (f_plus[n] - f_minus[n]) / (2.0 * FD_STEP)
-
     p = params_fn(t)
     f_now = _q_coeffs(p, z)
     f_dz = _q_coeffs_dz(p, z)
 
-    acc = f_dz[n + 1].astype(np.complex128)
-    for k in range(n + 1):
-        acc = acc + math.comb(n, k) * f_now[k + 1] * f_dz[n - k]
-    rhs = 2j * acc
-    if n == 2:
-        rhs = rhs - 2.0 * s.lam
-
-    return float(np.max(np.abs(lhs - rhs)))
+    residuals = []
+    for n in range(_MAX_ORDER + 1):
+        lhs = (f_plus[n] - f_minus[n]) / (2.0 * FD_STEP)
+        acc = f_dz[n + 1].astype(np.complex128)
+        for k in range(n + 1):
+            acc = acc + math.comb(n, k) * f_now[k + 1] * f_dz[n - k]
+        rhs = 2j * acc
+        if n == 2:
+            rhs = rhs - 2.0 * s.lam
+        residuals.append(float(np.max(np.abs(lhs - rhs))))
+    return residuals

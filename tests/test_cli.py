@@ -344,6 +344,15 @@ def test_verify_passes_on_a_narrow_packet(tmp_path, capsys, b):
     assert "marginal-equation residual" in out and "FAIL" not in out
 
 
+def test_verify_passes_on_a_wide_packet(tmp_path, capsys):
+    # t_b = 1/(Lambda b^2) = 4.4e-5 lies below the hierarchy's time
+    # difference half-width, which evaluated there would reach t < 0
+    cfg = write_cfg(tmp_path, "b = 150\n", name="wide.cfg")
+    assert cli.main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.count("hierarchy residual order") == 3 and "FAIL" not in out
+
+
 def test_verify_skips_decoherence_checks_at_zero_coupling(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "Lambda = 0.0\n", name="free.cfg")
     assert cli.main(["verify", "--config", cfg]) == 0

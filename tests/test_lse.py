@@ -7,13 +7,11 @@ width alpha* = kappa follows from balancing the kinetic curvature
 against the log-potential curvature.
 """
 import math
-import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from decwt import blocks, lse
 from decwt.cli import run_lse
 from decwt.fields import ComplexField1D
 from decwt.gaussian import GaussianParams
@@ -373,43 +371,24 @@ def residual_series(n=64):
 
 
 @pytest.mark.parametrize("n", [16, 64, 512])
-def test_residual_does_not_depend_on_the_block_count(monkeypatch, n):
-    # each row of the outer products is computed whole in one block, and the
-    # residual is a ratio of maxima, so the split must not move a bit
+def test_residual_equals_the_explicit_outer_product_formula(n):
+    # the n x n products of the equation of motion, formed entry by entry
     fields, s = residual_series(n)
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
-    got = []
-    for workers in (1, 2, 3, n):
-        monkeypatch.setattr(blocks, "WORKERS", workers)
-        got.append(marginalme_residual(fields, s))
-    assert got[0] > 0.0
-    assert all(r == got[0] for r in got[1:])
+    am, ac, ap = fields[1], fields[2], fields[3]
+    k = ac.grid.wavenumbers()
+    a2 = np.fft.ifft(-(k * k) * np.fft.fft(ac.values))
+    eps = epsilon_of(ac, s)
 
+    def outer(x, y):
+        return x[:, None] * np.conj(y)[None, :]
 
-@pytest.mark.parametrize("failing", [None, 0, 2])
-def test_residual_blocks_run_on_threads_and_join(monkeypatch, failing):
-    # three row blocks of 64 rows; block 0 runs on the calling thread
-    monkeypatch.setattr(blocks, "WORKERS", 3)
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
-    rows, names, seen = lse._residual_rows, set(), []
-
-    def watched(*args):
-        names.add(threading.current_thread().name)
-        seen.append(threading.active_count())
-        if failing is not None and args[-1].start == 64 * failing // 3:
-            raise RuntimeError("row block failed")
-        rows(*args)
-
-    monkeypatch.setattr(lse, "_residual_rows", watched)
-    fields, s = residual_series()
-    before = threading.active_count()
-    if failing is None:
-        marginalme_residual(fields, s)
-    else:
-        with pytest.raises(RuntimeError, match="row block failed"):
-            marginalme_residual(fields, s)
-    assert threading.active_count() == before
-    assert len(names) == 3 and max(seen) > before
+    rho = outer(ac.values, ac.values)
+    rho_dot = (outer(ap.values, ap.values) - outer(am.values, am.values)) / (ap.t - am.t)
+    kin = 0.5j * (outer(a2, ac.values) - outer(ac.values, a2))
+    pot = -1j * (eps[:, None] - eps[None, :]) * rho
+    want = np.max(np.abs(rho_dot - kin - pot)) / np.max(np.abs(rho))
+    assert want > 0.0
+    assert marginalme_residual(fields, s) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
