@@ -25,12 +25,11 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 MIN_BLOCK_WORK = 1 << 17
 
 
-def row_blocks(rows: int, work: int, least: int = 1) -> list[slice]:
+def row_blocks(rows: int, work: int) -> list[slice]:
     """Contiguous blocks of rows for a pass of work points times steps: one
-    per CPU this process may run on, none narrower than least rows (one
-    block when rows < 2 * least), and none with less than MIN_BLOCK_WORK to
-    do."""
-    nb = max(1, min(WORKERS, rows // least, work // MIN_BLOCK_WORK))
+    per CPU this process may run on, none empty, and none with less than
+    MIN_BLOCK_WORK to do."""
+    nb = max(1, min(WORKERS, rows, work // MIN_BLOCK_WORK))
     return [slice(rows * i // nb, rows * (i + 1) // nb) for i in range(nb)]
 
 

@@ -448,8 +448,8 @@ def cmd_verify(bundle: ConfigBundle) -> int:
                                s, lse_num)
         res = marginalme_residual(fields, s)
         add("marginal-equation residual", res, 1e-3,
-            note="sensitive to dt: the sampled time derivative converges as"
-                 " (sample spacing)^2; reduce dt if this fails")
+            note="converges as (sample spacing)^2; the spacing is a quarter of"
+                 " the horizon, which depends on dt only at its 8-step floor")
 
         # at t_b, unless its centred difference would reach t < 0
         res = _hierarchy_residuals(s, build_cubic(s, s.alpha0, 0.0), max(t_b, FD_STEP))

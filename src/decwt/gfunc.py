@@ -9,12 +9,13 @@ of the environment-mode amplitude profile. Its pair overlap reproduces the
 decoherence kernel:
 K(tau, tau') = int conj(phi(q, tau')) phi(q, tau) dq = exp(-gamma_k y^2 / 2).
 Because the phase is linear in tau, every tau-derivative is analytic,
-d^n phi / d tau^n = (i q s)^n phi, and the overlap moments
+d^n phi / d tau^n = (i q s)^n phi, and |phi|^2 does not depend on tau. So the
+overlap moments
 
-    g_(n,m)(tau) = int (d^n conj phi)(d^m phi) dq
+    g_(n,m)(tau) = int (d^n conj phi)(d^m phi) dq = (-i s)^n (i s)^m <q^(n+m)>
 
-reduce to Gaussian q-moments evaluated here by trapezoid quadrature. The table
-obeys, identically in tau:
+are constants, with the Gaussian q-moments <q^0..4> = 1, 0, 1, 0, 3;
+compute_g_table returns that closed form. The table obeys, identically in tau:
 
     g_(0,0) = 1
     d/dtau g_(n,m) = g_(n+1,m) + g_(n,m+1)
@@ -23,15 +24,10 @@ obeys, identically in tau:
     A = -i g_(0,1) real,  Re g_(0,2) = -g_(1,1)
 
 and the kernel's y-expansion at fixed z is generated by the one-sided column:
-K = sum_n g_(0,n) y^n / n! + O(y^{N+1}).
-
-Threads. The q-quadrature of each tau column reads only that column, so
-compute_g_table and gauge_transform split the tau columns into the row
-blocks of decwt.blocks and run each block on a thread of its own. Every
-column sees the same operations on the same operands whatever its block,
-so the results do not depend on the number of blocks, bit for bit. A block
-holds at least two columns: numpy sums a lone column over q pairwise, but
-two or more row by row, as the whole table does.
+K = sum_n g_(0,n) y^n / n! + O(y^{N+1}). verify_g_identities checks these
+and, as the one check independent of the closed form, compares the table
+with a trapezoid q-quadrature of the overlaps at its first, middle and last
+tau.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import row_blocks, run_blocks
 from .fields import ComplexField1D
 from .scenario import GridSpec1D, InvalidParameterError
 
@@ -93,36 +88,33 @@ THRESHOLD = 1e-8  # pass bound of the table identities: quadrature round-off
 
 @dataclass
 class GFunctionTable:
-    """g_(n,m)(tau) for all n + m <= ORDER, keyed by (n, m)."""
+    """g_(n,m)(tau) for all n + m <= ORDER, keyed by (n, m), of the family
+    with kernel curvature gamma_k."""
 
     tau: np.ndarray
+    gamma_k: float
     entries: dict = field(default_factory=dict)
 
 
 _PAIRS = [(n, m) for n in range(ORDER + 1) for m in range(ORDER + 1 - n)]
-
-
-def _tau_blocks(n_tau: int, passes: int) -> list[slice]:
-    """Blocks of at least two tau columns for passes over the (q, tau) grid."""
-    return row_blocks(n_tau, passes * Q_GRID.n_points * n_tau, least=2)
+_Q_MOMENTS = (1.0, 0.0, 1.0, 0.0, 3.0)  # <q^k> under |phi|^2, k = 0..ORDER
 
 
 def compute_g_table(gamma_k: float, tau: np.ndarray) -> GFunctionTable:
+    """The closed form g_(n,m) = (-i s)^n (i s)^m <q^(n+m)> on the tau grid."""
     tau = np.asarray(tau, dtype=float)
-    entries = np.empty((len(_PAIRS), tau.size), dtype=np.complex128)
-    # phi and its derivatives take 10 passes, each entry 3
-    run_blocks(_table_columns, [(gamma_k, tau, entries, c)
-                                for c in _tau_blocks(tau.size, 10 + 3 * len(_PAIRS))])
-    return GFunctionTable(tau=tau, entries=dict(zip(_PAIRS, entries)))
+    s = _phase_slope(gamma_k)
+    return GFunctionTable(tau=tau, gamma_k=gamma_k, entries={
+        (n, m): np.full(tau.shape, (-1j * s) ** n * (1j * s) ** m * _Q_MOMENTS[n + m])
+        for n, m in _PAIRS})
 
 
-def _table_columns(gamma_k: float, tau: np.ndarray, entries: np.ndarray,
-                   c: slice) -> None:
-    """The table on the tau columns c, into entries[:, c] in _PAIRS order."""
-    phi = sample_phi(gamma_k, tau[c])
+def quadrature_entries(gamma_k: float, tau: np.ndarray) -> np.ndarray:
+    """g_(n,m) at the tau points by trapezoid quadrature over q; one row per
+    (n, m) in the table's key order."""
+    phi = sample_phi(gamma_k, tau)
     derivs = [_dphi(gamma_k, phi, n) for n in range(ORDER + 1)]
-    for row, (n, m) in zip(entries, _PAIRS):
-        row[c] = _quad(np.conj(derivs[n]) * derivs[m])
+    return np.array([_quad(np.conj(derivs[n]) * derivs[m]) for n, m in _PAIRS])
 
 
 def _spectral_ddtau(vals: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -146,7 +138,8 @@ class IdentityReport:
 
 
 def verify_g_identities(table: GFunctionTable) -> list[IdentityReport]:
-    """Residuals of the structural identities; all should sit at quadrature
+    """Residuals of the structural identities and of the table against the
+    q-quadrature at its first, middle and last tau; all should sit at
     round-off for the Gaussian family, below THRESHOLD."""
     out: list[IdentityReport] = []
     g = table.entries
@@ -182,6 +175,13 @@ def verify_g_identities(table: GFunctionTable) -> list[IdentityReport]:
     out.append(IdentityReport(
         "Re g_(0,2) = -g_(1,1)",
         float(np.max(np.abs(np.real(g[(0, 2)]) + g[(1, 1)]))), THRESHOLD))
+
+    picked = [0, table.tau.size // 2, -1]  # first, middle and last tau
+    quad = quadrature_entries(table.gamma_k, table.tau[picked])
+    out.append(IdentityReport(
+        "table against q-quadrature",
+        max(float(np.max(np.abs(g[k][picked] - row))) for k, row in zip(_PAIRS, quad)),
+        THRESHOLD))
     return out
 
 
@@ -225,36 +225,20 @@ def gauge_transform(a: ComplexField1D, gamma_k: float,
     theta = np.asarray(theta, dtype=float)
     if theta.shape != a.values.shape:
         raise InvalidParameterError("theta", "must match the tau grid of a")
-    tau = a.grid.points()
     phase = np.exp(1j * theta)
 
     a_new = ComplexField1D(a.values * phase, a.grid, a.t)
     theta_dot = np.gradient(theta, a.grid.spacing)
 
-    blocks = _tau_blocks(tau.size, 21)  # 21 passes over the (q, tau) grid
-    g01, dev = np.empty((2, tau.size), dtype=np.complex128), np.empty(len(blocks))
-    run_blocks(_gauge_columns, [(a.values, a_new.values, gamma_k, tau, phase,
-                                 theta_dot, g01, dev, i, c)
-                                for i, c in enumerate(blocks)])
-    pot_before = np.real(-1j * g01[0])
-    pot_after = np.real(-1j * g01[1])
-    law = float(np.max(np.abs(pot_after - (pot_before - theta_dot))))
-
-    return a_new, GaugeReport(float(np.max(dev)), law, pot_before, pot_after)
-
-
-def _gauge_columns(a, a_new, gamma_k, tau, phase, theta_dot, g01, dev, i,
-                   c: slice) -> None:
-    """gauge_transform's checks on the tau columns c: the largest deviation
-    of the joint product into dev[i], g_(0,1) before and after the transform
-    into g01[:, c]."""
-    a, a_new, phase, theta_dot = a[c], a_new[c], phase[c], theta_dot[c]
-    phi = sample_phi(gamma_k, tau[c])
-    phi_new = phi * np.conj(phase)[None, :]
-    dev[i] = np.max(np.abs(a_new[None, :] * phi_new - a[None, :] * phi))
+    phi = sample_phi(gamma_k, a.grid.points())
+    phi_new = phi * np.conj(phase)
+    dev = float(np.max(np.abs(a_new.values * phi_new - a.values * phi)))
 
     # induced potential from the transformed modes: analytic product rule
     dphi = _dphi(gamma_k, phi, 1)
-    dphi_new = (dphi - 1j * theta_dot[None, :] * phi) * np.conj(phase)[None, :]
-    g01[0, c] = _quad(np.conj(phi) * dphi)
-    g01[1, c] = _quad(np.conj(phi_new) * dphi_new)
+    dphi_new = (dphi - 1j * theta_dot * phi) * np.conj(phase)
+    pot_before = np.real(-1j * _quad(np.conj(phi) * dphi))
+    pot_after = np.real(-1j * _quad(np.conj(phi_new) * dphi_new))
+    law = float(np.max(np.abs(pot_after - (pot_before - theta_dot))))
+
+    return a_new, GaugeReport(dev, law, pot_before, pot_after)

@@ -292,6 +292,11 @@ def test_ac6_structural_identities():
     reports = verify_g_identities(table)
     worst_identity = max(r.residual for r in reports)
 
+    # negative control: one entry moved 100x THRESHOLD off must fail
+    perturbed = replace(table, entries={**table.entries,
+                                        (1, 1): table.entries[(1, 1)] + 1e-6})
+    caught = [r.name for r in verify_g_identities(perturbed) if not r.passed]
+
     probe_grid = GridSpec1D(n_points=256, extent=4.0)
     pts = probe_grid.points()
     probe = ComplexField1D(np.exp(-s.alpha0 * pts * pts).astype(complex),
@@ -305,14 +310,18 @@ def test_ac6_structural_identities():
     control = qseries_residual(params_fn, replace(s, lam=0.0), t_b, z)[2]
     control_ok = math.isclose(control, 2.0 * s.lam, rel_tol=1e-3)
 
-    ok = (all(r.passed for r in reports) and worst_identity < 1e-8
+    ok = (all(r.passed for r in reports) and worst_identity < 1e-8 and caught
           and gauge_dev < 1e-12 and worst_q < 1e-6 and control_ok)
     verdict("AC6 structural identities", ok,
-            f"overlap identities {worst_identity:.1e}, gauge residual "
+            f"overlap identities {worst_identity:.1e}, perturbed g_(1,1) fails "
+            f"{len(caught)} of {len(reports)}, gauge residual "
             f"{gauge_dev:.1e}, hierarchy orders 0-2 residual {worst_q:.1e}, "
             f"no-source control {control:.6f} = 2*lam")
     assert all(r.passed for r in reports)
     assert worst_identity < 1e-8
+    assert caught == ["recursion d g_(n,m) = g_(n+1,m) + g_(n,m+1)",
+                      "binomial sums over each diagonal", "Re g_(0,2) = -g_(1,1)",
+                      "table against q-quadrature"]
     assert gauge_dev < 1e-12
     assert worst_q < 1e-6
     assert control_ok

@@ -122,7 +122,7 @@ def test_gfunc_route_residual_report(tmp_path):
                      "--outdir", str(out)]) == 0
     header, rows = read_csv(out / "gfunc.csv")
     assert header == list(cli.GFUNC_HEADER)
-    assert len(rows) == 8
+    assert len(rows) == 9
     for row in rows:
         assert row["status"] == "pass"
         assert float(row["value"]) <= float(row["threshold"])
@@ -331,7 +331,7 @@ def test_verify_fails_on_coarse_dt(tmp_path, capsys):
     assert cli.main(["verify", "--config", cfg]) == 1
     out = capsys.readouterr().out
     assert "FAILED marginal-equation residual" in out
-    assert "reduce dt" in out  # explanatory message
+    assert "a quarter of the horizon" in out  # explanatory message
 
 
 @pytest.mark.parametrize("b", ["0.5", "0.75"])

@@ -3,15 +3,16 @@
 For the Gaussian mode family with linear phase the overlaps are computable by
 hand: g_(0,0) = 1, g_(0,1) = 0, g_(1,1) = gamma_k, g_(0,2) = -gamma_k, and the
 pair overlap is K = exp(-gamma_k y^2 / 2) with y = tau - tau' (hbar = 1).
-Every quadrature result is checked against those closed forms.
+The table is the closed form g_(n,m) = (-i s)^n (i s)^m <q^(n+m)>, s =
+sqrt(gamma_k). Its low-order entries, the pair overlap and the gauge checks
+are checked against the hand values, and the q-quadrature of the overlaps,
+which does not use the closed form, against the table at every tau.
 """
 import math
-import threading
 
 import numpy as np
 import pytest
 
-from decwt import blocks, gfunc
 from decwt.fields import ComplexField1D
 from decwt.gfunc import (
     Q_GRID,
@@ -19,6 +20,7 @@ from decwt.gfunc import (
     compute_g_table,
     gauge_transform,
     kernel_from_k_derivative,
+    quadrature_entries,
     reconstruct_from_column,
     sample_phi,
     verify_g_identities,
@@ -39,10 +41,20 @@ def test_phi_unit_norm_in_q():
 def test_identities_hold_at_quadrature_precision():
     table = compute_g_table(2.0, tau_grid())
     reports = verify_g_identities(table)
-    assert len(reports) == 6
+    assert len(reports) == 7
     for r in reports:
         assert r.passed, f"{r.name}: {r.residual}"
         assert r.residual < 1e-12, f"{r.name}: {r.residual}"
+
+
+@pytest.mark.parametrize("gamma_k", [0.0, 0.37, 2.5])
+def test_quadrature_matches_the_table_at_every_tau(gamma_k):
+    # verify_g_identities compares the two at three tau only
+    table = compute_g_table(gamma_k, tau_grid())
+    quad = quadrature_entries(gamma_k, tau_grid())
+    assert quad.shape == (len(table.entries), tau_grid().size)
+    for key, row in zip(table.entries, quad):
+        assert np.max(np.abs(row - table.entries[key])) < 1e-12, key
 
 
 def test_low_order_entries_match_closed_forms():
@@ -136,96 +148,3 @@ def test_zero_curvature_family_is_static():
     # gamma_k = 0 removes the phase entirely: K = 1 everywhere
     K = compute_K(0.0, np.array([-2.0, 1.0]), np.array([0.5]))
     assert np.allclose(K, 1.0, atol=1e-12)
-
-
-def gauge_probe(n=32):
-    grid = GridSpec1D(n_points=n, extent=4.0)
-    tau = grid.points()
-    a = ComplexField1D(np.exp(-0.25 * tau * tau + 0.4j * tau), grid, t=0.0)
-    return a, 0.3 * tau + 0.1 * np.sin(tau)  # a theta np.gradient does not make exact
-
-
-def test_blocks_are_never_one_column_wide_for_the_quadrature(monkeypatch):
-    # numpy sums a lone column pairwise, not row by row, so a one-column
-    # block would move the table; any worker count and work minimum keeps
-    # every block of a split at two columns or more
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
-    for workers in (1, 2, 3, 7, 64):
-        monkeypatch.setattr(blocks, "WORKERS", workers)
-        for n_tau in range(1, 40):
-            cols = gfunc._tau_blocks(n_tau, 1)
-            assert cols[0].start == 0 and cols[-1].stop == n_tau
-            assert all(a.stop == b.start for a, b in zip(cols, cols[1:]))
-            assert len(cols) == 1 or min(c.stop - c.start for c in cols) >= 2
-
-
-@pytest.mark.parametrize("n_tau", [2, 3, 7, 32, 128])
-def test_table_does_not_depend_on_the_block_count(monkeypatch, n_tau):
-    # each column's q-quadrature reads only that column; one block is the
-    # whole table in one pass, as before it was split
-    tau = np.linspace(-4.0, 4.0, n_tau)
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
-    tables = []
-    for workers in (1, 2, 3, n_tau):
-        monkeypatch.setattr(blocks, "WORKERS", workers)
-        tables.append(compute_g_table(2.5, tau).entries)
-    for table in tables[1:]:
-        assert list(table) == list(tables[0])
-        assert all(table[k].tobytes() == tables[0][k].tobytes() for k in table)
-
-
-@pytest.mark.parametrize("n", [8, 32, 256])
-def test_gauge_report_does_not_depend_on_the_block_count(monkeypatch, n):
-    a, theta = gauge_probe(n)
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
-    runs = []
-    for workers in (1, 2, 3, n):
-        monkeypatch.setattr(blocks, "WORKERS", workers)
-        a_new, rep = gauge_transform(a, 2.0, theta)
-        runs.append((a_new.values.tobytes(), rep.max_psi_deviation,
-                     rep.max_gauge_law_residual, rep.potential_before.tobytes(),
-                     rep.potential_after.tobytes()))
-    assert all(run == runs[0] for run in runs[1:])
-
-
-@pytest.mark.parametrize("fn", ["_table_columns", "_gauge_columns"])
-def test_column_blocks_run_on_threads_of_their_own(monkeypatch, fn):
-    monkeypatch.setattr(blocks, "WORKERS", 3)
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
-    block, names = getattr(gfunc, fn), set()
-
-    def watched(*args):
-        names.add(threading.current_thread().name)
-        block(*args)
-
-    monkeypatch.setattr(gfunc, fn, watched)
-    a, theta = gauge_probe()
-    compute_g_table(2.0, a.grid.points())
-    gauge_transform(a, 2.0, theta)
-    assert len(names) == 3
-
-
-@pytest.mark.parametrize("block", [0, 2])
-@pytest.mark.parametrize("fn", ["_table_columns", "_gauge_columns"])
-def test_a_column_block_error_reaches_the_caller(monkeypatch, fn, block):
-    # block 0 runs on the calling thread, block 2 on a thread of its own
-    monkeypatch.setattr(blocks, "WORKERS", 3)
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
-    inner, seen = getattr(gfunc, fn), []
-
-    def failing(*args):
-        seen.append(threading.active_count())
-        if args[-1].start == 32 * block // 3:
-            raise RuntimeError("column block failed")
-        inner(*args)
-
-    monkeypatch.setattr(gfunc, fn, failing)
-    a, theta = gauge_probe()
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="column block failed"):
-        if fn == "_table_columns":
-            compute_g_table(2.0, a.grid.points())
-        else:
-            gauge_transform(a, 2.0, theta)
-    assert threading.active_count() == before
-    assert len(seen) == 3 and max(seen) > before
