@@ -24,10 +24,12 @@ compute_g_table returns that closed form. The table obeys, identically in tau:
     A = -i g_(0,1) real,  Re g_(0,2) = -g_(1,1)
 
 and the kernel's y-expansion at fixed z is generated by the one-sided column:
-K = sum_n g_(0,n) y^n / n! + O(y^{N+1}). verify_g_identities checks these
-and, as the one check independent of the closed form, compares the table
-with a trapezoid q-quadrature of the overlaps at its first, middle and last
-tau.
+K = sum_n g_(0,n) y^n / n! + O(y^{N+1}). verify_g_identities checks these;
+the table against a trapezoid q-quadrature of the overlaps at its first,
+middle and last tau (the one check independent of the closed form); the
+table rebuilt from its one-sided column; and dK/dy = i A = 0 at y = 0.
+gauge_transform adds the two gauge rows from the separable form
+|phi(q, tau)| = phi0(q), without sampling phi on the (q, tau) grid.
 """
 
 from __future__ import annotations
@@ -138,9 +140,10 @@ class IdentityReport:
 
 
 def verify_g_identities(table: GFunctionTable) -> list[IdentityReport]:
-    """Residuals of the structural identities and of the table against the
-    q-quadrature at its first, middle and last tau; all should sit at
-    round-off for the Gaussian family, below THRESHOLD."""
+    """Residuals of the structural identities, of the table against the
+    q-quadrature at its first, middle and last tau, of the table rebuilt from
+    its one-sided column, and of the kernel's y-derivative at y = 0; all
+    should sit at round-off for the Gaussian family, below THRESHOLD."""
     out: list[IdentityReport] = []
     g = table.entries
 
@@ -182,6 +185,14 @@ def verify_g_identities(table: GFunctionTable) -> list[IdentityReport]:
         "table against q-quadrature",
         max(float(np.max(np.abs(g[k][picked] - row))) for k, row in zip(_PAIRS, quad)),
         THRESHOLD))
+
+    rebuilt = reconstruct_from_column(table)
+    out.append(IdentityReport(
+        "reconstruction from one-sided column",
+        max(float(np.max(np.abs(rebuilt[k] - g[k]))) for k in g), THRESHOLD))
+    out.append(IdentityReport(
+        "kernel y-derivative at zero gauge potential",
+        abs(kernel_from_k_derivative(table.gamma_k, tau0=0.0)), THRESHOLD))
     return out
 
 
@@ -205,40 +216,34 @@ def kernel_from_k_derivative(gamma_k: float, tau0: float) -> complex:
     return complex((kp - km) / (2.0 * h))
 
 
-@dataclass
-class GaugeReport:
-    max_psi_deviation: float
-    max_gauge_law_residual: float
-    potential_before: np.ndarray
-    potential_after: np.ndarray
-
-
 def gauge_transform(a: ComplexField1D, gamma_k: float,
-                    theta: np.ndarray) -> tuple[ComplexField1D, GaugeReport]:
+                    theta: np.ndarray) -> tuple[ComplexField1D, list[IdentityReport]]:
     """Apply a -> a e^{i theta}, phi -> phi e^{-i theta} and report the gauge
     checks: the product a(tau) phi(q, tau) must be pointwise invariant, and the
     induced potential must shift by -d(theta)/d tau.
 
-    theta is sampled on a's tau grid; its derivative is taken with np.gradient
-    (exact for the linear phases used as oracles, second order otherwise).
+    As |phi(q, tau)| = phi0(q), the product's deviation is max_q |phi| times
+    max_tau |a_new e^{-i theta} - a|, and the potentials come from the
+    q-quadrature g_(0,0) and g_(0,1) at one tau: A = Re(-i g_(0,1)) before and
+    Re(-i (g_(0,1) - i theta' g_(0,0))) after, by the product rule. theta' is
+    np.gradient of theta on a's tau grid (exact for linear phases).
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != a.values.shape:
         raise InvalidParameterError("theta", "must match the tau grid of a")
     phase = np.exp(1j * theta)
-
     a_new = ComplexField1D(a.values * phase, a.grid, a.t)
     theta_dot = np.gradient(theta, a.grid.spacing)
 
-    phi = sample_phi(gamma_k, a.grid.points())
-    phi_new = phi * np.conj(phase)
-    dev = float(np.max(np.abs(a_new.values * phi_new - a.values * phi)))
-
-    # induced potential from the transformed modes: analytic product rule
-    dphi = _dphi(gamma_k, phi, 1)
-    dphi_new = (dphi - 1j * theta_dot * phi) * np.conj(phase)
-    pot_before = np.real(-1j * _quad(np.conj(phi) * dphi))
-    pot_after = np.real(-1j * _quad(np.conj(phi_new) * dphi_new))
+    tau0 = a.grid.points()[:1]
+    phi0 = float(np.max(np.abs(sample_phi(gamma_k, tau0))))
+    dev = phi0 * float(np.max(np.abs(a_new.values * np.conj(phase) - a.values)))
+    g = dict(zip(_PAIRS, quadrature_entries(gamma_k, tau0)[:, 0]))
+    pot_before = np.real(-1j * g[(0, 1)])
+    pot_after = np.real(-1j * (g[(0, 1)] - 1j * theta_dot * g[(0, 0)]))
     law = float(np.max(np.abs(pot_after - (pot_before - theta_dot))))
-
-    return a_new, GaugeReport(dev, law, pot_before, pot_after)
+    return a_new, [
+        # |e^{i theta}|^2 - 1 is round-off, so the product holds to 1e-12
+        IdentityReport("gauge invariance of the joint product", dev, 1e-12),
+        IdentityReport("gauge potential shift law", law, THRESHOLD),
+    ]

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from decwt import gfunc
 from decwt.fields import ComplexField1D, GridSpec1D, GridSpec2D
 from decwt.gaussian import (
     GaussianParams,
@@ -280,7 +281,7 @@ def test_ac5_linear_coupling_model_quality():
         f"both presets, but gave {decade_text(control)} (moderate/strong)")
 
 
-def test_ac6_structural_identities():
+def test_ac6_structural_identities(monkeypatch):
     bundle = preset_bundle("moderate")
     s = bundle.scenario
     t_b = characteristic_time(s)
@@ -301,8 +302,23 @@ def test_ac6_structural_identities():
     pts = probe_grid.points()
     probe = ComplexField1D(np.exp(-s.alpha0 * pts * pts).astype(complex),
                            probe_grid, t=0.0)
-    _, rep = gauge_transform(probe, gamma_k, 0.3 * pts)
-    gauge_dev = max(rep.max_psi_deviation, rep.max_gauge_law_residual)
+    _, gauge = gauge_transform(probe, gamma_k, 0.3 * pts)
+    gauge_dev = max(r.residual for r in gauge)
+
+    # negative control: a q-quadrature g_(0,0) off by 1e-6 breaks the shift
+    # law by theta' * 1e-6. The invariance row has no control: it measures
+    # the round-off of |e^{i theta}|^2 - 1 and uses no g-entry.
+    quad = gfunc.quadrature_entries
+
+    def g00_off(gamma_k, tau):
+        rows = quad(gamma_k, tau)
+        rows[0] += 1e-6  # the table's first key, (0, 0)
+        return rows
+
+    monkeypatch.setattr(gfunc, "quadrature_entries", g00_off)
+    _, gauge_off = gauge_transform(probe, gamma_k, 0.3 * pts)
+    monkeypatch.undo()
+    gauge_caught = [r.name for r in gauge_off if not r.passed]
 
     z = np.linspace(-3.0, 3.0, 64)
     params_fn = lambda t: params_exact(g, s, t)
@@ -311,18 +327,21 @@ def test_ac6_structural_identities():
     control_ok = math.isclose(control, 2.0 * s.lam, rel_tol=1e-3)
 
     ok = (all(r.passed for r in reports) and worst_identity < 1e-8 and caught
-          and gauge_dev < 1e-12 and worst_q < 1e-6 and control_ok)
+          and gauge_dev < 1e-12 and gauge_caught and worst_q < 1e-6 and control_ok)
     verdict("AC6 structural identities", ok,
             f"overlap identities {worst_identity:.1e}, perturbed g_(1,1) fails "
             f"{len(caught)} of {len(reports)}, gauge residual "
-            f"{gauge_dev:.1e}, hierarchy orders 0-2 residual {worst_q:.1e}, "
+            f"{gauge_dev:.1e}, perturbed g_(0,0) fails the shift law, "
+            f"hierarchy orders 0-2 residual {worst_q:.1e}, "
             f"no-source control {control:.6f} = 2*lam")
     assert all(r.passed for r in reports)
     assert worst_identity < 1e-8
     assert caught == ["recursion d g_(n,m) = g_(n+1,m) + g_(n,m+1)",
                       "binomial sums over each diagonal", "Re g_(0,2) = -g_(1,1)",
-                      "table against q-quadrature"]
+                      "table against q-quadrature",
+                      "reconstruction from one-sided column"]
     assert gauge_dev < 1e-12
+    assert gauge_caught == ["gauge potential shift law"]
     assert worst_q < 1e-6
     assert control_ok
 

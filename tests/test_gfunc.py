@@ -8,11 +8,13 @@ sqrt(gamma_k). Its low-order entries, the pair overlap and the gauge checks
 are checked against the hand values, and the q-quadrature of the overlaps,
 which does not use the closed form, against the table at every tau.
 """
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from decwt import cli
 from decwt.fields import ComplexField1D
 from decwt.gfunc import (
     Q_GRID,
@@ -41,7 +43,7 @@ def test_phi_unit_norm_in_q():
 def test_identities_hold_at_quadrature_precision():
     table = compute_g_table(2.0, tau_grid())
     reports = verify_g_identities(table)
-    assert len(reports) == 7
+    assert len(reports) == 9
     for r in reports:
         assert r.passed, f"{r.name}: {r.residual}"
         assert r.residual < 1e-12, f"{r.name}: {r.residual}"
@@ -101,25 +103,25 @@ def test_reconstruction_from_one_sided_column():
     assert worst < 1e-8
 
 
-def test_gauge_invariance_of_the_product():
+@pytest.mark.parametrize("theta_of", [
+    lambda tau: 0.3 * tau,
+    lambda tau: 0.3 * tau + 0.2 * np.sin(tau),
+    lambda tau: 5.0 * np.cos(2.0 * tau),
+], ids=["linear", "linear+sin", "5cos2tau"])
+@pytest.mark.parametrize("gamma_k", [0.0, 0.37, 2.5])
+def test_gauge_invariance_of_the_product(gamma_k, theta_of):
+    # the shift law holds for any theta: it is checked against the same
+    # np.gradient theta' that the product rule uses
     grid = GridSpec1D(n_points=256, extent=4.0)
     tau = grid.points()
     a = ComplexField1D(np.exp(-0.25 * tau * tau).astype(complex), grid, t=0.0)
-    theta = 0.3 * tau
-    a_new, rep = gauge_transform(a, 2.0, theta)
-    assert rep.max_psi_deviation < 1e-12
-    assert rep.max_gauge_law_residual < 1e-12
-    assert np.allclose(a_new.values, a.values * np.exp(1j * theta))
-
-
-def test_gauge_potential_shift_sign():
-    # theta = 0.3 tau shifts A by -0.3
-    grid = GridSpec1D(n_points=256, extent=4.0)
-    tau = grid.points()
-    a = ComplexField1D(np.exp(-0.25 * tau * tau).astype(complex), grid, t=0.0)
-    _, rep = gauge_transform(a, 2.0, 0.3 * tau)
-    assert np.max(np.abs(rep.potential_before)) < 1e-12
-    assert np.allclose(rep.potential_after, -0.3, atol=1e-10)
+    theta = theta_of(tau)
+    a_new, reports = gauge_transform(a, gamma_k, theta)
+    assert [r.name for r in reports] == ["gauge invariance of the joint product",
+                                         "gauge potential shift law"]
+    for r in reports:
+        assert r.passed and r.residual < 1e-13, f"{r.name}: {r.residual}"
+    assert np.array_equal(a_new.values, a.values * np.exp(1j * theta))
 
 
 def test_gauge_theta_shape_checked():
@@ -148,3 +150,15 @@ def test_zero_curvature_family_is_static():
     # gamma_k = 0 removes the phase entirely: K = 1 everywhere
     K = compute_K(0.0, np.array([-2.0, 1.0]), np.array([0.5]))
     assert np.allclose(K, 1.0, atol=1e-12)
+
+
+def test_gfunc_csv_rows_are_verify_first_nine(tmp_path, capsys):
+    # both commands print the one list of verify_g_identities
+    assert cli.main(["run", "--routes", "gfunc", "--outdir", str(tmp_path)]) == 0
+    with open(tmp_path / "gfunc.csv", newline="") as fh:
+        csv_names = [row["name"] for row in csv.DictReader(fh)]
+    capsys.readouterr()
+    assert cli.main(["verify"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:10]
+    assert len(csv_names) == 9
+    assert [row.split("  ")[0] for row in rows] == csv_names
