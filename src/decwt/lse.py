@@ -33,7 +33,7 @@ Buffers. A segment allocates its work arrays once, one real and two
 complex, and the field moves between the complex two, so the input field is
 left as it is and each segment returns an array of its own. The stepper runs
 on the calling thread: its arrays hold one tau axis, far below a row block's
-work minimum (decwt.blocks).
+work minimum (master_eq.MIN_BLOCK_WORK).
 
 Residual. marginalme_residual checks the marginal equation of motion on
 rho_m = a conj(a)^T. Its lhs - rhs is a sum of six outer products

@@ -36,28 +36,32 @@ real space. A copy left after step j is thus the j-step segment's result
 bit for bit. No rfft/irfft pair is used: irfft projects the Nyquist row onto
 its Hermitian part, a change of scheme rather than round-off.
 
-Threads. Every full-grid pass of a run splits its rows into the row blocks
-of decwt.blocks, one per CPU the process may run on but none with too little
-work to pay for its thread, and runs each block on a thread of its own. The
-passes are the Gaussian initial state and its division by the trace, by y
-rows; the open of a multi-step segment, whose decay half-step and z-FFT act
-along y rows; the interior; and the close and each copy (_to_real), whose
-mirror rebuild and z-iFFT act along y rows of the real-space array. Between
-the open and the close, every k_z row of the half spectrum evolves on its
-own: the kinetic multiplier is diagonal, the decay factor acts along the row
-and the y-transforms run along it, so each block runs its y-FFT and interior
-steps in place and the blocks never meet inside a run of steps. Worker
-threads allocate no array of the grid's size: each block writes with out=
-into arrays the calling thread allocated, since every thread's malloc arena
-keeps what it frees and the process would grow. The gain has been measured
-on 2 cores only.
+Threads. Every full-grid pass of a segment splits its rows into contiguous
+blocks (row_blocks), one per CPU the process may run on but none with less
+than MIN_BLOCK_WORK points times steps to do, one pass counting as one step:
+a thread's start and join cost about 1e4 point-steps (0.2 ms against 22 ns
+per point-step at 512^2 on a 2-vCPU Xeon), and a block carries ten times
+that. run_blocks runs each block on a thread of its own; numpy's FFT and
+ufunc loops release the GIL. The passes are the open of a multi-step
+segment, whose decay half-step and z-FFT act along y rows; the interior;
+and the close and each copy (_to_real), whose mirror rebuild and z-iFFT act
+along y rows of the real-space array. Between the open and the close, every
+k_z row of the half spectrum evolves on its own: the kinetic multiplier is
+diagonal, the decay factor acts along the row and the y-transforms run along
+it, so each block runs its y-FFT and interior steps in place and the blocks
+never meet inside a run of steps. Worker threads allocate no array of the
+grid's size: each block writes with out= into arrays the calling thread
+allocated, since every thread's malloc arena keeps what it frees and the
+process would grow. A block function calls private helpers, never the public
+decwt functions that a profiler may wrap with a single-threaded span stack.
+The gain has been measured on 2 cores only.
 A segment with copies to leave runs in stretches that end at each such step:
 the blocks join there, the copy is made from the joined rows, and the next
 stretch goes on from them. Each element sees the same operations on the same
-operands whatever the block it falls in, so the initial state, the segment,
-its copies and every output byte do not depend on the number of blocks.
-_sample, which reads |rho| once for the leak and the purity, runs on the
-calling thread.
+operands whatever the block it falls in, so the segment, its copies and
+every output byte do not depend on the number of blocks. The initial state
+(init_gaussian_rho, one outer product) and _sample, which reads |rho| once
+for the leak and the purity, run on the calling thread.
 
 Resume contract. Segments end only at sample steps and at the final step,
 and the field leaves a segment C-contiguous (the observables sum in memory
@@ -72,12 +76,13 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 
 import numpy as np
 
-from .blocks import row_blocks, run_blocks
 from .fields import ComplexField2D
-from .gaussian import GaussianParams, build_cubic, density_matrix_rows, eval_G, sigma_profile
+from .gaussian import GaussianParams, build_cubic, eval_G, sigma_profile
 from .marginal_dynamics import IntegrationError, sample_grid
 from .observables import (
     ObservableSample,
@@ -86,10 +91,13 @@ from .observables import (
     purity,
     trace_of,
 )
-from .scenario import GridSpec2D, NumericsSpec, Scenario
+from .scenario import GridSpec2D, InvalidParameterError, NumericsSpec, Scenario
 
 ALIAS_THRESHOLD = 1e-6  # boundary amplitude relative to the peak
 HERMITICITY_BOUND = 1e-9  # hermiticity_defect of an acceptable input field
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+MIN_BLOCK_WORK = 1 << 17  # array points times steps per row block
 
 
 class GridSizeError(ValueError):
@@ -97,25 +105,58 @@ class GridSizeError(ValueError):
 
 
 def init_gaussian_rho(p: GaussianParams, grid: GridSpec2D) -> ComplexField2D:
-    """Gaussian initial condition at t = 0, trace-normalized on the grid.
+    """Unchirped Gaussian initial condition at t = 0, trace-normalized on the grid.
 
-    Refuses grids narrower than six standard deviations per axis; the closed
-    form says sigma_y = 1/sqrt(alpha+gamma) and sigma_z = 1/sqrt(alpha).
+    One outer product on the calling thread: exp(-(alpha+gamma) y^2/2) times
+    ez = exp(-alpha z^2/2) over the trace 0.5 sum(ez) dz (y = 0 is row
+    n_y // 2; delta cancels). Refuses a chirped state (beta != 0), which does
+    not factorise, and grids narrower than six standard deviations per axis,
+    sigma_y = 1/sqrt(alpha+gamma) and sigma_z = 1/sqrt(alpha).
     """
+    if p.beta != 0.0:
+        raise InvalidParameterError("beta", "must be 0: a chirped state does not factorise")
     sig_y, sig_z = sigma_profile(p)
     if grid.extent_y < 6.0 * sig_y or grid.extent_z < 6.0 * sig_z:
         raise GridSizeError(
             f"grid extents ({grid.extent_y:g}, {grid.extent_z:g}) below the "
             f"6-sigma minimum ({6.0 * sig_y:g}, {6.0 * sig_z:g})"
         )
-    # gaussian.density_matrix_exact and its division by the trace, by rows
+    y, z = grid.axis_y.points(), grid.axis_z.points()
+    ez = np.exp(-0.5 * p.alpha * z * z)
+    ez /= 0.5 * np.sum(ez) * grid.axis_z.spacing
     v = np.empty((grid.n_y, grid.n_z), dtype=np.complex128)
-    expo, blocks = np.empty(v.shape), row_blocks(grid.n_y, v.size)
-    run_blocks(density_matrix_rows, [(p, grid, v, expo, r) for r in blocks])
-    f = ComplexField2D(v, grid, 0.0)
-    tr = trace_of(f).real
-    run_blocks(np.true_divide, [(v[r], tr, v[r]) for r in blocks])
-    return f
+    np.multiply(np.exp(-0.5 * (p.alpha + p.gamma) * y * y)[:, None], ez, out=v)
+    return ComplexField2D(v, grid, 0.0)
+
+
+def row_blocks(rows: int, work: int) -> list[slice]:
+    """Contiguous blocks of rows for a pass of work points times steps: one
+    per CPU this process may run on, none empty, and none with less than
+    MIN_BLOCK_WORK to do."""
+    nb = max(1, min(WORKERS, rows, work // MIN_BLOCK_WORK))
+    return [slice(rows * i // nb, rows * (i + 1) // nb) for i in range(nb)]
+
+
+def run_blocks(fn, jobs) -> None:
+    """fn(*job) for each job, the first on the calling thread and the rest on
+    one thread each; returns when all have finished, re-raising the first
+    error."""
+    errors = []
+
+    def guarded(job):
+        try:
+            fn(*job)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(job,)) for job in jobs[1:]]
+    for t in threads:
+        t.start()
+    guarded(jobs[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 class MasterEqStepper:

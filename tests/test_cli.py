@@ -336,8 +336,8 @@ def test_verify_fails_on_coarse_dt(tmp_path, capsys):
 
 @pytest.mark.parametrize("b", [
     pytest.param("0.15", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 13: at dt = 1e-3 the 8-step floor"
-                            " outruns the horizon 0.1 * 2 b^2")),
+        strict=True, reason="ROADMAP item 13: dt = 1e-3 is too coarse for the"
+                            " spreading time 2 b^2 = 0.045; it passes at dt = 5e-4")),
     "0.2", "0.25", "0.5", "0.75", "1", "3", "10"])
 @pytest.mark.parametrize("lam", ["1", "10"])
 def test_verify_passes_off_preset(tmp_path, capsys, lam, b):
@@ -406,14 +406,14 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
 
 
 def test_master_eq_artifacts_do_not_depend_on_the_core_count(tmp_path, monkeypatch):
-    # init, open, interior and close split their rows over threads, one
-    # block per core; every output byte must be the same for any count
-    from decwt import blocks
+    # open, interior and close split their rows over threads, one block
+    # per core; every output byte must be the same for any count
+    from decwt import master_eq
     cfg = write_cfg(tmp_path, SMALL_CFG.replace("sample_every = 10", "sample_every = 5"))
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(master_eq, "MIN_BLOCK_WORK", 1)
     outs = []
     for workers in (1, 3):
-        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(master_eq, "WORKERS", workers)
         out = tmp_path / f"w{workers}"
         assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
                          "--checkpoint-every", "3", "--outdir", str(out)]) == 0

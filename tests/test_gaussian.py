@@ -225,9 +225,9 @@ def test_density_matrix_gamma_doubling_halves_y_variance():
 
 
 def test_density_matrix_is_its_one_expression_bit_for_bit():
-    # density_matrix_exact fills rows with out= so master_eq can split them
-    # over threads; each element must still see the expression's operations
-    # in its order (beta and gamma nonzero, so every term shows)
+    # density_matrix_exact is the closed form's one expression, the tests'
+    # reference for master_eq.init_gaussian_rho's outer product (beta and
+    # gamma nonzero, so every term shows)
     p = GaussianParams(alpha=0.5, beta=0.3, gamma=0.2, delta=-0.7)
     grid = GridSpec2D(n_y=32, n_z=64, extent_y=14.0, extent_z=11.0)
     y = grid.axis_y.points()[:, None]

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from decwt import blocks, master_eq
+from decwt import master_eq
 from decwt.fields import ComplexField2D, load_field_2d, save_field_2d
 from decwt.gaussian import GaussianParams, build_cubic, density_matrix_exact, params_exact
 from decwt.marginal_dynamics import IntegrationError
@@ -23,7 +23,7 @@ from decwt.master_eq import (
     suggest_extents,
 )
 from decwt.observables import hermiticity_defect, purity, trace_of
-from decwt.scenario import GridSpec2D, NumericsSpec, Scenario
+from decwt.scenario import GridSpec2D, InvalidParameterError, NumericsSpec, Scenario, preset_bundle
 
 
 def moderate():
@@ -313,11 +313,11 @@ def test_segment_does_not_depend_on_the_worker_count(monkeypatch, scenario,
     s = scenario()
     f, grid = initial_state(s, n=n_y, n_z=n_z)
     stepper = MasterEqStepper(s, grid, 1e-3)
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(master_eq, "MIN_BLOCK_WORK", 1)
     leave_at = sorted({1, min(20, n // 2), n - 1})
     runs = []
     for workers in (1, 2, 3, 16):
-        monkeypatch.setattr(blocks, "WORKERS", workers)
+        monkeypatch.setattr(master_eq, "WORKERS", workers)
         left = {}
         out = stepper.step(f, n, leave=lambda j, c: left.setdefault(j, c),
                            leave_at=leave_at)
@@ -329,7 +329,7 @@ def test_segment_does_not_depend_on_the_worker_count(monkeypatch, scenario,
 def test_small_stretches_run_on_the_calling_thread(monkeypatch):
     # a block must carry enough work to pay for its thread: the one-step
     # stretches that copies every step make start no thread at all
-    monkeypatch.setattr(blocks, "WORKERS", 4)
+    monkeypatch.setattr(master_eq, "WORKERS", 4)
     s = moderate()
     f, grid = initial_state(s, n=64)
     stepper, names = MasterEqStepper(s, grid, 1e-3), set()
@@ -341,7 +341,7 @@ def test_small_stretches_run_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(MasterEqStepper, "_stretch", watched)
     # two steps of all 33 rows of the 64 x 64 half per block
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 2 * 33 * 64)
+    monkeypatch.setattr(master_eq, "MIN_BLOCK_WORK", 2 * 33 * 64)
     stepper.step(f, 5, leave=lambda j, c: None, leave_at=(1, 2, 3, 4))
     assert names == {threading.current_thread().name}
     stepper.step(f, 8)  # one stretch of eight steps: four blocks
@@ -352,8 +352,8 @@ def test_small_stretches_run_on_the_calling_thread(monkeypatch):
 def test_no_thread_outlives_a_segment(monkeypatch, failing):
     # three row blocks on the 33 rows of a 64 x 64 half spectrum; the
     # checkpoints split segments into stretches, each joined on its own
-    monkeypatch.setattr(blocks, "WORKERS", 3)
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(master_eq, "WORKERS", 3)
+    monkeypatch.setattr(master_eq, "MIN_BLOCK_WORK", 1)
     stretch, seen = MasterEqStepper._stretch, []
 
     def watched(self, w, r, j0, j1):
@@ -376,29 +376,40 @@ def test_no_thread_outlives_a_segment(monkeypatch, failing):
     assert max(seen) > before  # the blocks did run on threads of their own
 
 
-def mixed_params():
-    # beta and gamma nonzero, so every term of the closed form shows
-    return GaussianParams(alpha=0.5, beta=0.3, gamma=0.2, delta=-0.7)
-
-
 @pytest.mark.parametrize("n_y, n_z", [(32, 64), (64, 32)])
-def test_init_is_the_closed_form_over_its_trace_for_any_worker_count(
-        monkeypatch, n_y, n_z):
-    p = mixed_params()
+def test_init_is_the_closed_form_over_its_trace(n_y, n_z):
+    # the outer product ey ez over 0.5 sum(ez) dz is the unchirped closed
+    # form over its trace, up to round-off
     grid = GridSpec2D(n_y=n_y, n_z=n_z, extent_y=14.0, extent_z=11.0)
-    want = density_matrix_exact(p, grid)
-    want.values /= trace_of(want).real
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
-    for workers in (1, 2, 3, 16):
-        monkeypatch.setattr(blocks, "WORKERS", workers)
-        got = init_gaussian_rho(p, grid)
-        assert got.values.tobytes() == want.values.tobytes(), workers
+    for gamma in (0.0, 0.2):
+        p = GaussianParams(alpha=0.5, beta=0.0, gamma=gamma, delta=-0.7)
+        want = density_matrix_exact(p, grid).values
+        want /= trace_of(ComplexField2D(want, grid, 0.0)).real
+        got = init_gaussian_rho(p, grid).values
+        peak = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-15 * peak, gamma
+
+
+def test_init_refuses_a_chirped_state():
+    # a chirped state, beta != 0, does not factorise into ey ez
+    p = GaussianParams(alpha=0.5, beta=0.3, gamma=0.2, delta=-0.7)
+    grid = GridSpec2D(n_y=32, n_z=64, extent_y=14.0, extent_z=11.0)
+    with pytest.raises(InvalidParameterError, match="beta"):
+        init_gaussian_rho(p, grid)
+
+
+@pytest.mark.parametrize("preset", ["moderate", "strong"])
+def test_init_trace_is_one_on_the_preset_grid(preset):
+    bundle = preset_bundle(preset)
+    f = init_gaussian_rho(pure_params(bundle.scenario.alpha0), bundle.grid)
+    assert abs(trace_of(f) - 1.0) <= 1e-15
 
 
 def test_init_open_and_close_run_on_threads_of_their_own(monkeypatch):
-    # every full-grid pass of a run goes through run_blocks in row blocks
-    monkeypatch.setattr(blocks, "WORKERS", 3)
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
+    # every full-grid pass of a segment goes through run_blocks in row
+    # blocks; the initial state is one outer product on the calling thread
+    monkeypatch.setattr(master_eq, "WORKERS", 3)
+    monkeypatch.setattr(master_eq, "MIN_BLOCK_WORK", 1)
     run_blocks, names = master_eq.run_blocks, {}
 
     def watched(fn, jobs):  # the threads of each call, by the function run
@@ -414,8 +425,7 @@ def test_init_open_and_close_run_on_threads_of_their_own(monkeypatch):
     s = moderate()
     f, grid = initial_state(s, n=32, n_z=64)
     MasterEqStepper(s, grid, 1e-3).step(f, 4, leave=lambda j, c: None, leave_at=(2,))
-    calls = {"density_matrix_rows": 1, "divide": 1, "_open_rows": 1,
-             "_close_rows": 2, "_stretch": 2}  # a copy at step 2, then the close
+    calls = {"_open_rows": 1, "_close_rows": 2, "_stretch": 2}  # a copy at step 2, then the close
     assert {fn: len(c) for fn, c in names.items()} == calls
     assert all(len(call) == 3 for c in names.values() for call in c)
 
@@ -424,8 +434,8 @@ def test_init_open_and_close_run_on_threads_of_their_own(monkeypatch):
 @pytest.mark.parametrize("stage", ["_open_rows", "_close_rows"])
 def test_an_open_or_close_block_error_reaches_the_caller(monkeypatch, stage, block):
     # block 0 runs on the calling thread, block 2 on a thread of its own
-    monkeypatch.setattr(blocks, "WORKERS", 3)
-    monkeypatch.setattr(blocks, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(master_eq, "WORKERS", 3)
+    monkeypatch.setattr(master_eq, "MIN_BLOCK_WORK", 1)
     s = moderate()
     f, grid = initial_state(s, n=64)
     stepper, fn, seen = MasterEqStepper(s, grid, 1e-3), getattr(master_eq, stage), []
