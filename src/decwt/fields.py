@@ -69,7 +69,7 @@ def save_field_2d(path, f: ComplexField2D) -> None:
     g = f.grid
     with atomic_open(path, "wb") as fh:
         fh.write(_HDR2.pack(g.n_y, g.n_z, g.extent_y, g.extent_z, f.t))
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<c16").data)  # no copy
 
 
 def load_field_2d(path) -> ComplexField2D:

@@ -63,6 +63,11 @@ every output byte do not depend on the number of blocks. The initial state
 (init_gaussian_rho, one outer product) and _sample, which reads |rho| once
 for the leak and the purity, run on the calling thread.
 
+Buffers. A one-step segment works in one complex (y, z) array that its
+stepper allocates on first use, so the only full-grid array it allocates is
+the field that ifft2 returns and the step hands out. evolve_master_eq
+allocates one float (y, z) array per run, which every sample's |rho| reuses.
+
 Resume contract. Segments end only at sample steps and at the final step,
 and the field leaves a segment C-contiguous (the observables sum in memory
 order). A checkpoint taken at a sample step is a segment boundary, so a run
@@ -180,13 +185,18 @@ class MasterEqStepper:
         ky = grid.axis_y.wavenumbers()[None, :]
         kz = grid.axis_z.wavenumbers()[:grid.n_z // 2 + 1, None]
         # operands in _kinetic's order, so each entry is the same product
-        self._kinetic_t = np.exp(self._rate * ky * kz * dt)
+        self._kinetic_t = _phase(self._rate * ky, kz, dt)
 
     @functools.cached_property
     def _kinetic(self) -> np.ndarray:
         ky = self._grid.axis_y.wavenumbers()[:, None]
         kz = self._grid.axis_z.wavenumbers()[None, :]
-        return np.exp(self._rate * ky * kz * self.dt)
+        return _phase(self._rate * ky, kz, self.dt)
+
+    @functools.cached_property
+    def _work(self) -> np.ndarray:
+        """The one-step segment's (y, z) work array, reused by every call."""
+        return np.empty((self._grid.n_y, self._grid.n_z), dtype=np.complex128)
 
     def step(self, f: ComplexField2D, n: int = 1, leave=None,
              leave_at=()) -> ComplexField2D:
@@ -199,9 +209,11 @@ class MasterEqStepper:
             raise ValueError("n must be >= 1")
         dh = self._decay_half
         if n == 1:
-            v = np.fft.fft2(f.values * dh[:, None])
-            v *= self._kinetic
-            v = np.fft.ifft2(v)
+            w = self._work
+            np.multiply(f.values, dh[:, None], out=w)
+            np.fft.fft2(w, out=w)
+            w *= self._kinetic
+            v = np.fft.ifft2(w)  # a new array: numpy 2.4's ifft2 ignores out=
             v *= dh[:, None]
             return ComplexField2D(v, f.grid, f.t + self.dt)
         # fft2's two transforms in its order: z on the contiguous axis, then
@@ -235,6 +247,13 @@ class MasterEqStepper:
             np.fft.fft(b, axis=1, out=b)  # out= needs numpy >= 2.0
             b *= kin
             np.fft.ifft(b, axis=1, out=b)
+
+
+def _phase(rate_ky: np.ndarray, kz: np.ndarray, dt: float) -> np.ndarray:
+    """exp(((rate k_y) k_z) dt) evaluated in one array."""
+    k = rate_ky * kz
+    k *= dt
+    return np.exp(k, out=k)
 
 
 def _open_rows(v: np.ndarray, dh: np.ndarray, o: np.ndarray, w: np.ndarray,
@@ -289,8 +308,10 @@ def boundary_leak(amp: np.ndarray) -> float:
     return edges / peak
 
 
-def _sample(f: ComplexField2D) -> ObservableSample:
-    amp = np.abs(f.values)  # one pass for the leak and, squared, the purity
+def _sample(f: ComplexField2D, amp: np.ndarray) -> ObservableSample:
+    """The observables of f; amp, a float (y, z) array, takes |rho| once for
+    the leak and, squared in place, the purity."""
+    np.abs(f.values, out=amp)
     leak = boundary_leak(amp)
     return ObservableSample(
         t=f.t,
@@ -335,9 +356,10 @@ def evolve_master_eq(
         raise ValueError("checkpoint_every must be >= 0")
     stepper = MasterEqStepper(s, f.grid, numerics.dt)
     ks = sample_grid(f.t, numerics.t_end, numerics.dt, numerics.sample_every)
+    amp = np.empty((f.grid.n_y, f.grid.n_z))  # every sample's |rho|
 
     def observe(fld: ComplexField2D) -> ObservableSample:
-        smp = _sample(fld)
+        smp = _sample(fld, amp)
         for obs in observers or ():
             obs(fld)
         return smp

@@ -21,6 +21,14 @@ from .scenario import InvalidParameterError, Scenario
 
 FIT_WINDOW = 9  # points in every curvature fit, odd
 
+# Least-squares quadratic through FIT_WINDOW equally spaced values, k = -4..4
+# around the middle point (Savitzky & Golay, Anal. Chem. 36, 1627 (1964)):
+# slope = sum k v_k / (60 h), curvature = 2 sum (k^2 - 20/3) v_k / (308 h^2).
+_K = np.arange(FIT_WINDOW, dtype=float) - FIT_WINDOW // 2
+_SLOPE = _K / np.dot(_K, _K)
+_K2 = _K * _K - np.mean(_K * _K)
+_CURVATURE = 2.0 * _K2 / np.dot(_K2, _K2)
+
 
 @dataclass(kw_only=True)
 class ObservableSample:
@@ -65,15 +73,20 @@ def hermiticity_defect(f: ComplexField2D) -> float:
     return float(np.max(np.abs(refl - np.conj(f.values))) / denom)
 
 
-def _curvature_fit(x: np.ndarray, vals: np.ndarray, center: int) -> tuple[float, float]:
-    """Quadratic fit of vals around index center; returns (curvature, linear coef)."""
+def _fit_window(n: int, center: int) -> slice:
+    """The FIT_WINDOW indices around center, refused if they leave the
+    n-point grid."""
     half = FIT_WINDOW // 2
-    lo, hi = center - half, center + half + 1
-    if lo < 0 or hi > len(vals):
+    if center < half or center + half >= n:
         raise InvalidParameterError("grid", f"the {FIT_WINDOW}-point fit window around index"
-                                            f" {center} leaves the {len(vals)}-point grid")
-    coeff = np.polyfit(x[lo:hi] - x[center], vals[lo:hi], 2)
-    return 2.0 * float(coeff[0]), float(coeff[1])
+                                            f" {center} leaves the {n}-point grid")
+    return slice(center - half, center + half + 1)
+
+
+def _curvature_fit(vals: np.ndarray, h: float) -> tuple[float, float]:
+    """Quadratic fit of the FIT_WINDOW values vals, spaced h, at their middle
+    point; returns (curvature, linear coef)."""
+    return float(np.dot(_CURVATURE, vals)) / (h * h), float(np.dot(_SLOPE, vals)) / h
 
 
 def coherence_from_rho(f: ComplexField2D) -> float:
@@ -82,12 +95,10 @@ def coherence_from_rho(f: ComplexField2D) -> float:
     g = f.grid
     iy0 = g.n_y // 2
     iz_peak = int(np.argmax(np.abs(f.values[iy0, :])))
-    half = FIT_WINDOW // 2
-    window = slice(iy0 - half, iy0 + half + 1)
-    cut = np.abs(f.values[window, iz_peak])
+    cut = np.abs(f.values[_fit_window(g.n_y, iy0), iz_peak])
     if np.min(cut) <= 0.0:
         raise InvalidParameterError("rho", "vanishing amplitude inside the fit window")
-    c, _ = _curvature_fit(g.axis_y.points()[window], -np.log(cut), half)
+    c, _ = _curvature_fit(-np.log(cut), g.axis_y.spacing)
     if c <= 0.0:
         raise InvalidParameterError("rho", f"non-convex log profile (curvature {c:g})")
     return 1.0 / math.sqrt(c)
@@ -122,14 +133,13 @@ def fit_gaussian_alpha_beta(a: ComplexField1D) -> tuple[float, float]:
     curvature of the phase relative to the peak (phase taken as
     angle(a / a_peak) so the window never straddles a branch cut).
     """
-    g = a.grid
-    i0 = int(np.argmax(np.abs(a.values)))
     amp = np.abs(a.values)
+    i0 = int(np.argmax(amp))
     if amp[i0] <= 0.0:
         raise InvalidParameterError("a", "empty field")
-    c_amp, _ = _curvature_fit(g.points(), -np.log(np.maximum(amp, 1e-300)), i0)
-    rel_phase = np.angle(a.values / a.values[i0])
-    c_ph, _ = _curvature_fit(g.points(), rel_phase, i0)
+    w, h = _fit_window(len(amp), i0), a.grid.spacing
+    c_amp, _ = _curvature_fit(-np.log(np.maximum(amp[w], 1e-300)), h)
+    c_ph, _ = _curvature_fit(np.angle(a.values[w] / a.values[i0]), h)
     return 0.5 * c_amp, -0.5 * c_ph
 
 

@@ -8,6 +8,7 @@ All floats round-trip bit-exactly through save_scenario/load_scenario (repr form
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,8 @@ class Scenario:
     "Units and conventions", maps other units onto them).
 
     lam      long-wavelength scattering strength (decoherence rate density)
-    b        initial wave-packet width parameter, alpha0 = 1/(4 b^2)
+    b        initial wave-packet width parameter, alpha0 = 1/(4 b^2); with
+             lam > 0 the decoherence strength lam b^4 must be a normal float
     label    tag used for output naming: one line, no '#', no leading or
              trailing whitespace, so a config file reloads it unchanged
     """
@@ -61,6 +63,12 @@ class Scenario:
             ok = False
         if not ok:
             raise InvalidParameterError("b", "alpha0 = 1/(4 b^2) must be positive and finite")
+        b2 = self.b * self.b
+        strength = self.lam * b2 * b2  # float products round to 0 or inf, never raise
+        if self.lam > 0.0 and not sys.float_info.min <= strength < math.inf:
+            raise InvalidParameterError(
+                "b", f"Lambda b^4 = {strength!r} must be a finite normal float "
+                f"(Lambda = {self.lam!r}, b = {self.b!r})")
 
     @property
     def alpha0(self) -> float:

@@ -375,6 +375,19 @@ def test_verify_passes_on_a_wide_packet(tmp_path, capsys):
     assert out.count("hierarchy residual order") == 3 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("b, strength", [("1e-150", "0.0"), ("1e150", "inf")])
+def test_verify_refuses_a_decoherence_strength_off_the_normal_floats(
+        tmp_path, capsys, b, strength):
+    # Lambda b^4 = 1e-600 once failed with "math domain error" and leaked
+    # numpy warnings; 1e600 passed every row on residuals near 1e-308
+    cfg = write_cfg(tmp_path, f"b = {b}\n", name="extreme.cfg")
+    assert cli.main(["verify", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"b: Lambda b^4 = {strength} must be a finite normal float" in err
+    assert f"(Lambda = 1.0, b = {float(b)!r})" in err
+
+
 def test_verify_skips_decoherence_checks_at_zero_coupling(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "Lambda = 0.0\n", name="free.cfg")
     assert cli.main(["verify", "--config", cfg]) == 0

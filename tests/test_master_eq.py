@@ -129,12 +129,49 @@ def test_sample_reads_the_observables_of_the_field(extent):
     grid = GridSpec2D(n_y=64, n_z=128, extent_y=extent * sig, extent_z=extent * sig)
     f = MasterEqStepper(s, grid, 1e-3).step(
         density_matrix_exact(pure_params(s.alpha0), grid), 3)
-    smp = master_eq._sample(f)
     leak = boundary_leak(np.abs(f.values))
-    assert smp.purity == purity(f) and 0.0 < smp.purity < 1.0
-    assert smp.flags == (("aliasing",) if leak > master_eq.ALIAS_THRESHOLD else ())
+    # a run reuses one |rho| buffer for every sample; what it held before
+    # must not show, nor may one sample's |rho|^2 leak into the next
+    amp = np.full((grid.n_y, grid.n_z), np.nan)
+    for _ in range(2):
+        smp = master_eq._sample(f, amp)
+        assert smp.purity == purity(f) and 0.0 < smp.purity < 1.0
+        assert smp.flags == (("aliasing",) if leak > master_eq.ALIAS_THRESHOLD else ())
+        assert smp.norm == trace_of(f).real
     assert (leak > master_eq.ALIAS_THRESHOLD) == (extent == 4.5)
-    assert smp.norm == trace_of(f).real
+
+
+def test_fields_handed_out_own_their_memory(monkeypatch):
+    # the one-step segment runs in the stepper's work array and the samples
+    # in one |rho| buffer; every field an observer, the checkpoint sink or
+    # the caller gets must be its own and keep its values after the run
+    s = strong()
+    f, _ = initial_state(s, n=32)
+    steppers, handed = [], []
+
+    class Recorded(MasterEqStepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            steppers.append(self)
+
+    def keep(fld):
+        handed.append((fld, fld.values.copy()))
+
+    monkeypatch.setattr(master_eq, "MasterEqStepper", Recorded)
+    num = NumericsSpec(dt=1e-3, t_end=0.01, sample_every=1)
+    samples, out = evolve_master_eq(f, s, num, observers=[keep],
+                                    checkpoint_every=3, checkpoint_sink=keep)
+    keep(out)
+    assert len(samples) == 11 and len(handed) == 11 + 3 + 1
+    fields = list({id(fld): fld for fld, _ in handed}.values())
+    assert len(fields) == 11  # the sink and the caller get sampled fields
+    for fld, values in handed:
+        assert np.array_equal(fld.values, values)
+    work = steppers[0]._work
+    for i, a in enumerate(fields):
+        assert not np.shares_memory(a.values, work)
+        for b in fields[i + 1:]:
+            assert not np.shares_memory(a.values, b.values)
 
 
 def test_no_aliasing_on_recommended_box():

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from decwt import observables
 from decwt.gaussian import (
     GaussianParams,
     build_cubic,
@@ -137,6 +138,19 @@ def test_fit_tolerates_global_phase_and_scale():
     af, bf = fit_gaussian_alpha_beta(a)
     assert math.isclose(af, 0.25, rel_tol=1e-9)
     assert math.isclose(bf, 0.05, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.35])  # the presets' spacings span 0.047-0.35
+def test_curvature_fit_is_the_least_squares_quadratic(h):
+    # the closed-form fit is exact on quadratics, as np.polyfit is
+    x0, c0, c1, c2 = 1.3, 0.7, -1.9, 2.6
+    x = x0 + h * np.arange(-(FIT_WINDOW // 2), FIT_WINDOW // 2 + 1)
+    curvature, slope = observables._curvature_fit(c0 + c1 * x + c2 * x * x, h)
+    coeff = np.polyfit(x - x0, c0 + c1 * x + c2 * x * x, 2)
+    for got, exact, fitted in ((curvature, 2.0 * c2, 2.0 * coeff[0]),
+                               (slope, c1 + 2.0 * c2 * x0, coeff[1])):
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert got == pytest.approx(fitted, rel=1e-12, abs=0.0)
 
 
 def test_coherence_from_rho_refuses_a_y_axis_shorter_than_the_fit_window():

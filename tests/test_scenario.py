@@ -1,5 +1,6 @@
 """Parameter model, config-file parsing, and preset construction."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -261,7 +262,8 @@ def test_one_omitted_extent_is_derived_and_the_named_one_kept():
                                           ("15.600000000000001", "17.11973842635986")])
 def test_named_extents_are_kept_bit_for_bit(ext_y, ext_z):
     # with both extents named, suggest_extents plays no part, whatever b is
-    bundle = parse_config(f"b = 1e-100\nextent_y = {ext_y}\nextent_z = {ext_z}\n")
+    # (b = 1e-70 would suggest 1.2e-69 and 1.2e71)
+    bundle = parse_config(f"b = 1e-70\nextent_y = {ext_y}\nextent_z = {ext_z}\n")
     assert (bundle.grid.extent_y, bundle.grid.extent_z) == (float(ext_y), float(ext_z))
 
 
@@ -290,14 +292,21 @@ _label_text = (st.text(st.sampled_from("ab=_-. \t\u00e9"), max_size=6)
 
 @st.composite
 def _bundles(draw):
+    # mostly a b with a representable alpha0, so few draws are refused
+    b = draw(st.floats(min_value=1e-150, max_value=1e150) | _pos)
+    lam = draw(st.floats(min_value=0.0, allow_infinity=False))
+    b2 = b * b
+    if lam > 0.0 and 0.0 < b2 < math.inf and not sys.float_info.min <= lam * b2 * b2 < math.inf:
+        # a refused Lambda b^4: Lambda is drawn again where it is a normal float
+        lo = sys.float_info.min / b2 / b2
+        hi = min(sys.float_info.max / b2 / b2, sys.float_info.max)
+        assume(lo <= hi)
+        lam = draw(st.floats(min_value=lo, max_value=hi))
     try:
-        scenario = Scenario(
-            # mostly a b with a representable alpha0, so few draws are refused
-            b=draw(st.floats(min_value=1e-150, max_value=1e150) | _pos),
-            lam=draw(st.floats(min_value=0.0, allow_infinity=False)),
-            label=draw(_label_text | st.text(min_size=1)))
+        scenario = Scenario(b=b, lam=lam, label=draw(_label_text | st.text(min_size=1)))
     except InvalidParameterError as exc:
-        assert exc.field in ("label", "b")  # b: alpha0 not positive and finite
+        # b: alpha0 not positive and finite, or Lambda b^4 rounded off the normal floats
+        assert exc.field in ("label", "b")
         assume(False)
     p2 = st.integers(3, 12).map(lambda e: 2 ** e)
     grid = GridSpec2D(n_y=draw(p2), n_z=draw(p2),
