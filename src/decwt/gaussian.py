@@ -95,6 +95,8 @@ def params_exact(g: CubicG, s: Scenario, t: float) -> GaussianParams:
     """Closed-form parameter set at time t. delta is slaved to normalization:
     exp(delta) = sqrt(2 alpha / pi) keeps the tau-integral of |a|^2 at one."""
     G = eval_G(g, t)
+    if not math.isfinite(G):
+        raise InvalidParameterError("t", f"G(t) = {G} not finite at t = {t}")
     if G <= 0.0:
         raise InvalidParameterError("t", f"G(t) = {G} not positive at t = {t}")
     alpha = 1.0 / G

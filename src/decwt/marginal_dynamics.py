@@ -1,10 +1,10 @@
 """Direct integration of the Gaussian parameter flow.
 
-Two drivers share one fixed-step RK4 core on (alpha, beta, gamma):
-integrate_closed_system evolves the full set, integrate_prescribed_gamma
-freezes the decoherence coupling to a prescribed gamma_l(t), so its gamma
-slot has zero rate and only (alpha, beta) move. Both sample on the grid of
-sample_grid, which the grid and wavefunction routes share.
+Two drivers run one fixed-step RK4 loop, _rk4, which writes the equations
+of alpha and beta once: integrate_closed_system evolves gamma with them as a
+state, integrate_prescribed_gamma takes gamma = gamma_l(t) at each stage
+time, so only (alpha, beta) move. Both sample on the grid of sample_grid,
+which the grid and wavefunction routes share.
 
 delta never enters a right-hand side: normalization pins exp(delta) =
 sqrt(2 alpha / pi), and d(delta)/dt = 2 beta is exactly d(ln alpha)/2
@@ -88,39 +88,73 @@ class ParamTrajectory:
     delta: np.ndarray
 
 
-def _check_state(t: float, alpha: float, beta: float) -> None:
-    if not (math.isfinite(alpha) and math.isfinite(beta)) or alpha <= 0.0:
-        raise IntegrationError(t, f"state left admissible region (alpha = {alpha!r})")
-
-
 def _delta_of(alpha: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(2.0 * alpha / math.pi)
 
 
-def _rk4(rhs, a: float, b: float, g: float, dt: float, t_end: float,
-         sample_every: int) -> tuple[list, list, list, list]:
-    """Hand-unrolled scalar RK4 on (a, b, g) with rhs(t, a, b, g); returns the
-    sampled (t, a, b, g) lists. Scalar floats keep the hot loop cheap."""
-    if dt <= 0.0:
-        raise InvalidParameterError("dt", "must be positive")
+def _rk4(a: float, b: float, dt: float, t_end: float, sample_every: int,
+         c_g: float = 0.0, gamma_l: Callable[[float], float] | None = None
+         ) -> tuple[list, list, list, list]:
+    """Hand-unrolled scalar RK4 of alpha' = 4 alpha beta,
+    beta' = 2 (beta^2 - alpha^2 - alpha gamma); returns the sampled
+    (t, a, b, g) lists.
+
+    With gamma_l None, gamma is the state g, from g = 0, with
+    gamma' = 4 beta gamma + c_g. Otherwise gamma = gamma_l(t), called once per
+    distinct stage time (t, t + dt/2, t + dt), and g stays 0. Scalar floats
+    and no call per stage keep the hot loop cheap. A step that ends with
+    alpha <= 0 or a non-finite alpha or beta raises IntegrationError stamped
+    with its end time.
+    """
+    if not 0.0 < dt < math.inf:
+        raise InvalidParameterError("dt", "must be positive and finite")
+    if not math.isfinite(t_end):
+        raise InvalidParameterError("t_end", "must be finite")
     if a <= 0.0:
         raise InvalidParameterError("alpha0", "must be positive")
     ks = sample_grid(0.0, t_end, dt, sample_every)
-    h, w = 0.5 * dt, dt / 6.0
+    h, w, inf = 0.5 * dt, dt / 6.0, math.inf
+    closed, g = gamma_l is None, 0.0
     ts, al, be, ga = [0.0], [a], [b], [g]
     k = 0
     for stop in ks[1:]:
         while k < stop:
-            t = k * dt
-            a1, b1, g1 = rhs(t, a, b, g)
-            a2, b2, g2 = rhs(t + h, a + h * a1, b + h * b1, g + h * g1)
-            a3, b3, g3 = rhs(t + h, a + h * a2, b + h * b2, g + h * g2)
-            a4, b4, g4 = rhs(t + dt, a + dt * a3, b + dt * b3, g + dt * g3)
+            if closed:
+                c1 = g
+            else:
+                t = k * dt
+                c1 = gamma_l(t)
+                c2 = c3 = gamma_l(t + h)
+                c4 = gamma_l(t + dt)
+            a1 = 4.0 * a * b
+            b1 = 2.0 * (b * b - a * a - a * c1)
+            x, y = a + h * a1, b + h * b1
+            if closed:
+                g1 = 4.0 * b * g + c_g
+                c2 = g + h * g1
+            a2 = 4.0 * x * y
+            b2 = 2.0 * (y * y - x * x - x * c2)
+            if closed:
+                g2 = 4.0 * y * c2 + c_g
+                c3 = g + h * g2
+            x, y = a + h * a2, b + h * b2
+            a3 = 4.0 * x * y
+            b3 = 2.0 * (y * y - x * x - x * c3)
+            if closed:
+                g3 = 4.0 * y * c3 + c_g
+                c4 = g + dt * g3
+            x, y = a + dt * a3, b + dt * b3
+            a4 = 4.0 * x * y
+            b4 = 2.0 * (y * y - x * x - x * c4)
+            if closed:
+                g4 = 4.0 * y * c4 + c_g
+                g += w * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
             a += w * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             b += w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            g += w * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
             k += 1
-            _check_state(k * dt, a, b)
+            if not (0.0 < a < inf and -inf < b < inf):
+                raise IntegrationError(
+                    k * dt, f"state left admissible region (alpha = {a!r})")
         ts.append(k * dt); al.append(a); be.append(b); ga.append(g)
     return ts, al, be, ga
 
@@ -139,15 +173,8 @@ def integrate_closed_system(
     sample_every: int = 1,
 ) -> ParamTrajectory:
     """RK4 on the closed (alpha, beta, gamma) flow from gamma(0) = 0."""
-    c_g = 2.0 * s.lam  # gamma source
-
-    def rhs(t, a, b, g):
-        return (4.0 * a * b,
-                2.0 * (b * b - a * a - a * g),
-                4.0 * b * g + c_g)
-
-    return _trajectory(*_rk4(rhs, float(alpha0), float(beta0), 0.0, dt, t_end,
-                             sample_every))
+    return _trajectory(*_rk4(float(alpha0), float(beta0), dt, t_end, sample_every,
+                             c_g=2.0 * s.lam))
 
 
 def integrate_prescribed_gamma(
@@ -161,10 +188,6 @@ def integrate_prescribed_gamma(
 ) -> ParamTrajectory:
     """RK4 on (alpha, beta) with gamma_l(t) prescribed; the gamma column of the
     result reports gamma_l at the sample times."""
-    def rhs(t, a, b, _g):
-        g = gamma_l(t)
-        return 4.0 * a * b, 2.0 * (b * b - a * a - a * g), 0.0
-
-    ts, al, be, _ = _rk4(rhs, float(alpha0), float(beta0), 0.0, dt, t_end,
-                         sample_every)
+    ts, al, be, _ = _rk4(float(alpha0), float(beta0), dt, t_end, sample_every,
+                         gamma_l=gamma_l)
     return _trajectory(ts, al, be, [gamma_l(t) for t in ts])

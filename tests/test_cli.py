@@ -388,6 +388,17 @@ def test_verify_refuses_a_decoherence_strength_off_the_normal_floats(
     assert f"(Lambda = 1.0, b = {float(b)!r})" in err
 
 
+def test_verify_refuses_a_closed_form_that_overflows(tmp_path, capsys):
+    # Lambda b^4 = 1e-280 is a normal float, but G(t_b) at t_b = 1e140
+    # overflows; the hierarchy's closed form once stopped on "math domain
+    # error" from the log of alpha = 1/G = 0
+    cfg = write_cfg(tmp_path, "b = 1e-70\n", name="tiny.cfg")
+    assert cli.main(["verify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "G(t) = inf not finite at t = 1e+140" in err
+    assert "math domain error" not in err
+
+
 def test_verify_skips_decoherence_checks_at_zero_coupling(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "Lambda = 0.0\n", name="free.cfg")
     assert cli.main(["verify", "--config", cfg]) == 0

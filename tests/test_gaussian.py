@@ -31,7 +31,7 @@ from decwt.gaussian import (
     params_exact,
     sigma_profile,
 )
-from decwt.scenario import GridSpec2D, Scenario
+from decwt.scenario import GridSpec2D, InvalidParameterError, Scenario
 
 
 def moderate():
@@ -114,6 +114,15 @@ def test_params_exact_frozen_point():
     # delta stays slaved to alpha so the reconstructed state stays normalized
     assert math.isclose(p.delta, 0.5 * math.log(2.0 * p.alpha / math.pi),
                         rel_tol=1e-14)
+
+
+def test_params_exact_refuses_an_overflowing_G():
+    # G(t) overflows to inf at t = 1e140 on the moderate preset; alpha = 1/G
+    # would round to 0 and the log of delta fail with "math domain error"
+    s = moderate()
+    g = build_cubic(s, s.alpha0, 0.0)
+    with pytest.raises(InvalidParameterError, match=r"^t: G\(t\) = inf not finite at t = 1e\+140$"):
+        params_exact(g, s, 1e140)
 
 
 def test_alpha_times_G_is_one_along_flow():

@@ -13,8 +13,9 @@ from decwt.marginal_dynamics import (
     integrate_prescribed_gamma,
     linear_long,
     linear_short,
+    sample_grid,
 )
-from decwt.scenario import Scenario
+from decwt.scenario import InvalidParameterError, Scenario
 
 
 def moderate():
@@ -88,6 +89,120 @@ def test_blowup_reports_time():
     with pytest.raises(IntegrationError) as exc:
         integrate_closed_system(s, s.alpha0, 0.0, dt=50.0, t_end=500.0)
     assert exc.value.t >= 0.0
+
+
+@pytest.mark.parametrize("drive", ["closed", "prescribed"])
+@pytest.mark.parametrize("dt, t_end, name, reason", [
+    (math.inf, 1.0, "dt", "must be positive and finite"),
+    (math.nan, 1.0, "dt", "must be positive and finite"),
+    (1e-3, math.inf, "t_end", "must be finite"),
+])
+def test_non_finite_step_or_end_is_refused(drive, dt, t_end, name, reason):
+    # dt = inf once returned a one-row trajectory at t = 0, dt = nan failed
+    # converting NaN to int and t_end = inf overflowed in the step count
+    s = moderate()
+    with pytest.raises(InvalidParameterError, match=f"^{name}: {reason}$"):
+        if drive == "closed":
+            integrate_closed_system(s, s.alpha0, 0.0, dt=dt, t_end=t_end)
+        else:
+            integrate_prescribed_gamma(s, s.alpha0, 0.0, linear_short(s),
+                                       dt=dt, t_end=t_end)
+
+
+# --- the inlined loop against a per-stage reference -------------------------
+
+
+def _reference_rk4(rhs, a, b, g, dt, t_end, sample_every):
+    """RK4 with one rhs(t, a, b, g) call per stage, as the flow was once
+    integrated: the inlined loop must keep its float operations and order."""
+    ks = sample_grid(0.0, t_end, dt, sample_every)
+    h, w = 0.5 * dt, dt / 6.0
+    ts, al, be, ga = [0.0], [a], [b], [g]
+    k = 0
+    for stop in ks[1:]:
+        while k < stop:
+            t = k * dt
+            a1, b1, g1 = rhs(t, a, b, g)
+            a2, b2, g2 = rhs(t + h, a + h * a1, b + h * b1, g + h * g1)
+            a3, b3, g3 = rhs(t + h, a + h * a2, b + h * b2, g + h * g2)
+            a4, b4, g4 = rhs(t + dt, a + dt * a3, b + dt * b3, g + dt * g3)
+            a += w * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            b += w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            g += w * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+            k += 1
+        ts.append(k * dt); al.append(a); be.append(b); ga.append(g)
+    return ts, al, be, ga
+
+
+def _assert_same_trajectory(traj, ts, al, be, ga):
+    al = np.array(al)
+    ref = {"t": np.array(ts), "alpha": al, "beta": np.array(be),
+           "gamma": np.array(ga), "delta": 0.5 * np.log(2.0 * al / math.pi)}
+    for name, want in ref.items():
+        assert np.array_equal(getattr(traj, name), want), name
+
+
+STARTS = [(s, s.alpha0, 0.0) for s in (moderate(), strong())] + [
+    (strong(), 0.25, 0.25)]
+
+
+@pytest.mark.parametrize("sample_every", [1, 7])
+@pytest.mark.parametrize("s, alpha0, beta0", STARTS,
+                         ids=["moderate", "strong", "chirped"])
+def test_closed_system_matches_per_stage_reference(s, alpha0, beta0,
+                                                   sample_every):
+    c_g = 2.0 * s.lam
+
+    def rhs(t, a, b, g):
+        return 4.0 * a * b, 2.0 * (b * b - a * a - a * g), 4.0 * b * g + c_g
+
+    traj = integrate_closed_system(s, alpha0, beta0, dt=1e-3, t_end=2.0,
+                                   sample_every=sample_every)
+    _assert_same_trajectory(traj, *_reference_rk4(
+        rhs, alpha0, beta0, 0.0, 1e-3, 2.0, sample_every))
+
+
+@pytest.mark.parametrize("sample_every", [1, 7])
+@pytest.mark.parametrize("coupling", ["linear_short", "linear_long",
+                                      "exact_closure", "negative_constant"])
+@pytest.mark.parametrize("s", [moderate(), strong()], ids=["moderate", "strong"])
+def test_prescribed_matches_per_stage_reference(s, coupling, sample_every):
+    gamma_l = {
+        "linear_short": lambda: linear_short(s),
+        "linear_long": lambda: linear_long(s, s.alpha0, 0.0),
+        "exact_closure": lambda: exact_closure(s, s.alpha0, 0.0),
+        "negative_constant": lambda: (lambda t: -0.3),
+    }[coupling]()
+
+    def rhs(t, a, b, _g):
+        g = gamma_l(t)
+        return 4.0 * a * b, 2.0 * (b * b - a * a - a * g), 0.0
+
+    traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gamma_l, dt=1e-3,
+                                      t_end=2.0, sample_every=sample_every)
+    ts, al, be, _ = _reference_rk4(rhs, s.alpha0, 0.0, 0.0, 1e-3, 2.0,
+                                   sample_every)
+    _assert_same_trajectory(traj, ts, al, be, [gamma_l(t) for t in ts])
+
+
+def test_prescribed_calls_gamma_l_three_times_per_step():
+    # t, t + dt/2 (shared by the two midpoint stages) and t + dt; the gamma
+    # column then reads gamma_l once per sample time
+    s = moderate()
+    calls = []
+
+    def gamma_l(t):
+        calls.append(t)
+        return 2.0 * t
+
+    traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gamma_l, dt=1e-3,
+                                      t_end=0.5, sample_every=7)
+    n_steps = 500
+    assert len(calls) == 3 * n_steps + len(traj.t)
+    dt, h = 1e-3, 0.5e-3
+    assert calls[:3 * n_steps] == [
+        x for k in range(n_steps) for x in (k * dt, k * dt + h, k * dt + dt)]
+    assert calls[3 * n_steps:] == list(traj.t)
 
 
 # --- prescribed-coupling variants ----------------------------------------
