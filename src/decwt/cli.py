@@ -25,6 +25,7 @@ flag raised or the grid failed the 6-sigma check).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import math
 import os
@@ -98,19 +99,13 @@ def _fmt(v) -> str:
     return repr(v)
 
 
-def _quote(cell: str) -> str:
-    if "," in cell or '"' in cell or "\n" in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 def _write_csv(path, header: tuple, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = row if isinstance(row, dict) else vars(row)
-        lines.append(",".join(_quote(_fmt(cells.get(col))) for col in header))
     with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        for row in rows:
+            cells = row if isinstance(row, dict) else vars(row)
+            out.writerow([_fmt(cells.get(col)) for col in header])
 
 
 def _pure_params(alpha0: float) -> GaussianParams:
@@ -145,8 +140,8 @@ def run_analytic(bundle: ConfigBundle) -> list[ObservableSample]:
 
 def run_ode(bundle: ConfigBundle) -> list[ObservableSample]:
     s, num = bundle.scenario, bundle.numerics
-    traj = integrate_closed_system(s, s.alpha0, 0.0, dt=num.dt,
-                                   t_end=num.t_end, sample_every=num.sample_every)
+    traj = integrate_closed_system(s, dt=num.dt, t_end=num.t_end,
+                                   sample_every=num.sample_every)
     cols = (traj.t, traj.alpha, traj.beta, traj.gamma, traj.delta)
     return [_gaussian_sample(t, a, b, g, d, math.exp(d) * math.sqrt(math.pi / (2.0 * a)))
             for t, a, b, g, d in zip(*(c.tolist() for c in cols))]
@@ -180,7 +175,7 @@ def _g_table(s):
     gamma_k = 0.0
     if s.lam > 0.0:
         g = build_cubic(s, s.alpha0, 0.0)
-        gamma_k = float(gamma_exact(g, s, characteristic_time(s)))
+        gamma_k = params_exact(g, s, characteristic_time(s)).gamma
     return compute_g_table(gamma_k, np.linspace(-4.0 * s.b, 4.0 * s.b, 128))
 
 
@@ -294,6 +289,9 @@ def cmd_run(bundle: ConfigBundle, routes: list, outdir,
             continue
 
         _write_csv(os.path.join(outdir, f"{route}.csv"), header, rows)
+        if header is GFUNC_HEADER:
+            hard_failures += [f"{route}: {row['name']}" for row in rows
+                              if row["status"] == "fail"]
         if header is CSV_COLUMNS:
             per_route[route] = rows
             aliasing = aliasing or any(smp.flags for smp in rows)
@@ -313,11 +311,11 @@ def _model_curves(s, t_end: float, short: bool = True):
     sampled every 25th; the linear-short one only when short."""
     dt = t_end / 5000.0
     g = build_cubic(s, s.alpha0, 0.0)
-    models = {"linear-long": linear_long(s, s.alpha0, 0.0)}
+    models = {"linear-long": linear_long(s)}
     if short:
         models["linear-short"] = linear_short(s)
-    out = {name: integrate_prescribed_gamma(s, s.alpha0, 0.0, gamma_l, dt=dt,
-                                            t_end=t_end, sample_every=25)
+    out = {name: integrate_prescribed_gamma(s, gamma_l, dt=dt, t_end=t_end,
+                                            sample_every=25)
            for name, gamma_l in models.items()}
     out["t"] = t = out["linear-long"].t
     out["exact-gamma"] = np.asarray(gamma_exact(g, s, t))

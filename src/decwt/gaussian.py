@@ -102,6 +102,8 @@ def params_exact(g: CubicG, s: Scenario, t: float) -> GaussianParams:
     alpha = 1.0 / G
     beta = -0.25 * eval_G_dot(g, t) / G
     gamma = (2.0 * s.lam) * eval_int_G(g, t) / G
+    if not math.isfinite(gamma):  # int_0^t G overflows before G does
+        raise InvalidParameterError("t", f"gamma(t) = {gamma} not finite at t = {t}")
     delta = 0.5 * math.log(2.0 * alpha / math.pi)
     return GaussianParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
 

@@ -192,7 +192,7 @@ def verify_g_identities(table: GFunctionTable) -> list[IdentityReport]:
         max(float(np.max(np.abs(rebuilt[k] - g[k]))) for k in g), THRESHOLD))
     out.append(IdentityReport(
         "kernel y-derivative at zero gauge potential",
-        abs(kernel_from_k_derivative(table.gamma_k, tau0=0.0)), THRESHOLD))
+        abs(kernel_from_k_derivative(table.gamma_k)), THRESHOLD))
     return out
 
 
@@ -207,12 +207,11 @@ def reconstruct_from_column(table: GFunctionTable) -> dict:
     return rebuilt
 
 
-def kernel_from_k_derivative(gamma_k: float, tau0: float) -> complex:
-    """Centered dK/dy at y = 0 (step 1e-5), z fixed at 2 tau0: equals
-    i A(tau0)."""
+def kernel_from_k_derivative(gamma_k: float) -> complex:
+    """Centered dK/dy at y = 0 (step 1e-5), z = 0: equals i A(0)."""
     h = 1e-5
-    kp = compute_K(gamma_k, np.array([tau0 + 0.5 * h]), np.array([tau0 - 0.5 * h]))[0, 0]
-    km = compute_K(gamma_k, np.array([tau0 - 0.5 * h]), np.array([tau0 + 0.5 * h]))[0, 0]
+    kp = compute_K(gamma_k, np.array([0.5 * h]), np.array([-0.5 * h]))[0, 0]
+    km = compute_K(gamma_k, np.array([-0.5 * h]), np.array([0.5 * h]))[0, 0]
     return complex((kp - km) / (2.0 * h))
 
 

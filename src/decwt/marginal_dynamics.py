@@ -3,8 +3,9 @@
 Two drivers run one fixed-step RK4 loop, _rk4, which writes the equations
 of alpha and beta once: integrate_closed_system evolves gamma with them as a
 state, integrate_prescribed_gamma takes gamma = gamma_l(t) at each stage
-time, so only (alpha, beta) move. Both sample on the grid of sample_grid,
-which the grid and wavefunction routes share.
+time, so only (alpha, beta) move. Both start from the scenario's pure,
+unchirped packet and sample on the grid of sample_grid, which the grid and
+wavefunction routes share.
 
 delta never enters a right-hand side: normalization pins exp(delta) =
 sqrt(2 alpha / pi), and d(delta)/dt = 2 beta is exactly d(ln alpha)/2
@@ -42,6 +43,8 @@ def sample_grid(t_start: float, t_end: float, dt: float,
     t_start), and the last step, so a run resumed from any step shares the
     time grid of the run that started at t = 0.
     """
+    if sample_every < 1:
+        raise InvalidParameterError("sample_every", "must be >= 1")
     n_steps = int(round((t_end - t_start) / dt))
     if n_steps < 0:
         raise IntegrationError(t_start, "t_end precedes the start time")
@@ -54,9 +57,9 @@ def sample_grid(t_start: float, t_end: float, dt: float,
 
 # Prescribed decoherence couplings gamma_l(t), each a plain function of t.
 
-def exact_closure(s: Scenario, alpha0: float, beta0: float) -> Callable[[float], float]:
+def exact_closure(s: Scenario) -> Callable[[float], float]:
     """The closed-form gamma(t) of the exact flow."""
-    g = build_cubic(s, alpha0, beta0)
+    g = build_cubic(s, s.alpha0, 0.0)
     return lambda t: float(gamma_exact(g, s, t))
 
 
@@ -66,12 +69,12 @@ def linear_short(s: Scenario) -> Callable[[float], float]:
     return lambda t: slope * t
 
 
-def linear_long(s: Scenario, alpha0: float, beta0: float) -> Callable[[float], float]:
+def linear_long(s: Scenario) -> Callable[[float], float]:
     """Late-time tangent c2 / 16 + (Lambda / 2) t."""
     # The offset is the residue of the early-time memory in the long-time
     # expansion of the exact quadrature. c2 comes from the same cubic that
     # the closed form uses.
-    c2 = build_cubic(s, alpha0, beta0).c2
+    c2 = build_cubic(s, s.alpha0, 0.0).c2
     const = c2 / 16.0
     slope = 0.5 * s.lam
     return lambda t: const + slope * t
@@ -92,27 +95,27 @@ def _delta_of(alpha: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(2.0 * alpha / math.pi)
 
 
-def _rk4(a: float, b: float, dt: float, t_end: float, sample_every: int,
-         c_g: float = 0.0, gamma_l: Callable[[float], float] | None = None
+def _rk4(s: Scenario, dt: float, t_end: float, sample_every: int,
+         gamma_l: Callable[[float], float] | None = None
          ) -> tuple[list, list, list, list]:
     """Hand-unrolled scalar RK4 of alpha' = 4 alpha beta,
-    beta' = 2 (beta^2 - alpha^2 - alpha gamma); returns the sampled
+    beta' = 2 (beta^2 - alpha^2 - alpha gamma) from the scenario's pure,
+    unchirped packet (alpha, beta) = (s.alpha0, 0); returns the sampled
     (t, a, b, g) lists.
 
     With gamma_l None, gamma is the state g, from g = 0, with
-    gamma' = 4 beta gamma + c_g. Otherwise gamma = gamma_l(t), called once per
-    distinct stage time (t, t + dt/2, t + dt), and g stays 0. Scalar floats
-    and no call per stage keep the hot loop cheap. A step that ends with
-    alpha <= 0 or a non-finite alpha or beta raises IntegrationError stamped
-    with its end time.
+    gamma' = 4 beta gamma + 2 Lambda. Otherwise gamma = gamma_l(t), called
+    once per distinct stage time (t, t + dt/2, t + dt), and g stays 0.
+    Scalar floats and no call per stage keep the hot loop cheap. A step that
+    ends with alpha <= 0 or a non-finite alpha or beta raises
+    IntegrationError stamped with its end time.
     """
     if not 0.0 < dt < math.inf:
         raise InvalidParameterError("dt", "must be positive and finite")
     if not math.isfinite(t_end):
         raise InvalidParameterError("t_end", "must be finite")
-    if a <= 0.0:
-        raise InvalidParameterError("alpha0", "must be positive")
     ks = sample_grid(0.0, t_end, dt, sample_every)
+    a, b, c_g = s.alpha0, 0.0, 2.0 * s.lam
     h, w, inf = 0.5 * dt, dt / 6.0, math.inf
     closed, g = gamma_l is None, 0.0
     ts, al, be, ga = [0.0], [a], [b], [g]
@@ -164,30 +167,16 @@ def _trajectory(ts: list, al: list, be: list, ga: list) -> ParamTrajectory:
     return ParamTrajectory(np.array(ts), al, np.array(be), np.array(ga), _delta_of(al))
 
 
-def integrate_closed_system(
-    s: Scenario,
-    alpha0: float,
-    beta0: float,
-    dt: float,
-    t_end: float,
-    sample_every: int = 1,
-) -> ParamTrajectory:
+def integrate_closed_system(s: Scenario, dt: float, t_end: float,
+                            sample_every: int = 1) -> ParamTrajectory:
     """RK4 on the closed (alpha, beta, gamma) flow from gamma(0) = 0."""
-    return _trajectory(*_rk4(float(alpha0), float(beta0), dt, t_end, sample_every,
-                             c_g=2.0 * s.lam))
+    return _trajectory(*_rk4(s, dt, t_end, sample_every))
 
 
-def integrate_prescribed_gamma(
-    s: Scenario,
-    alpha0: float,
-    beta0: float,
-    gamma_l: Callable[[float], float],
-    dt: float,
-    t_end: float,
-    sample_every: int = 1,
-) -> ParamTrajectory:
+def integrate_prescribed_gamma(s: Scenario, gamma_l: Callable[[float], float],
+                               dt: float, t_end: float,
+                               sample_every: int = 1) -> ParamTrajectory:
     """RK4 on (alpha, beta) with gamma_l(t) prescribed; the gamma column of the
     result reports gamma_l at the sample times."""
-    ts, al, be, _ = _rk4(float(alpha0), float(beta0), dt, t_end, sample_every,
-                         gamma_l=gamma_l)
+    ts, al, be, _ = _rk4(s, dt, t_end, sample_every, gamma_l)
     return _trajectory(ts, al, be, [gamma_l(t) for t in ts])

@@ -2,7 +2,8 @@
 
 Config files are plain text, one ``key = value`` per line, ``#`` starts a comment.
 Unknown keys are rejected with the offending line number so typos surface early.
-All floats round-trip bit-exactly through save_scenario/load_scenario (repr format).
+All floats round-trip bit-exactly: the lines of config_lines (repr format),
+written to a file, reload through load_scenario to the same values.
 """
 
 from __future__ import annotations
@@ -235,12 +236,6 @@ class ConfigBundle:
 def load_scenario(path) -> ConfigBundle:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def save_scenario(path, bundle: ConfigBundle) -> None:
-    """Write a config file that reloads to bit-identical values."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(config_lines(bundle)) + "\n")
 
 
 # Presets reproduce the two decoherence strengths used throughout the figures:

@@ -51,8 +51,7 @@ def test_ac1_closed_form_matches_direct_ode():
     g = build_cubic(s, s.alpha0, 0.0)
 
     start = time.perf_counter()
-    traj = integrate_closed_system(s, s.alpha0, 0.0, dt=1e-4, t_end=5.0,
-                                   sample_every=100)
+    traj = integrate_closed_system(s, dt=1e-4, t_end=5.0, sample_every=100)
     elapsed = time.perf_counter() - start
 
     worst = 0.0
@@ -117,7 +116,7 @@ def test_ac3_wavefunction_route_matches_prescribed_ode():
     samples, _ = evolve_lse(a0, s, NumericsSpec(dt=1e-4, t_end=1.0,
                                                 sample_every=1000))
     gm = linear_short(s)
-    ref = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=1e-5,
+    ref = integrate_prescribed_gamma(s, gm, dt=1e-5,
                                      t_end=1.0, sample_every=10000)
     worst_a = worst_b = 0.0
     for i, smp in enumerate(samples[1:], start=1):
@@ -178,24 +177,38 @@ def test_ac4_coherence_length_asymptotics():
     assert rate_dev <= 2e-2
 
 
-def width_deviation(s, gm, dt, t_end, sample_every):
-    """Sample times and relative deviation of the width under the prescribed
-    coupling gm from the exact ensemble width."""
+def model_deviations(s, gm, dt, t_end, sample_every):
+    """Sample times and relative deviations of the width and of the coherence
+    length 1/sqrt(alpha + gamma) under the prescribed coupling gm from the
+    exact ones."""
     g = build_cubic(s, s.alpha0, 0.0)
-    traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=dt, t_end=t_end,
+    traj = integrate_prescribed_gamma(s, gm, dt=dt, t_end=t_end,
                                       sample_every=sample_every)
-    tv = np.asarray(traj.t)
+    tv, alpha = np.asarray(traj.t), np.asarray(traj.alpha)
     ref = np.asarray(ensemble_width_exact(g, tv))
-    return tv, np.abs(0.5 / np.sqrt(np.asarray(traj.alpha)) - ref) / ref
+    coh = np.asarray(coherence_exact(g, s, tv))
+    return (tv, np.abs(0.5 / np.sqrt(alpha) - ref) / ref,
+            np.abs(1.0 / np.sqrt(alpha + np.asarray(traj.gamma)) - coh) / coh)
 
 
 def late_decades(s, gm):
-    """Largest width deviation over [1e2, 1e3] t_b and over [1e3, 1e4] t_b."""
+    """Largest width deviation over [1e2, 1e3] t_b and over [1e3, 1e4] t_b,
+    then the same pair for the coherence length."""
     tb = characteristic_time(s)
-    tv, rel = width_deviation(s, gm, dt=2e-2 * tb, t_end=1e4 * tb,
-                              sample_every=50)
-    return (float(rel[(tv >= 1e2 * tb) & (tv <= 1e3 * tb)].max()),
-            float(rel[tv >= 1e3 * tb].max()))
+    tv, *rels = model_deviations(s, gm, dt=2e-2 * tb, t_end=1e4 * tb,
+                                 sample_every=50)
+    mid, last = (tv >= 1e2 * tb) & (tv <= 1e3 * tb), tv >= 1e3 * tb
+    return tuple((float(rel[mid].max()), float(rel[last].max())) for rel in rels)
+
+
+def early_decades(s, gm):
+    """Largest coherence-length deviation over (1e-2, 1e-1] t_b and over
+    (0, 1e-2] t_b."""
+    tb = characteristic_time(s)
+    tv, _, rel = model_deviations(s, gm, dt=1e-3 * tb, t_end=0.1 * tb,
+                                  sample_every=1)
+    near = (tv > 0.0) & (tv <= 1e-2 * tb)
+    return float(rel[tv > 1e-2 * tb].max()), float(rel[near].max())
 
 
 def test_ac5_linear_coupling_model_quality():
@@ -212,7 +225,7 @@ def test_ac5_linear_coupling_model_quality():
 
     # long-time model: coupling itself within 1% beyond 10 t_b
     tl = np.linspace(10.0 * t_b, 100.0 * t_b, 400)
-    gm_long = linear_long(s_mod, s_mod.alpha0, 0.0)
+    gm_long = linear_long(s_mod)
     g_ref = np.asarray(gamma_exact(g_mod, s_mod, tl))
     gerr = float(np.max(np.abs(
         np.array([gm_long(tv) for tv in tl]) - g_ref) / g_ref))
@@ -227,21 +240,32 @@ def test_ac5_linear_coupling_model_quality():
     # [1e3, 1e4] t_b, together with a decade-over-decade decay of the maximum.
     # A coupling with the right offset and a slope off by 5% is the negative
     # control: it must fail both late checks.
+    #
+    # The coherence length 1/sqrt(alpha + gamma) of the same trajectories is
+    # held to AC2's 1e-3 over [1e3, 1e4] t_b, and over (0, 0.1] t_b under the
+    # short-time coupling, with its deviation falling towards each limit:
+    # the decade nearer the limit at most half the one before. The slope x1.05
+    # control fails both late checks; near t = 0 its error grows like t, so
+    # it fails the bound and passes the decay.
     stats, late, control = {}, {}, {}
+    coh_late, coh_control, coh_early, coh_early_control = {}, {}, {}, {}
     for name in ("moderate", "strong"):
         s = preset_bundle(name).scenario
         tb = characteristic_time(s)
-        gm = linear_long(s, s.alpha0, 0.0)
-        tv, rel = width_deviation(s, gm, dt=1e-3 * tb, t_end=20.0 * tb,
-                                  sample_every=10)
+        gm = linear_long(s)
+        tv, rel, _ = model_deviations(s, gm, dt=1e-3 * tb, t_end=20.0 * tb,
+                                      sample_every=10)
         stats[name] = (
             float(rel[(tv > 0.0) & (tv <= 0.1 * tb)].max()),
             float(rel[tv >= 10.0 * tb].max()),
             float(rel.max()),
         )
-        late[name] = late_decades(s, gm)
-        control[name] = late_decades(
+        late[name], coh_late[name] = late_decades(s, gm)
+        control[name], coh_control[name] = late_decades(
             s, lambda t, gm=gm: gm(0.0) + 1.05 * (gm(t) - gm(0.0)))
+        gs = linear_short(s)
+        coh_early[name] = early_decades(s, gs)
+        coh_early_control[name] = early_decades(s, lambda t, gs=gs: 1.05 * gs(t))
     early_mod, dev10_mod, hump_mod = stats["moderate"]
     early_str, dev10_str, hump_str = stats["strong"]
 
@@ -251,14 +275,33 @@ def test_ac5_linear_coupling_model_quality():
     late_pass = all(all(late_ok(*late[n])) for n in late)
     control_caught = all(not any(late_ok(*control[n])) for n in control)
 
+    def coh_late_ok(mid, last):
+        return last <= 1e-3, last <= 0.5 * mid
+
+    def coh_early_ok(far, near):
+        return max(far, near) <= 1e-3, near <= 0.5 * far
+
+    coh_pass = (all(all(coh_late_ok(*coh_late[n])) for n in coh_late)
+                and all(all(coh_early_ok(*coh_early[n])) for n in coh_early))
+    coh_control_caught = (
+        all(not any(coh_late_ok(*coh_control[n])) for n in coh_control)
+        and all(not all(coh_early_ok(*coh_early_control[n]))
+                for n in coh_early_control))
+
     def decade_text(d):
         return (f"{d['moderate'][1]:.2%}/{d['strong'][1]:.2%} with decay "
                 f"x{d['moderate'][0] / d['moderate'][1]:.1f}/"
                 f"x{d['strong'][0] / d['strong'][1]:.1f}")
 
+    def coh_text(late_d, early_d):
+        return (f"{late_d['moderate'][1]:.1e}/{late_d['strong'][1]:.1e} over "
+                f"[1e3,1e4] t_b, {max(early_d['moderate']):.1e}/"
+                f"{max(early_d['strong']):.1e} over (0,0.1] t_b")
+
     ok = (power >= 2.7 and gerr <= 1e-2
           and early_mod <= 1e-2 and early_str <= 1e-2
           and late_pass and control_caught
+          and coh_pass and coh_control_caught
           and hump_str > hump_mod)
     verdict("AC5 linear coupling model quality", ok,
             f"error power {power:.2f}, long-time coupling dev {gerr:.2%}, "
@@ -266,7 +309,9 @@ def test_ac5_linear_coupling_model_quality():
             f"10 t_b {dev10_mod:.1%}/{dev10_str:.1%}, over [1e3,1e4] t_b "
             f"{decade_text(late)} (bound 1%, decay >= x2), slope x1.05 control "
             f"{decade_text(control)}, mid-time hump "
-            f"{hump_mod:.1%} -> {hump_str:.1%}")
+            f"{hump_mod:.1%} -> {hump_str:.1%}, coherence length dev "
+            f"{coh_text(coh_late, coh_early)} (bound 1e-3), control "
+            f"{coh_text(coh_control, coh_early_control)}")
     assert power >= 2.7
     assert gerr <= 1e-2
     assert early_mod <= 1e-2 and early_str <= 1e-2
@@ -279,6 +324,16 @@ def test_ac5_linear_coupling_model_quality():
     assert control_caught, (
         "a coupling with its slope off by 5% must fail both late checks on "
         f"both presets, but gave {decade_text(control)} (moderate/strong)")
+    assert coh_pass, (
+        "the coherence length under the linear couplings must stay within "
+        "1e-3 of the exact one over [1e3, 1e4] t_b (long-time coupling) and "
+        "(0, 0.1] t_b (short-time coupling), its deviation at least halving "
+        f"towards each limit: {coh_text(coh_late, coh_early)} "
+        f"(moderate/strong), decades {coh_late} and {coh_early}")
+    assert coh_control_caught, (
+        "couplings with their slope off by 5% must fail the coherence "
+        f"clauses on both presets, but gave "
+        f"{coh_text(coh_control, coh_early_control)} (moderate/strong)")
 
 
 def test_ac6_structural_identities(monkeypatch):
@@ -352,7 +407,7 @@ def test_ac7_convergence_orders():
     g = build_cubic(s, s.alpha0, 0.0)
 
     def ode_err(dt):
-        traj = integrate_closed_system(s, s.alpha0, 0.0, dt=dt, t_end=2.0,
+        traj = integrate_closed_system(s, dt=dt, t_end=2.0,
                                        sample_every=max(1, round(2.0 / dt)))
         p = params_exact(g, s, float(traj.t[-1]))
         return max(abs(traj.alpha[-1] - p.alpha), abs(traj.beta[-1] - p.beta),
@@ -377,7 +432,7 @@ def test_ac7_convergence_orders():
     r_me = (e_me[0] / e_me[1], e_me[1] / e_me[2])
 
     gm = linear_short(s)
-    a_ref = integrate_prescribed_gamma(s, s.alpha0, 0.0, gm, dt=1e-6,
+    a_ref = integrate_prescribed_gamma(s, gm, dt=1e-6,
                                        t_end=t_end,
                                        sample_every=round(t_end / 1e-6)).alpha[-1]
 

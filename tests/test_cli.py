@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from decwt import cli
+from decwt import cli, gfunc
 from decwt.fields import load_field_2d, save_field_2d
 from decwt.scenario import config_lines, load_scenario, parse_config, preset_bundle
 
@@ -127,6 +127,22 @@ def test_gfunc_route_residual_report(tmp_path):
         assert row["status"] == "pass"
         assert float(row["value"]) <= float(row["threshold"])
     assert not (out / "comparison.csv").exists()
+
+
+def test_gfunc_route_fails_on_a_failing_check(tmp_path, monkeypatch):
+    # a row with status fail once left the run at exit 0 and status ok. At a
+    # zero threshold the two checks with round-off residuals fail
+    monkeypatch.setattr(gfunc, "THRESHOLD", 0.0)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--routes", "analytic,gfunc",
+                     "--outdir", str(out)]) == 1
+    _, rows = read_csv(out / "gfunc.csv")
+    failed = [row["name"] for row in rows if row["status"] == "fail"]
+    assert 0 < len(failed) < len(rows)
+    status = "; ".join(f"gfunc: {name}" for name in failed)
+    assert f"status = failed: {status}\n" in (out / "MANIFEST.txt").read_text()
+    assert (out / "analytic.csv").exists()
 
 
 def test_hierarchy_route_time_series(tmp_path):
@@ -397,6 +413,18 @@ def test_verify_refuses_a_closed_form_that_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "G(t) = inf not finite at t = 1e+140" in err
     assert "math domain error" not in err
+
+
+def test_verify_refuses_a_coupling_that_overflows(tmp_path, capsys):
+    # at b = 1e-40, int_0^t G overflows at t_b = 1e80 while G does not, so
+    # gamma(t_b) = inf; it once reached the g-table and the hierarchy, which
+    # printed NaN rows after five numpy RuntimeWarnings
+    cfg = write_cfg(tmp_path, "b = 1e-40\n", name="tiny.cfg")
+    assert cli.main(["verify", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: t: gamma(t) = inf not finite at t = 1")
+    assert err.count("\n") == 1
 
 
 def test_verify_skips_decoherence_checks_at_zero_coupling(tmp_path, capsys):

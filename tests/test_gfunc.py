@@ -90,7 +90,7 @@ def test_kernel_matches_gaussian_form():
 
 def test_kernel_y_derivative_vanishes_without_gauge_potential():
     # A = -i g_(0,1) = 0 for the untransformed family, so dK/dy|_{y=0} = 0
-    d = kernel_from_k_derivative(2.0, tau0=0.7)
+    d = kernel_from_k_derivative(2.0)
     assert abs(d) < 1e-8
 
 
@@ -139,7 +139,7 @@ def test_sampler_validation():
     for call in (lambda: sample_phi(-0.1, tau),
                  lambda: compute_K(-0.1, tau, tau),
                  lambda: compute_g_table(-0.1, tau),
-                 lambda: kernel_from_k_derivative(-0.1, tau0=0.0),
+                 lambda: kernel_from_k_derivative(-0.1),
                  lambda: gauge_transform(a, -0.1, np.zeros(64))):
         with pytest.raises(InvalidParameterError) as exc:
             call()

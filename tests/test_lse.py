@@ -59,7 +59,7 @@ def test_matches_prescribed_gamma_ode():
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-4, t_end=0.5, sample_every=1000)
     samples, _ = evolve_lse(init_gaussian_a(pure_params(s.alpha0), grid), s, num)
-    traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, linear_short(s),
+    traj = integrate_prescribed_gamma(s, linear_short(s),
                                       dt=1e-5, t_end=0.5, sample_every=10000)
     t_ode = np.asarray(traj.t)
     for smp in samples:
@@ -115,7 +115,7 @@ def test_gamma_l_override_is_reported_and_sets_coherence():
     num = NumericsSpec(dt=1e-4, t_end=0.2, sample_every=500)
     samples, _ = evolve_lse(init_gaussian_a(pure_params(s.alpha0), grid), s, num,
                             gamma_l=gamma_l)
-    traj = integrate_prescribed_gamma(s, s.alpha0, 0.0, gamma_l,
+    traj = integrate_prescribed_gamma(s, gamma_l,
                                       dt=1e-5, t_end=0.2, sample_every=5000)
     assert [smp.t for smp in samples] == pytest.approx(list(traj.t), abs=1e-12)
     for i, smp in enumerate(samples):
@@ -353,7 +353,7 @@ def test_strong_preset_lse_route_tracks_its_prescribed_ode():
     bundle = preset_bundle("strong")
     s, num = bundle.scenario, bundle.numerics
     samples = run_lse(bundle)
-    ref = integrate_prescribed_gamma(s, s.alpha0, 0.0, linear_short(s), dt=num.dt,
+    ref = integrate_prescribed_gamma(s, linear_short(s), dt=num.dt,
                                      t_end=num.t_end, sample_every=num.sample_every)
     assert samples[-1].t == pytest.approx(2.0)
     assert [smp.t for smp in samples] == pytest.approx(list(ref.t), abs=1e-12)

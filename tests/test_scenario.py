@@ -23,7 +23,6 @@ from decwt.scenario import (
     load_scenario,
     parse_config,
     preset_bundle,
-    save_scenario,
 )
 
 
@@ -212,16 +211,21 @@ def test_parse_config_rejects_non_finite_float(key, value):
     assert key in str(exc.value)
 
 
+def save(path, bundle):
+    """A config file of the bundle's config_lines."""
+    path.write_text("\n".join(config_lines(bundle)) + "\n", encoding="utf-8")
+
+
 def test_save_load_roundtrip_is_bit_exact(tmp_path):
     bundle = parse_config(CONFIG)
     path = tmp_path / "scenario.cfg"
-    save_scenario(path, bundle)
+    save(path, bundle)
     back = load_scenario(path)
     assert back.scenario == bundle.scenario
     assert back.grid == bundle.grid
     # floats written with repr: a second save is byte-identical
     path2 = tmp_path / "again.cfg"
-    save_scenario(path2, back)
+    save(path2, back)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -229,7 +233,7 @@ def test_roundtrip_preserves_awkward_floats(tmp_path):
     text = "dt = 1e-07\nt_end = 0.30000000000000004\n"
     bundle = parse_config(text)
     path = tmp_path / "s.cfg"
-    save_scenario(path, bundle)
+    save(path, bundle)
     back = load_scenario(path)
     assert back.numerics.dt == bundle.numerics.dt
     assert back.numerics.t_end == bundle.numerics.t_end
@@ -320,7 +324,7 @@ def _bundles(draw):
 @settings(deadline=None)
 @given(_bundles())
 def test_config_lines_reparse_to_the_same_bundle(bundle):
-    # save_scenario writes these lines; any bundle that constructs
+    # a config file holds these lines; any bundle that constructs
     # must come back equal, label included
     assert parse_config("\n".join(config_lines(bundle))) == bundle
 
@@ -350,5 +354,5 @@ def test_label_with_comment_break_or_outer_space_is_refused(text, bad, where):
 def test_save_load_keeps_an_unusual_label(tmp_path, label):
     base = parse_config("")
     bundle = ConfigBundle(Scenario(label=label), base.grid, base.numerics)
-    save_scenario(tmp_path / "s.cfg", bundle)
+    save(tmp_path / "s.cfg", bundle)
     assert load_scenario(tmp_path / "s.cfg") == bundle
