@@ -48,8 +48,8 @@ Q_GRID = GridSpec1D(1024, 20.0)  # the q quadrature grid, 20 mode widths each wa
 
 def _phase_slope(gamma_k: float) -> float:
     """s = sqrt(gamma_k); gamma_k is the kernel curvature the family encodes."""
-    if gamma_k < 0.0:
-        raise InvalidParameterError("gamma_k", "must be >= 0")
+    if not 0.0 <= gamma_k < math.inf:  # NaN fails both
+        raise InvalidParameterError("gamma_k", f"must be finite and >= 0, got {gamma_k!r}")
     return math.sqrt(gamma_k)
 
 

@@ -17,10 +17,10 @@ step applies the kinetic multiplier, a y-iFFT, one fused full decay step and
 a y-FFT, with the field held as a C-contiguous (k_z, k_y) array so the
 y-transforms run on the contiguous axis; the last kinetic multiplier, a
 y-iFFT, a decay half-step and a z-iFFT close it. A one-step segment is the
-plain 2-D Strang step (fft2, kinetic multiplier, ifft2), with no interior.
-The scheme, dt and O(dt^2) error are those of step-by-step Strang; only the
-order of the transforms differs, which moves the results of longer segments
-by about 1e-14 relative.
+plain 2-D Strang step (fft2, kinetic multiplier, inverse 2-D FFT), with no
+interior. The scheme, dt and O(dt^2) error are those of step-by-step Strang;
+only the order of the transforms differs, which moves the results of longer
+segments by about 1e-14 relative.
 
 Half spectrum. The master equation keeps rho Hermitian, rho(-y, z) =
 conj rho(y, z), so rho^(k_y, -k_z) = conj rho^(k_y, k_z), and both factors
@@ -63,10 +63,17 @@ every output byte do not depend on the number of blocks. The initial state
 (init_gaussian_rho, one outer product) and _sample, which reads |rho| once
 for the leak and the purity, run on the calling thread.
 
-Buffers. A one-step segment works in one complex (y, z) array that its
-stepper allocates on first use, so the only full-grid array it allocates is
-the field that ifft2 returns and the step hands out. evolve_master_eq
-allocates one float (y, z) array per run, which every sample's |rho| reuses.
+Buffers. A one-step segment works in one complex (y, z) array w that its
+stepper allocates on first use, and the only full-grid array it allocates is
+the field it hands out. numpy 2.4's ifft2 ignores out= and would allocate its
+result and an intermediate, so the inverse runs in w as
+ifft2(w) = conj(fft2(conj(w))) / N, N = n_y n_z: conjugate w and fft2 it in
+place, then hand out its conjugate times the decay half-step over N. Both
+axes are powers of two (GridSpec1D), so 1/N, like ifft2's 1/n per axis, is
+exact, and the values equal ifft2's by np.array_equal; only the sign of an
+exact zero may differ, since the last conjugate turns +0 into -0.
+evolve_master_eq allocates one float (y, z) array per run, which every
+sample's |rho| reuses.
 
 Resume contract. Segments end only at sample steps and at the final step,
 and the field leaves a segment C-contiguous (the observables sum in memory
@@ -213,8 +220,12 @@ class MasterEqStepper:
             np.multiply(f.values, dh[:, None], out=w)
             np.fft.fft2(w, out=w)
             w *= self._kinetic
-            v = np.fft.ifft2(w)  # a new array: numpy 2.4's ifft2 ignores out=
-            v *= dh[:, None]
+            # the inverse in place as conj(fft2(conj(w))) / N (see Buffers in
+            # the module docstring): ifft2 would allocate two full-grid arrays
+            np.conjugate(w, out=w)
+            np.fft.fft2(w, out=w)
+            v = np.conjugate(w)
+            v *= (dh / w.size)[:, None]
             return ComplexField2D(v, f.grid, f.t + self.dt)
         # fft2's two transforms in its order: z on the contiguous axis, then
         # y on the k_z >= 0 half only, held as (k_z, k_y); each row block

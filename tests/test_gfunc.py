@@ -146,6 +146,16 @@ def test_sampler_validation():
         assert exc.value.field == "gamma_k"
 
 
+@pytest.mark.parametrize("gamma_k", [math.inf, math.nan])
+def test_non_finite_curvature_is_refused_by_name(gamma_k):
+    # refused before numpy sees it: the suite turns RuntimeWarnings into errors
+    for call in (lambda: compute_g_table(gamma_k, tau_grid()),
+                 lambda: sample_phi(gamma_k, tau_grid())):
+        with pytest.raises(InvalidParameterError, match=f"got {gamma_k!r}") as exc:
+            call()
+        assert exc.value.field == "gamma_k"
+
+
 def test_zero_curvature_family_is_static():
     # gamma_k = 0 removes the phase entirely: K = 1 everywhere
     K = compute_K(0.0, np.array([-2.0, 1.0]), np.array([0.5]))

@@ -6,6 +6,7 @@ Agreement with the closed-form Gaussian flow is the substantive check.
 """
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,51 @@ def test_fields_handed_out_own_their_memory(monkeypatch):
             assert not np.shares_memory(a.values, b.values)
 
 
+def strang_reference(s, grid, dt):
+    """One plain 2-D Strang step, v -> h ifft2(fft2(h v) kin)."""
+    y = grid.axis_y.points()[:, None]
+    h = np.exp(-s.lam * y * y * (0.5 * dt))
+    ky = grid.axis_y.wavenumbers()[:, None]
+    kz = grid.axis_z.wavenumbers()[None, :]
+    kin = np.exp(-1j * 2.0 * ky * kz * dt)
+    # spectrum first, as the stepper's w *= kin: numpy's complex product is
+    # not bitwise commutative, and one step is compared by np.array_equal
+    return lambda v: h * np.fft.ifft2(np.fft.fft2(h * v) * kin)
+
+
+def test_one_step_segment_allocates_only_the_field_it_hands_out():
+    # the inverse transform runs in the work array, so the step allocates
+    # the field it hands out and no other full-grid array
+    s = strong()
+    f, grid = initial_state(s, n=256)
+    stepper = MasterEqStepper(s, grid, 1e-3)
+    stepper.step(f, 1)  # builds _work and _kinetic
+    tracemalloc.start()
+    try:
+        stepper.step(f, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * f.values.nbytes
+
+
+@pytest.mark.parametrize("n_y, n_z", [(8, 64), (64, 128), (256, 256)])
+def test_one_step_inverse_is_ifft2_up_to_the_sign_of_zeros(n_y, n_z):
+    # conj(fft2(conj(w))) / N: with N a power of two every scaling is exact,
+    # so only a zero's sign may differ from the reference's ifft2
+    s, dt = strong(), 1e-3
+    f, grid = initial_state(s, n=n_y, n_z=n_z)
+    strang = strang_reference(s, grid, dt)
+    stepper = MasterEqStepper(s, grid, dt)
+    for _ in range(100):
+        want = strang(f.values)
+        f = stepper.step(f, 1)
+        assert np.array_equal(f.values, want)
+        got, ref = f.values.view(np.float64), want.view(np.float64)
+        differ = got.view(np.int64) != ref.view(np.int64)
+        assert not np.any(got[differ]) and not np.any(ref[differ])
+
+
 def test_no_aliasing_on_recommended_box():
     s = moderate()
     f, _ = initial_state(s, n=256, t_end=0.25)
@@ -314,22 +360,15 @@ def test_segment_matches_per_step_strang_reference(scenario, n_y, n_z, n):
     s = scenario()
     f, grid = initial_state(s, n=n_y, n_z=n_z)
     dt = 1e-3
-    y = grid.axis_y.points()[:, None]
-    h = np.exp(-s.lam * y * y * (0.5 * dt))
-    ky = grid.axis_y.wavenumbers()[:, None]
-    kz = grid.axis_z.wavenumbers()[None, :]
-    kin = np.exp(-1j * 2.0 * ky * kz * dt)
+    strang = strang_reference(s, grid, dt)
     ref, v = {}, f.values
     for k in range(1, n + 1):
-        # spectrum first, as the stepper's v *= kin: numpy's complex product
-        # is not bitwise commutative, and n = 1 is compared bit for bit
-        v = h * np.fft.ifft2(np.fft.fft2(h * v) * kin)
-        ref[k] = v
+        v = ref[k] = strang(v)
     mid = min(20, n // 2)  # an interior step, left as a copy; none when n = 1
     left = {}
     out = MasterEqStepper(s, grid, dt).step(
         f, n, leave=lambda j, c: left.setdefault(j, c), leave_at=(mid,))
-    if n == 1:  # the plain 2-D Strang step: runs sampled every step keep bytes
+    if n == 1:  # the plain 2-D Strang step, equal by value (zero signs aside)
         assert np.array_equal(out.values, ref[1]) and not left
     else:
         for got, want in ((out.values, ref[n]), (left[mid].values, ref[mid])):
