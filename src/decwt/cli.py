@@ -324,15 +324,13 @@ def _model_curves(s, t_end: float, short: bool = True):
     return out
 
 
-def cmd_figures(bundle_moderate: ConfigBundle, bundle_strong: ConfigBundle,
-                outdir) -> int:
+def cmd_figures(bundle: ConfigBundle, outdir) -> int:
     os.makedirs(outdir, exist_ok=True)
-    s_m = bundle_moderate.scenario
-    s_s = bundle_strong.scenario
-    t_b = characteristic_time(s_m)
+    s = bundle.scenario
+    t_b = characteristic_time(s)
 
     # fig 1: gamma models and their coherence lengths, one scenario, [0, 5 t_b]
-    c = _model_curves(s_m, 5.0 * t_b)
+    c = _model_curves(s, 5.0 * t_b)
     t = c["t"]
     fig1a = render_plot(
         [
@@ -340,9 +338,9 @@ def cmd_figures(bundle_moderate: ConfigBundle, bundle_strong: ConfigBundle,
             Curve.of("linear-short", t, c["linear-short"].gamma, dash="6,4"),
             Curve.of("linear-long", t, c["linear-long"].gamma, dash="2,3"),
         ],
-        title=f"decoherence coupling, {s_m.label}",
+        title=f"decoherence coupling, {s.label}",
         xlabel="t", ylabel="gamma(t)",
-        provenance=f"scenario {s_m.label}: closed form vs prescribed couplings",
+        provenance=f"scenario {s.label}: closed form vs prescribed couplings",
     )
     write_svg(os.path.join(outdir, "fig1a.svg"), fig1a)
 
@@ -355,24 +353,24 @@ def cmd_figures(bundle_moderate: ConfigBundle, bundle_strong: ConfigBundle,
             Curve.of("linear-short", t, coh(c["linear-short"]), dash="6,4"),
             Curve.of("linear-long", t, coh(c["linear-long"]), dash="2,3"),
         ],
-        title=f"coherence length, {s_m.label}",
+        title=f"coherence length, {s.label}",
         xlabel="t", ylabel="l(t)",
-        provenance=f"scenario {s_m.label}: coherence of exact vs prescribed flows",
+        provenance=f"scenario {s.label}: coherence of exact vs prescribed flows",
     )
     write_svg(os.path.join(outdir, "fig1b.svg"), fig1b)
 
     # fig 2: exact vs linear-long across both presets, [0, 10 t_b], t/t_b axis
     curves_l, curves_w = [], []
-    for s in (s_m, s_s):
-        tb = characteristic_time(s)
-        c = _model_curves(s, 10.0 * tb, short=False)
+    for sp in (preset_bundle(p).scenario for p in ("moderate", "strong")):
+        tb = characteristic_time(sp)
+        c = _model_curves(sp, 10.0 * tb, short=False)
         tt = c["t"] / tb
         long_traj = c["linear-long"]
-        curves_l.append(Curve.of(f"{s.label} exact", tt, c["exact-coherence"]))
-        curves_l.append(Curve.of(f"{s.label} linear", tt, coh(long_traj), dash="6,4"))
-        curves_w.append(Curve.of(f"{s.label} exact", tt, c["exact-width"]))
+        curves_l.append(Curve.of(f"{sp.label} exact", tt, c["exact-coherence"]))
+        curves_l.append(Curve.of(f"{sp.label} linear", tt, coh(long_traj), dash="6,4"))
+        curves_w.append(Curve.of(f"{sp.label} exact", tt, c["exact-width"]))
         curves_w.append(Curve.of(
-            f"{s.label} linear", tt,
+            f"{sp.label} linear", tt,
             0.5 / np.sqrt(np.asarray(long_traj.alpha)), dash="6,4"))
     fig2a = render_plot(
         curves_l, title="coherence length, exact vs linear",
@@ -497,7 +495,6 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     group.add_argument("--config", help="config file path (key = value lines)")
     group.add_argument("--preset", choices=("moderate", "strong"),
                        help="built-in scenario preset")
-    p.add_argument("--outdir", default=".", help="output directory")
 
 
 def _bundle_of(args) -> ConfigBundle:
@@ -550,17 +547,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_res)
     p_res.add_argument("--checkpoint", required=True,
                        help="binary checkpoint file written by run")
+    for p in (p_run, p_fig, p_res):  # verify writes nothing but stdout
+        p.add_argument("--outdir", default=".", help="output directory")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.command == "run" and args.checkpoint_every
+            and "master-eq" not in args.routes):
+        parser.error("--checkpoint-every needs master-eq in --routes")
     try:
         bundle = _bundle_of(args)
         if args.command == "run":
             return cmd_run(bundle, args.routes, args.outdir, args.checkpoint_every)
         if args.command == "figures":
-            return cmd_figures(bundle, preset_bundle("strong"), args.outdir)
+            return cmd_figures(bundle, args.outdir)
         if args.command == "verify":
             return cmd_verify(bundle)
         if args.command == "checkpoint-resume":

@@ -162,9 +162,9 @@ def evolve_lse(
     gamma_l: Callable[[float], float] | None = None,
 ) -> tuple[list[ObservableSample], list[ComplexField1D]]:
     """Evolve to numerics.t_end under gamma_l (linear_short(s) by default),
-    sampling the start, every step on a multiple of sample_every counted from
-    t = 0 (see sample_grid) and the last step. Returns (samples, fields), one
-    field per sample; each sample reports the gamma_l it ran with. A
+    sampling the steps of sample_grid from a.t, each stamped step * dt (an
+    a.t off the dt grid raises ValueError there). Returns (samples, fields),
+    one field per sample; each sample reports the gamma_l it ran with. A
     non-finite initial field raises IntegrationError at its own time, before
     any sample is taken."""
     if not np.isfinite(a.values).all():
@@ -172,13 +172,12 @@ def evolve_lse(
     stepper = LseStepper(s, a.grid, numerics.dt, gamma_l)
     ks = sample_grid(a.t, numerics.t_end, numerics.dt, numerics.sample_every)
 
-    t_start = a.t
     samples = [_sample(a, stepper.gamma_l(a.t))]
     fields = [a]
     for k, stop in zip(ks, ks[1:]):
         # one segment per sample interval
         a = stepper.step(a, stop - k)
-        a.t = t_start + stop * numerics.dt  # stamp from the step count, no drift
+        a.t = stop * numerics.dt  # stamp from the step count, no drift
         samples.append(_sample(a, stepper.gamma_l(a.t)))
         fields.append(a)
     return samples, fields

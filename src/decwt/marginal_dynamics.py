@@ -35,23 +35,26 @@ class IntegrationError(RuntimeError):
 
 def sample_grid(t_start: float, t_end: float, dt: float,
                 sample_every: int) -> list[int]:
-    """Sampled step indices from t_start to t_end; the last one is the step
-    count.
+    """Sampled step indices from t_start to t_end, counted from t = 0.
 
-    Step k lies at t_start + k * dt. The samples are step 0, every step
-    that lands on a multiple of sample_every counted from t = 0 (not from
-    t_start), and the last step, so a run resumed from any step shares the
-    time grid of the run that started at t = 0.
+    Step k lies at k * dt. The samples are the start step, every later step
+    on a multiple of sample_every and the last step, so a run resumed from
+    any step shares the time grid of the run that started at t = 0. A
+    t_start more than 4 ulps off the dt grid raises ValueError.
     """
     if sample_every < 1:
         raise InvalidParameterError("sample_every", "must be >= 1")
-    n_steps = int(round((t_end - t_start) / dt))
-    if n_steps < 0:
-        raise IntegrationError(t_start, "t_end precedes the start time")
     k0 = int(round(t_start / dt))
-    ks = [0] + [k for k in range(1, n_steps + 1) if (k0 + k) % sample_every == 0]
-    if ks[-1] != n_steps:
-        ks.append(n_steps)
+    last = k0 + int(round((t_end - t_start) / dt))
+    if last < k0:
+        raise IntegrationError(t_start, "t_end precedes the start time")
+    if abs(t_start - k0 * dt) > 4 * math.ulp(t_start):
+        raise ValueError(f"field time {t_start!r} is not on the dt = "
+                         f"{dt!r} grid; the stamps would move")
+    first = (k0 // sample_every + 1) * sample_every  # the first multiple past k0
+    ks = [k0, *range(first, last + 1, sample_every)]
+    if ks[-1] != last:
+        ks.append(last)
     return ks
 
 

@@ -3,6 +3,7 @@ exit codes, and checkpoint resume. Commands are invoked in-process through
 cli.main, which returns the exit code."""
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +334,53 @@ def test_figures_embedded_data_matches_curves(tmp_path):
     first = block.splitlines()[0]
     t0, g0 = (float(v) for v in first.split(","))
     assert t0 == 0.0 and g0 == 0.0
+
+
+def _data_labels(svg):
+    return re.findall(r'<!-- data "([^"]*)"', svg.read_text())
+
+
+def test_figure_2_draws_both_presets_whatever_the_preset(tmp_path):
+    # figure 1 follows --preset; figure 2 compares the two presets
+    out = tmp_path / "figs"
+    assert cli.main(["figures", "--preset", "strong", "--outdir", str(out)]) == 0
+    assert "strong" in (out / "fig1a.svg").read_text()
+    for name in ("fig2a.svg", "fig2b.svg"):
+        assert _data_labels(out / name) == [
+            "moderate exact", "moderate linear", "strong exact", "strong linear"]
+
+
+def test_figure_2_ignores_the_config(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_CFG + "Lambda = 3.0\n")
+    plain, own = tmp_path / "plain", tmp_path / "own"
+    assert cli.main(["figures", "--outdir", str(plain)]) == 0
+    assert cli.main(["figures", "--config", cfg, "--outdir", str(own)]) == 0
+    assert (own / "fig1a.svg").read_bytes() != (plain / "fig1a.svg").read_bytes()
+    for name in ("fig2a.svg", "fig2b.svg"):
+        assert (own / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_verify_takes_no_outdir(tmp_path):
+    # verify writes only its table on stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--outdir", str(tmp_path / "d")])
+    assert exc.value.code == 2
+
+
+def test_checkpoint_every_without_master_eq_usage_error(tmp_path, capsys):
+    # no other route writes checkpoints, so the flag would be ignored
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--routes", "analytic", "--checkpoint-every", "5",
+                  "--outdir", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--checkpoint-every" in captured.err and "--routes" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    # 0 means no checkpoints, which every route honours
+    assert cli.main(["run", "--routes", "analytic", "--checkpoint-every", "0",
+                     "--outdir", str(out)]) == 0
 
 
 def test_verify_passes_on_moderate(tmp_path, capsys):

@@ -413,3 +413,18 @@ def test_evolve_lse_returns_distinct_fields():
         for g in fields[i + 1:]:
             assert not np.shares_memory(f.values, g.values)
     assert len({f.t for f in fields}) == 5
+
+
+def test_start_off_the_dt_grid_is_refused():
+    # stamps count steps from t = 0: a start between two steps would put
+    # every sample off the sample grid and past t_end
+    s = moderate()
+    grid = GridSpec1D(n_points=64, extent=8.0)
+    a = init_gaussian_a(pure_params(s.alpha0), grid)
+    num = NumericsSpec(dt=2e-3, t_end=0.05, sample_every=5)
+    a.t = 0.035
+    with pytest.raises(ValueError, match="not on the dt"):
+        evolve_lse(a, s, num)
+    a.t = math.nextafter(18 * num.dt, 1.0)  # an ulp off, as sums round
+    samples, _ = evolve_lse(a, s, num)
+    assert [smp.t for smp in samples] == [a.t, 20 * num.dt, 25 * num.dt]

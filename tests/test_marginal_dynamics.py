@@ -116,6 +116,15 @@ def test_sample_every_below_one_is_refused(drive):
             evolve_lse(a, s, SimpleNamespace(dt=1e-3, t_end=0.01, sample_every=0))
 
 
+def test_sample_grid_counts_steps_from_zero():
+    dt = 2e-3
+    assert sample_grid(7 * dt, 0.05, dt, 5) == [7, 10, 15, 20, 25]
+    # an ulp off, as sums round, is still step 7
+    assert sample_grid(math.nextafter(7 * dt, 1.0), 0.05, dt, 5) == [7, 10, 15, 20, 25]
+    with pytest.raises(ValueError, match="^field time 0.035 is not on the dt = 0.002 grid"):
+        sample_grid(0.035, 0.05, dt, 5)
+
+
 # --- the inlined loop against a per-stage reference -------------------------
 
 
