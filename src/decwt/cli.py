@@ -108,11 +108,6 @@ def _write_csv(path, header: tuple, rows: list) -> None:
             out.writerow([_fmt(cells.get(col)) for col in header])
 
 
-def _pure_params(alpha0: float) -> GaussianParams:
-    return GaussianParams(alpha=alpha0, beta=0.0, gamma=0.0,
-                          delta=0.5 * math.log(2.0 * alpha0 / math.pi))
-
-
 # --- route runners --------------------------------------------------------
 
 
@@ -150,7 +145,7 @@ def run_ode(bundle: ConfigBundle) -> list[ObservableSample]:
 def run_master_eq(bundle: ConfigBundle, checkpoint_every: int = 0,
                   outdir: str = ".") -> list[ObservableSample]:
     s, num = bundle.scenario, bundle.numerics
-    f = init_gaussian_rho(_pure_params(s.alpha0), bundle.grid)
+    f = init_gaussian_rho(GaussianParams.pure(s.alpha0), bundle.grid)
 
     def sink(fld):
         step = int(round(fld.t / num.dt))
@@ -163,7 +158,7 @@ def run_master_eq(bundle: ConfigBundle, checkpoint_every: int = 0,
 def run_lse(bundle: ConfigBundle) -> list[ObservableSample]:
     s, num = bundle.scenario, bundle.numerics
     grid = bundle.grid.axis_z  # the tau axis reuses the spread-sized z axis
-    a = init_gaussian_a(_pure_params(s.alpha0), grid)
+    a = init_gaussian_a(GaussianParams.pure(s.alpha0), grid)
     return evolve_lse(a, s, num)[0]
 
 
@@ -424,7 +419,7 @@ def cmd_verify(bundle: ConfigBundle) -> int:
         grid = GridSpec1D(n_points=512, extent=16.0 * s.b)
         # the last three steps, so the time difference spans 2 dt
         stepper = LseStepper(s, grid, num.dt)
-        a_m = stepper.step(init_gaussian_a(_pure_params(s.alpha0), grid), n_steps - 2)
+        a_m = stepper.step(init_gaussian_a(GaussianParams.pure(s.alpha0), grid), n_steps - 2)
         a_c = stepper.step(a_m)
         res = marginalme_residual([a_m, a_c, stepper.step(a_c)], s)
         add("marginal-equation residual", res, 1e-3,

@@ -44,6 +44,11 @@ class GaussianParams:
         if self.gamma < 0.0:
             raise InvalidParameterError("gamma", "must be >= 0")
 
+    @classmethod
+    def pure(cls, alpha: float) -> GaussianParams:
+        """The normalised, unchirped packet a(tau) = exp(delta/2 - alpha tau^2)."""
+        return cls(alpha, 0.0, 0.0, 0.5 * math.log(2.0 * alpha / math.pi))
+
 
 @dataclass(frozen=True)
 class CubicG:

@@ -40,10 +40,15 @@ def sample_grid(t_start: float, t_end: float, dt: float,
     Step k lies at k * dt. The samples are the start step, every later step
     on a multiple of sample_every and the last step, so a run resumed from
     any step shares the time grid of the run that started at t = 0. A
-    t_start more than 4 ulps off the dt grid raises ValueError.
+    t_start that is not finite, below 0 or more than 4 ulps off the dt grid
+    raises ValueError.
     """
     if sample_every < 1:
         raise InvalidParameterError("sample_every", "must be >= 1")
+    if not math.isfinite(t_start):
+        raise ValueError(f"field time {t_start!r} is not finite")
+    if t_start < 0.0:
+        raise ValueError(f"field time {t_start!r} is before t = 0")
     k0 = int(round(t_start / dt))
     last = k0 + int(round((t_end - t_start) / dt))
     if last < k0:

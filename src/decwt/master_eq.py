@@ -356,12 +356,15 @@ def evolve_master_eq(
     observers: optional iterable of callables, each called with the field at
     every sample, after it is sampled. checkpoint_every > 0 hands the field
     to checkpoint_sink (callable, gets the current ComplexField2D) every that
-    many steps. Each sample interval is one stepper segment; the finite check
+    many steps; checkpoint_every > 0 without a checkpoint_sink raises
+    ValueError. Each sample interval is one stepper segment; the finite check
     runs at its end and before each checkpoint, so no non-finite field
     reaches the sink.
     """
     if checkpoint_every < 0:
         raise ValueError("checkpoint_every must be >= 0")
+    if checkpoint_every and checkpoint_sink is None:
+        raise ValueError("checkpoint_every > 0 needs a checkpoint_sink")
     stepper = MasterEqStepper(s, f.grid, numerics.dt)
     ks = sample_grid(f.t, numerics.t_end, numerics.dt, numerics.sample_every)
     amp = np.empty((f.grid.n_y, f.grid.n_z))  # every sample's |rho|
@@ -372,7 +375,6 @@ def evolve_master_eq(
             obs(fld)
         return smp
 
-    ckpt = checkpoint_every if checkpoint_sink else 0
     samples = [observe(f)]
 
     def stamp(c: ComplexField2D, step: int) -> None:
@@ -388,11 +390,12 @@ def evolve_master_eq(
     for k, stop in zip(ks, ks[1:]):
         # one segment per sample interval; checkpoints inside it get copies
         n = stop - k
-        inner = [j for j in range(1, n) if ckpt and (k + j) % ckpt == 0]
+        inner = [j for j in range(1, n)
+                 if checkpoint_every and (k + j) % checkpoint_every == 0]
         f = stepper.step(f, n, leave, inner)
         stamp(f, stop)
         samples.append(observe(f))
-        if ckpt and stop % ckpt == 0:
+        if checkpoint_every and stop % checkpoint_every == 0:
             checkpoint_sink(f)
 
     return samples, f
@@ -404,7 +407,7 @@ def suggest_extents(s: Scenario, alpha0: float, beta0: float, t_end: float) -> t
     extents are at least the initial 6-sigma minimum that init_gaussian_rho
     checks, evaluated with the same expression, so they never round below it."""
     g = build_cubic(s, alpha0, beta0)
-    sig_y, sig_z = sigma_profile(GaussianParams(alpha=alpha0, beta=beta0, gamma=0.0, delta=0.0))
+    sig_y, sig_z = sigma_profile(GaussianParams.pure(alpha0))
     ext_y = 6.0 * sig_y
     ext_z = 6.0 * max(math.sqrt(float(eval_G(g, t_end))), sig_z)
     return ext_y, ext_z

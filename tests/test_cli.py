@@ -296,6 +296,31 @@ def test_partial_outputs_survive_route_failure(tmp_path):
     assert (out / "analytic.csv").exists()  # healthy route retained
 
 
+def test_failing_route_exits_1_and_keeps_the_other_routes(tmp_path, capsys):
+    # an 8-point tau axis cannot hold the LSE's 9-point curvature fit window
+    cfg = write_cfg(tmp_path, "label = probe\nn_y = 16\nn_z = 8\nt_end = 0.02\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--routes", "analytic,lse",
+                     "--outdir", str(out)]) == 1
+    msg = "lse: grid: the 9-point fit window around index 4 leaves the 8-point grid"
+    assert f"route failed: {msg}" in capsys.readouterr().err
+    assert (out / "analytic.csv").exists() and (out / "comparison.csv").exists()
+    assert not (out / "lse.csv").exists()
+    assert f"status = failed: {msg}\n" in (out / "MANIFEST.txt").read_text()
+
+
+@pytest.mark.parametrize("text, err", [
+    ("sample_every = 0\n", "error: sample_every: must be >= 1"),
+    ("dt =\n", "error: line 1: empty key or value"),
+], ids=["sample_every-0", "empty-value"])
+def test_invalid_config_fails_before_any_output(tmp_path, capsys, text, err):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_cfg(tmp_path, text),
+                     "--routes", "analytic", "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == err + "\n"
+    assert not out.exists()
+
+
 def test_figures_written_and_deterministic(tmp_path):
     d1, d2 = tmp_path / "f1", tmp_path / "f2"
     assert cli.main(["figures", "--outdir", str(d1)]) == 0
@@ -630,6 +655,28 @@ def test_checkpoint_resume_refuses_a_field_off_the_dt_grid(tmp_path, capsys):
     assert "not on the dt" in capsys.readouterr().err
     assert not (res / "master-eq.csv").exists()
     assert ("status = failed: master-eq resume: field time"
+            in (res / "MANIFEST.txt").read_text())
+
+
+@pytest.mark.parametrize("t, reason", [
+    (-0.02, "is before t = 0"), (np.nan, "is not finite"), (np.inf, "is not finite"),
+], ids=["negative", "nan", "inf"])
+def test_checkpoint_resume_refuses_a_field_time_off_the_clock(tmp_path, capsys, t, reason):
+    # rows are stamped k dt with k counted from t = 0: a time before it or
+    # not finite has no step k, and the refusal names the field time
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("sample_every = 10", "sample_every = 5"))
+    full = tmp_path / "full"
+    assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
+                     "--checkpoint-every", "10", "--outdir", str(full)]) == 0
+    f = load_field_2d(full / "master-eq-step000020.ckpt")
+    f.t = t
+    bad, res = tmp_path / "bad.ckpt", tmp_path / "res"
+    save_field_2d(bad, f)
+    assert cli.main(["checkpoint-resume", "--config", cfg,
+                     "--checkpoint", str(bad), "--outdir", str(res)]) == 1
+    assert reason in capsys.readouterr().err
+    assert not (res / "master-eq.csv").exists()
+    assert (f"status = failed: master-eq resume: field time {t!r} {reason}"
             in (res / "MANIFEST.txt").read_text())
 
 

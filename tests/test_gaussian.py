@@ -165,6 +165,13 @@ def test_free_particle_limit():
     assert math.isclose(p.alpha, 1.0 / 8.0, rel_tol=1e-14)  # G(2) = 4 + 4
 
 
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+def test_pure_packet_is_the_closed_form_at_t0(b):
+    # alpha0 = 1/(4 b^2) is a power of two here, so 1/G(0) gives it back exactly
+    s = Scenario(lam=1.0, b=b, label="probe")
+    assert GaussianParams.pure(s.alpha0) == params_exact(build_cubic(s, s.alpha0, 0.0), s, 0.0)
+
+
 def test_sigma_profile():
     p = GaussianParams(alpha=0.25, beta=0.0, gamma=1.0, delta=0.0)
     off_diag, diag = sigma_profile(p)
@@ -182,21 +189,16 @@ def grid_for(p: GaussianParams, n=256, factor=8.0) -> GridSpec2D:
                       extent_z=factor * sig_z)
 
 
-def pure_params() -> GaussianParams:
-    return GaussianParams(alpha=0.25, beta=0.0, gamma=0.0,
-                          delta=0.5 * math.log(0.5 / math.pi))
-
-
 def test_density_matrix_trace_is_one_on_adequate_grid():
     from decwt.observables import trace_of
-    p = pure_params()
+    p = GaussianParams.pure(0.25)
     f = density_matrix_exact(p, grid_for(p))
     assert abs(trace_of(f) - 1.0) < 1e-10
 
 
 def test_density_matrix_pure_state_purity():
     from decwt.observables import purity
-    p = pure_params()
+    p = GaussianParams.pure(0.25)
     f = density_matrix_exact(p, grid_for(p))
     assert abs(purity(f) - 1.0) < 1e-10
 

@@ -35,13 +35,8 @@ def strong():
     return Scenario(lam=10.0, b=1.0, label="strong")
 
 
-def pure_params(alpha):
-    return GaussianParams(alpha=alpha, beta=0.0, gamma=0.0,
-                          delta=0.5 * math.log(2.0 * alpha / math.pi))
-
-
 def initial_state(s, n=256, t_end=0.25, n_z=None):
-    p0 = pure_params(s.alpha0)
+    p0 = GaussianParams.pure(s.alpha0)
     ey, ez = suggest_extents(s, s.alpha0, 0.0, t_end)
     grid = GridSpec2D(n_y=n, n_z=n_z or n, extent_y=ey, extent_z=ez)
     return init_gaussian_rho(p0, grid), grid
@@ -99,7 +94,7 @@ def test_matches_closed_form():
 
 def test_init_rejects_undersized_grid():
     s = moderate()
-    p0 = pure_params(s.alpha0)
+    p0 = GaussianParams.pure(s.alpha0)
     # sigma_z = 1/sqrt(alpha0) = sqrt(2) b: extent below 6 sigma must refuse
     grid = GridSpec2D(n_y=64, n_z=64, extent_y=12.0, extent_z=5.0)
     with pytest.raises(GridSizeError):
@@ -108,7 +103,7 @@ def test_init_rejects_undersized_grid():
 
 def test_boundary_leak_flags_aliasing():
     s = moderate()
-    p0 = pure_params(s.alpha0)
+    p0 = GaussianParams.pure(s.alpha0)
     # a 6-sigma box never leaks at t = 0, so bypass the init guard:
     # 4.5 sigma puts the edge amplitude at exp(-4.5^2/2) ~ 4e-5 > 1e-6
     from decwt.gaussian import density_matrix_exact
@@ -129,7 +124,7 @@ def test_sample_reads_the_observables_of_the_field(extent):
     sig = 1.0 / math.sqrt(s.alpha0)
     grid = GridSpec2D(n_y=64, n_z=128, extent_y=extent * sig, extent_z=extent * sig)
     f = MasterEqStepper(s, grid, 1e-3).step(
-        density_matrix_exact(pure_params(s.alpha0), grid), 3)
+        density_matrix_exact(GaussianParams.pure(s.alpha0), grid), 3)
     leak = boundary_leak(np.abs(f.values))
     # a run reuses one |rho| buffer for every sample; what it held before
     # must not show, nor may one sample's |rho|^2 leak into the next
@@ -301,11 +296,28 @@ def test_negative_checkpoint_cadence_refused():
         evolve_master_eq(f, s, num, checkpoint_every=-3, checkpoint_sink=[].append)
 
 
+def test_checkpoint_cadence_without_a_sink_refused():
+    # a cadence with nowhere to hand the field would checkpoint nothing
+    s = moderate()
+    f, _ = initial_state(s, n=64)
+    num = NumericsSpec(dt=1e-3, t_end=0.01, sample_every=5)
+    with pytest.raises(ValueError, match="checkpoint_every > 0 needs a checkpoint_sink"):
+        evolve_master_eq(f, s, num, checkpoint_every=2)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_stepper_rejects_an_empty_segment(n):
+    s = moderate()
+    f, grid = initial_state(s, n=64)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        MasterEqStepper(s, grid, 1e-3).step(f, n)
+
+
 def test_suggested_box_passes_init_guard_off_preset_b():
     # 6/sqrt(alpha0) once rounded one ulp below the guard's 6*(1/sqrt(alpha0))
     for b in [0.98012] + list(np.linspace(0.98, 1.02, 401)):
         s = Scenario(lam=1.0, b=float(b), label="probe")
-        p0 = pure_params(s.alpha0)
+        p0 = GaussianParams.pure(s.alpha0)
         for t_end in (0.0, 0.25):
             ey, ez = suggest_extents(s, s.alpha0, 0.0, t_end)
             grid = GridSpec2D(n_y=16, n_z=16, extent_y=ey, extent_z=ez)
@@ -477,7 +489,7 @@ def test_init_refuses_a_chirped_state():
 @pytest.mark.parametrize("preset", ["moderate", "strong"])
 def test_init_trace_is_one_on_the_preset_grid(preset):
     bundle = preset_bundle(preset)
-    f = init_gaussian_rho(pure_params(bundle.scenario.alpha0), bundle.grid)
+    f = init_gaussian_rho(GaussianParams.pure(bundle.scenario.alpha0), bundle.grid)
     assert abs(trace_of(f) - 1.0) <= 1e-15
 
 

@@ -92,9 +92,7 @@ def test_coherence_from_rho_ignores_zeros_outside_the_window():
     # error::RuntimeWarning a full-column log raises "divide by zero"
     b = preset_bundle("strong")
     s = b.scenario
-    p0 = GaussianParams(alpha=s.alpha0, beta=0.0, gamma=0.0,
-                        delta=0.5 * math.log(2.0 * s.alpha0 / math.pi))
-    f = init_gaussian_rho(p0, b.grid)
+    f = init_gaussian_rho(GaussianParams.pure(s.alpha0), b.grid)
     f.values[:3, :] = 0.0
     assert math.isclose(coherence_from_rho(f), 1.0 / math.sqrt(s.alpha0),
                         rel_tol=1e-12)

@@ -5,10 +5,12 @@
 For each preset (moderate, strong) it runs, each in a fresh interpreter of
 the decwt under src/ with RuntimeWarning raised as an error: `run` on all
 six routes with a checkpoint every 700 steps, `verify`, `checkpoint-resume`
-from the run's first checkpoint and `figures`. A small config sampled every
-step (DENSE: 128^2, t_end = 0.05) runs the master-eq route with a
-checkpoint every 10 steps and resumes from its first checkpoint, so the
-one-step segments are covered too. Every command runs in OUTDIR
+from the run's first checkpoint and `figures`. Two small master-eq runs
+follow, each resumed from its first checkpoint: DENSE (128^2, t_end = 0.05)
+samples every step with a checkpoint every 10 steps, so the one-step
+segments are covered, and STRIDE, DENSE sampled every 5 steps with a
+checkpoint every 7, takes checkpoints inside a segment and resumes from
+step 7, off the sample grid. Every command runs in OUTDIR
 with relative paths and leaves its stdout, stderr and exit code as files of
 their own. Then one `sha256  path` line is printed per file under OUTDIR,
 sorted by path, so the artifacts of two checkouts compare with diff.
@@ -26,6 +28,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ROUTES = "analytic,ode,master-eq,lse,gfunc,hierarchy"
 DENSE = ("label = dense\nLambda = 10.0\nn_y = 128\nn_z = 128\n"
          "t_end = 0.05\nsample_every = 1\n")
+STRIDE = DENSE.replace("= dense", "= stride").replace("sample_every = 1\n",
+                                                     "sample_every = 5\n")
 
 
 def decwt(root: Path, name: str, *args: str) -> None:
@@ -53,12 +57,13 @@ def main(argv: list[str]) -> int:
             decwt(root, f"{p}-resume", "checkpoint-resume", "--preset", p,
                   "--checkpoint", f"{p}/run/{ckpt.name}", "--outdir", f"{p}/resume")
         decwt(root, f"{p}-figures", "figures", "--preset", p, "--outdir", f"{p}/figures")
-    (root / "dense.cfg").write_text(DENSE)
-    decwt(root, "dense-run", "run", "--config", "dense.cfg", "--routes", "master-eq",
-          "--checkpoint-every", "10", "--outdir", "dense/run")
-    for ckpt in sorted((root / "dense" / "run").glob("*.ckpt"))[:1]:
-        decwt(root, "dense-resume", "checkpoint-resume", "--config", "dense.cfg",
-              "--checkpoint", f"dense/run/{ckpt.name}", "--outdir", "dense/resume")
+    for name, text, every in (("dense", DENSE, "10"), ("stride", STRIDE, "7")):
+        (root / f"{name}.cfg").write_text(text)
+        decwt(root, f"{name}-run", "run", "--config", f"{name}.cfg", "--routes",
+              "master-eq", "--checkpoint-every", every, "--outdir", f"{name}/run")
+        for ckpt in sorted((root / name / "run").glob("*.ckpt"))[:1]:
+            decwt(root, f"{name}-resume", "checkpoint-resume", "--config", f"{name}.cfg",
+                  "--checkpoint", f"{name}/run/{ckpt.name}", "--outdir", f"{name}/resume")
     for f in sorted(q for q in root.rglob("*") if q.is_file()):
         print(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.relative_to(root).as_posix()}")
     return 0
