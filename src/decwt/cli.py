@@ -158,8 +158,7 @@ def run_master_eq(bundle: ConfigBundle, checkpoint_every: int = 0,
 def run_lse(bundle: ConfigBundle) -> list[ObservableSample]:
     s, num = bundle.scenario, bundle.numerics
     grid = bundle.grid.axis_z  # the tau axis reuses the spread-sized z axis
-    a = init_gaussian_a(GaussianParams.pure(s.alpha0), grid)
-    return evolve_lse(a, s, num)[0]
+    return evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)[0]
 
 
 GFUNC_HEADER = ("name", "value", "threshold", "status")
@@ -185,9 +184,8 @@ HIERARCHY_HEADER = ("t", "res0", "res1", "res2")
 
 def _hierarchy_residuals(s, g, t: float) -> list[float]:
     """Hierarchy residuals of orders 0..2 along the closed form of cubic g at
-    time t, on 64 z points over [-3b, 3b]."""
-    z = np.linspace(-3.0 * s.b, 3.0 * s.b, 64)
-    return qseries_residual(lambda tv: params_exact(g, s, tv), s, t, z)
+    time t."""
+    return qseries_residual(lambda tv: params_exact(g, s, tv), s, t)
 
 
 def run_hierarchy(bundle: ConfigBundle) -> list[dict]:
@@ -419,7 +417,7 @@ def cmd_verify(bundle: ConfigBundle) -> int:
         grid = GridSpec1D(n_points=512, extent=16.0 * s.b)
         # the last three steps, so the time difference spans 2 dt
         stepper = LseStepper(s, grid, num.dt)
-        a_m = stepper.step(init_gaussian_a(GaussianParams.pure(s.alpha0), grid), n_steps - 2)
+        a_m = stepper.step(init_gaussian_a(s.alpha0, grid), n_steps - 2)
         a_c = stepper.step(a_m)
         res = marginalme_residual([a_m, a_c, stepper.step(a_c)], s)
         add("marginal-equation residual", res, 1e-3,

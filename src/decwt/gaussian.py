@@ -47,6 +47,8 @@ class GaussianParams:
     @classmethod
     def pure(cls, alpha: float) -> GaussianParams:
         """The normalised, unchirped packet a(tau) = exp(delta/2 - alpha tau^2)."""
+        if not (0.0 < alpha < math.inf):
+            raise InvalidParameterError("alpha", "must be positive and finite")
         return cls(alpha, 0.0, 0.0, 0.5 * math.log(2.0 * alpha / math.pi))
 
 

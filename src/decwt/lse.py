@@ -61,9 +61,10 @@ from .scenario import GridSpec1D, InvalidParameterError, NumericsSpec, Scenario
 LN_FLOOR = 1e-15  # amplitude floor of the logarithm, relative to max|a|
 
 
-def init_gaussian_a(p: GaussianParams, grid: GridSpec1D) -> ComplexField1D:
-    """a(tau) = exp(delta/2 - (alpha + i beta) tau^2) at t = 0, renormalized
-    on the grid."""
+def init_gaussian_a(alpha: float, grid: GridSpec1D) -> ComplexField1D:
+    """The packet GaussianParams.pure(alpha), a(tau) = exp(delta/2 - alpha tau^2),
+    at t = 0, renormalized on the grid."""
+    p = GaussianParams.pure(alpha)
     tau = grid.points()
     vals = np.exp(0.5 * p.delta - (p.alpha + 1j * p.beta) * tau * tau)
     f = ComplexField1D(vals, grid, 0.0)

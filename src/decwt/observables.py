@@ -185,16 +185,16 @@ def qseries_residual(
     params_fn: Callable[[float], GaussianParams],
     s: Scenario,
     t: float,
-    z_grid: np.ndarray,
 ) -> list[float]:
-    """Max-norm residuals of hierarchy orders 0..2 at time t on z_grid, from
-    one evaluation of params_fn at each of t - FD_STEP, t and t + FD_STEP.
+    """Max-norm residuals of hierarchy orders 0..2 at time t on 64 z points
+    over [-3b, 3b], from one evaluation of params_fn at each of t - FD_STEP,
+    t and t + FD_STEP.
 
     Time derivatives come from central differences of params_fn with
     half-width FD_STEP, so t must be at least FD_STEP; z derivatives
     are analytic.
     """
-    z = np.asarray(z_grid, dtype=float)
+    z = np.linspace(-3.0 * s.b, 3.0 * s.b, 64)
     f_plus = _q_coeffs(params_fn(t + FD_STEP), z)
     f_minus = _q_coeffs(params_fn(t - FD_STEP), z)
     p = params_fn(t)

@@ -111,8 +111,7 @@ def test_ac3_wavefunction_route_matches_prescribed_ode():
     bundle = preset_bundle("moderate")
     s = bundle.scenario
 
-    a0 = init_gaussian_a(GaussianParams(s.alpha0, 0.0, 0.0, 0.0),
-                         GridSpec1D(1024, 24.0))
+    a0 = init_gaussian_a(s.alpha0, GridSpec1D(1024, 24.0))
     samples, _ = evolve_lse(a0, s, NumericsSpec(dt=1e-4, t_end=1.0,
                                                 sample_every=1000))
     gm = linear_short(s)
@@ -131,7 +130,7 @@ def test_ac3_wavefunction_route_matches_prescribed_ode():
     grid_r = GridSpec1D(512, 16.0)
 
     def series(stride):
-        a = init_gaussian_a(GaussianParams(s.alpha0, 0.0, 0.0, 0.0), grid_r)
+        a = init_gaussian_a(s.alpha0, grid_r)
         num = NumericsSpec(dt=1e-4, t_end=0.1, sample_every=stride)
         return evolve_lse(a, s, num)[1]
 
@@ -375,10 +374,9 @@ def test_ac6_structural_identities(monkeypatch):
     monkeypatch.undo()
     gauge_caught = [r.name for r in gauge_off if not r.passed]
 
-    z = np.linspace(-3.0, 3.0, 64)
     params_fn = lambda t: params_exact(g, s, t)
-    worst_q = max(qseries_residual(params_fn, s, t_b, z))
-    control = qseries_residual(params_fn, replace(s, lam=0.0), t_b, z)[2]
+    worst_q = max(qseries_residual(params_fn, s, t_b))
+    control = qseries_residual(params_fn, replace(s, lam=0.0), t_b)[2]
     control_ok = math.isclose(control, 2.0 * s.lam, rel_tol=1e-3)
 
     ok = (all(r.passed for r in reports) and worst_identity < 1e-8 and caught
@@ -437,8 +435,7 @@ def test_ac7_convergence_orders():
                                        sample_every=round(t_end / 1e-6)).alpha[-1]
 
     def lse_err(dt, n_points=1024):
-        a = init_gaussian_a(GaussianParams(s.alpha0, 0.0, 0.0, 0.0),
-                            GridSpec1D(n_points, 24.0))
+        a = init_gaussian_a(s.alpha0, GridSpec1D(n_points, 24.0))
         num = NumericsSpec(dt=dt, t_end=t_end, sample_every=round(t_end / dt))
         samples, _ = evolve_lse(a, s, num)
         return abs(samples[-1].alpha - a_ref)

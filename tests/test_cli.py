@@ -509,6 +509,24 @@ def test_verify_skips_decoherence_checks_at_zero_coupling(tmp_path, capsys):
     assert "decoherence-specific" in out
 
 
+def test_run_all_routes_at_zero_coupling(tmp_path):
+    # the g-table is built at gamma_k = 0 and every identity still holds
+    cfg = write_cfg(tmp_path, SMALL_CFG + "Lambda = 0.0\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--routes", ",".join(cli.ROUTES),
+                     "--outdir", str(out)]) == 0
+    assert "status = ok" in (out / "MANIFEST.txt").read_text().splitlines()
+    _, rows = read_csv(out / "gfunc.csv")
+    assert rows and all(r["status"] == "pass" for r in rows)
+
+
+def test_figures_refuse_zero_coupling(tmp_path, capsys):
+    # figure 1 spans [0, 5 t_b], and Lambda = 0 has no t_b
+    cfg = write_cfg(tmp_path, SMALL_CFG + "Lambda = 0.0\n")
+    assert cli.main(["figures", "--config", cfg, "--outdir", str(tmp_path / "fig")]) == 1
+    assert capsys.readouterr().err.startswith("error: Lambda: ")
+
+
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_CFG.replace("t_end = 0.05",
                                                 "t_end = 0.03")

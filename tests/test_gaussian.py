@@ -172,6 +172,13 @@ def test_pure_packet_is_the_closed_form_at_t0(b):
     assert GaussianParams.pure(s.alpha0) == params_exact(build_cubic(s, s.alpha0, 0.0), s, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_pure_packet_refuses_alpha_out_of_range(alpha):
+    # refused by name before the normalisation's log sees it
+    with pytest.raises(InvalidParameterError, match="^alpha: must be positive and finite$"):
+        GaussianParams.pure(alpha)
+
+
 def test_sigma_profile():
     p = GaussianParams(alpha=0.25, beta=0.0, gamma=1.0, delta=0.0)
     off_diag, diag = sigma_profile(p)

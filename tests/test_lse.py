@@ -14,7 +14,6 @@ import pytest
 
 from decwt.cli import run_lse
 from decwt.fields import ComplexField1D
-from decwt.gaussian import GaussianParams
 from decwt.lse import (
     LseStepper,
     epsilon_of,
@@ -40,7 +39,7 @@ def moderate(lam=1.0):
 def test_norm_conserved_exactly():
     s = moderate()
     grid = GridSpec1D(n_points=512, extent=16.0)
-    a = init_gaussian_a(GaussianParams.pure(s.alpha0), grid)
+    a = init_gaussian_a(s.alpha0, grid)
     stepper = LseStepper(s, grid, 1e-3)
     for _ in range(200):
         a = stepper.step(a)
@@ -53,7 +52,7 @@ def test_matches_prescribed_gamma_ode():
     s = moderate()
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-4, t_end=0.5, sample_every=1000)
-    samples, _ = evolve_lse(init_gaussian_a(GaussianParams.pure(s.alpha0), grid), s, num)
+    samples, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
     traj = integrate_prescribed_gamma(s, linear_short(s),
                                       dt=1e-5, t_end=0.5, sample_every=10000)
     t_ode = np.asarray(traj.t)
@@ -68,7 +67,7 @@ def test_zero_coupling_is_free_particle():
     s0 = moderate(lam=0.0)
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-3, t_end=2.0, sample_every=2000)
-    samples, _ = evolve_lse(init_gaussian_a(GaussianParams.pure(s0.alpha0), grid), s0, num)
+    samples, _ = evolve_lse(init_gaussian_a(s0.alpha0, grid), s0, num)
     t = samples[-1].t
     alpha_free = s0.alpha0 / (1.0 + (2.0 * s0.alpha0 * t) ** 2)
     assert abs(samples[-1].ensemble_width - 0.5 / math.sqrt(alpha_free)) < 1e-10
@@ -78,7 +77,7 @@ def test_positive_coupling_spreads_faster_than_free():
     s = moderate()
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-3, t_end=2.0, sample_every=2000)
-    coupled, _ = evolve_lse(init_gaussian_a(GaussianParams.pure(s.alpha0), grid), s, num)
+    coupled, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
     free_width = 0.5 / math.sqrt(s.alpha0 / (1.0 + (2.0 * s.alpha0 * 2.0) ** 2))
     assert coupled[-1].ensemble_width > 2.0 * free_width
 
@@ -90,7 +89,7 @@ def test_gausson_is_stationary():
     kappa = 1.0
     alpha_star = kappa
     grid = GridSpec1D(n_points=512, extent=12.0)
-    a = init_gaussian_a(GaussianParams.pure(alpha_star), grid)
+    a = init_gaussian_a(alpha_star, grid)
     num = NumericsSpec(dt=1e-3, t_end=1.0, sample_every=200)
     samples, _ = evolve_lse(a, s, num, gamma_l=lambda t: -kappa)
     w0 = 0.5 / math.sqrt(alpha_star)
@@ -108,7 +107,7 @@ def test_gamma_l_override_is_reported_and_sets_coherence():
 
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-4, t_end=0.2, sample_every=500)
-    samples, _ = evolve_lse(init_gaussian_a(GaussianParams.pure(s.alpha0), grid), s, num,
+    samples, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num,
                             gamma_l=gamma_l)
     traj = integrate_prescribed_gamma(s, gamma_l,
                                       dt=1e-5, t_end=0.2, sample_every=5000)
@@ -119,18 +118,17 @@ def test_gamma_l_override_is_reported_and_sets_coherence():
         assert abs(smp.alpha - traj.alpha[i]) < 1e-8, f"t={smp.t}"
         assert abs(smp.beta - traj.beta[i]) < 1e-8, f"t={smp.t}"
     # the default gamma_l would have evolved a different packet
-    default, _ = evolve_lse(init_gaussian_a(GaussianParams.pure(s.alpha0), grid), s, num)
+    default, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
     assert abs(default[-1].alpha - samples[-1].alpha) > 1e-3
 
 
 def test_marginal_equation_residual_converges():
     s = moderate()
     grid = GridSpec1D(n_points=512, extent=16.0)
-    p0 = GaussianParams.pure(s.alpha0)
 
     def run(stride):
         num = NumericsSpec(dt=1e-4, t_end=0.1, sample_every=stride)
-        _, fields = evolve_lse(init_gaussian_a(p0, grid), s, num)
+        _, fields = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
         return fields
 
     f100, f50 = run(100), run(50)
@@ -148,13 +146,19 @@ def test_marginal_equation_residual_converges():
 def test_marginal_residual_input_validation():
     s = moderate()
     grid = GridSpec1D(n_points=64, extent=8.0)
-    a = init_gaussian_a(GaussianParams.pure(1.0), grid)
+    a = init_gaussian_a(1.0, grid)
     with pytest.raises(InvalidParameterError):
         marginalme_residual([a, a], s)
     b = ComplexField1D(a.values.copy(), grid, t=0.1)
     c = ComplexField1D(a.values.copy(), grid, t=0.15)  # unequal spacing
     with pytest.raises(InvalidParameterError):
         marginalme_residual([a, b, c], s)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_init_gaussian_a_refuses_alpha_out_of_range(alpha):
+    with pytest.raises(InvalidParameterError, match="^alpha: "):
+        init_gaussian_a(alpha, GridSpec1D(n_points=64, extent=8.0))
 
 
 def test_ln_floor_keeps_nodes_finite():
@@ -207,7 +211,7 @@ def test_default_phase_rate_is_hbar_over_m_times_linear_short():
 def test_negative_span_raises():
     s = moderate()
     grid = GridSpec1D(n_points=64, extent=8.0)
-    a = init_gaussian_a(GaussianParams.pure(1.0), grid)
+    a = init_gaussian_a(1.0, grid)
     a.t = 1.0
     with pytest.raises(IntegrationError):
         evolve_lse(a, s, NumericsSpec(dt=1e-3, t_end=0.5, sample_every=5))
@@ -220,7 +224,7 @@ def test_segment_matches_per_step_strang_reference(preset, n):
     bundle = preset_bundle(preset)
     s, grid, dt = bundle.scenario, bundle.grid.axis_z, 1e-3
     assert grid.n_points == 512
-    a = init_gaussian_a(GaussianParams.pure(s.alpha0), grid)
+    a = init_gaussian_a(s.alpha0, grid)
     a.t = 0.25  # a nonzero coupling from the first half-step on
     gamma_l = linear_short(s)
     k = grid.wavenumbers()
@@ -252,7 +256,7 @@ def test_buffered_segment_is_the_fused_expression_bit_for_bit(preset):
     # must equal the plain fused expression, complex phase chain included
     bundle = preset_bundle(preset)
     s, grid, dt, n = bundle.scenario, bundle.grid.axis_z, 1e-3, 50
-    a = init_gaussian_a(GaussianParams.pure(s.alpha0), grid)
+    a = init_gaussian_a(s.alpha0, grid)
     a.t = 0.25
     g = linear_short(s)
     k = grid.wavenumbers()
@@ -283,7 +287,7 @@ def test_blow_up_inside_a_segment_is_stamped_at_its_step(t_nan, t_stamp):
     def gamma_l(t):
         return float("nan") if t >= t_nan else g0(t)
 
-    a = init_gaussian_a(GaussianParams.pure(s.alpha0), bundle.grid.axis_z)
+    a = init_gaussian_a(s.alpha0, bundle.grid.axis_z)
     num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
     with pytest.raises(IntegrationError, match="field blew up") as err:
         evolve_lse(a, s, num, gamma_l=gamma_l)
@@ -300,7 +304,7 @@ def test_stepper_refuses_bad_dt(dt):
 def test_step_refuses_fewer_than_one_step():
     s = moderate()
     grid = GridSpec1D(n_points=64, extent=8.0)
-    a = init_gaussian_a(GaussianParams.pure(1.0), grid)
+    a = init_gaussian_a(1.0, grid)
     stepper = LseStepper(s, grid, 1e-3)
     for n in (0, -1):
         with pytest.raises(ValueError):
@@ -313,7 +317,7 @@ def test_non_finite_initial_field_fails_at_start(index):
     # RuntimeWarning from the Gaussian fit
     s = moderate()
     grid = GridSpec1D(n_points=64, extent=8.0)
-    a = init_gaussian_a(GaussianParams.pure(1.0), grid)
+    a = init_gaussian_a(1.0, grid)
     a.t = 0.5
     a.values[index] = np.nan
     with pytest.raises(IntegrationError, match="not finite") as err:
@@ -334,7 +338,7 @@ def test_one_stepper_call_per_sample_interval(monkeypatch):
     s = moderate()
     grid = GridSpec1D(n_points=512, extent=16.0)
     num = NumericsSpec(dt=1e-3, t_end=0.023, sample_every=5)
-    samples, _ = evolve_lse(init_gaussian_a(GaussianParams.pure(s.alpha0), grid), s, num)
+    samples, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
     assert [smp.t for smp in samples] == [0.0, 0.005, 0.01, 0.015, 0.02, 0.023]
     assert calls == [5, 5, 5, 5, 3]
 
@@ -361,7 +365,7 @@ def residual_series(n=64):
     s = moderate()
     grid = GridSpec1D(n_points=n, extent=8.0)
     num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
-    _, fields = evolve_lse(init_gaussian_a(GaussianParams.pure(s.alpha0), grid), s, num)
+    _, fields = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
     return fields, s
 
 
@@ -390,7 +394,7 @@ def test_residual_equals_the_explicit_outer_product_formula(n):
 def test_step_leaves_its_input_and_returns_a_field_it_owns(n):
     s = moderate()
     grid = GridSpec1D(n_points=64, extent=8.0)
-    a = init_gaussian_a(GaussianParams.pure(s.alpha0), grid)
+    a = init_gaussian_a(s.alpha0, grid)
     before = a.values.copy()
     out = LseStepper(s, grid, 1e-3).step(a, n)
     assert np.array_equal(a.values, before) and a.t == 0.0
@@ -415,7 +419,7 @@ def test_start_off_the_dt_grid_is_refused():
     # every sample off the sample grid and past t_end
     s = moderate()
     grid = GridSpec1D(n_points=64, extent=8.0)
-    a = init_gaussian_a(GaussianParams.pure(s.alpha0), grid)
+    a = init_gaussian_a(s.alpha0, grid)
     num = NumericsSpec(dt=2e-3, t_end=0.05, sample_every=5)
     a.t = 0.035
     with pytest.raises(ValueError, match="not on the dt"):
@@ -429,7 +433,7 @@ def test_start_before_t0_is_refused():
     # the clock counts steps from t = 0, so a start before it has no step
     s = moderate()
     grid = GridSpec1D(n_points=64, extent=8.0)
-    a = init_gaussian_a(GaussianParams.pure(s.alpha0), grid)
+    a = init_gaussian_a(s.alpha0, grid)
     a.t = -0.02
     with pytest.raises(ValueError, match="^field time -0.02 is before t = 0$"):
         evolve_lse(a, s, NumericsSpec(dt=1e-3, t_end=0.05, sample_every=5))

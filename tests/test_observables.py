@@ -179,8 +179,7 @@ def exact_params_fn(s):
 @pytest.mark.parametrize("t", [0.3, 1.0])
 def test_qseries_residual_small_along_exact_flow(order, t):
     s = moderate()
-    z = np.linspace(-3.0, 3.0, 64)
-    res = qseries_residual(exact_params_fn(s), s, t, z)[order]
+    res = qseries_residual(exact_params_fn(s), s, t)[order]
     assert res < 1e-6, f"order {order}, t {t}: {res}"
 
 
@@ -188,14 +187,11 @@ def test_qseries_negative_control_recovers_source():
     # an evaluator with Lambda = 0 drops the collisional source at order 2,
     # which leaves exactly 2 Lambda
     s = moderate()
-    z = np.linspace(-3.0, 3.0, 64)
-    res = qseries_residual(exact_params_fn(s), replace(s, lam=0.0), 1.0, z)[2]
+    res = qseries_residual(exact_params_fn(s), replace(s, lam=0.0), 1.0)[2]
     assert math.isclose(res, 2.0 * s.lam, rel_tol=1e-6)
 
 
 def test_qseries_scales_with_coupling():
     s2 = Scenario(lam=10.0, b=1.0, label="strong")
-    z = np.linspace(-3.0, 3.0, 64)
-    res = qseries_residual(exact_params_fn(s2), replace(s2, lam=0.0), 1.0,
-                           z)[2]
+    res = qseries_residual(exact_params_fn(s2), replace(s2, lam=0.0), 1.0)[2]
     assert math.isclose(res, 20.0, rel_tol=1e-5)

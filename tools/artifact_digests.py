@@ -10,7 +10,9 @@ follow, each resumed from its first checkpoint: DENSE (128^2, t_end = 0.05)
 samples every step with a checkpoint every 10 steps, so the one-step
 segments are covered, and STRIDE, DENSE sampled every 5 steps with a
 checkpoint every 7, takes checkpoints inside a segment and resumes from
-step 7, off the sample grid. Every command runs in OUTDIR
+step 7, off the sample grid. Last, FREE, STRIDE at Lambda = 0, runs all six
+routes and `verify`, so the g-table at gamma_k = 0 and verify's SKIP rows
+are hashed too. Every command runs in OUTDIR
 with relative paths and leaves its stdout, stderr and exit code as files of
 their own. Then one `sha256  path` line is printed per file under OUTDIR,
 sorted by path, so the artifacts of two checkouts compare with diff.
@@ -30,6 +32,7 @@ DENSE = ("label = dense\nLambda = 10.0\nn_y = 128\nn_z = 128\n"
          "t_end = 0.05\nsample_every = 1\n")
 STRIDE = DENSE.replace("= dense", "= stride").replace("sample_every = 1\n",
                                                      "sample_every = 5\n")
+FREE = STRIDE.replace("= stride", "= free").replace("Lambda = 10.0", "Lambda = 0.0")
 
 
 def decwt(root: Path, name: str, *args: str) -> None:
@@ -64,6 +67,10 @@ def main(argv: list[str]) -> int:
         for ckpt in sorted((root / name / "run").glob("*.ckpt"))[:1]:
             decwt(root, f"{name}-resume", "checkpoint-resume", "--config", f"{name}.cfg",
                   "--checkpoint", f"{name}/run/{ckpt.name}", "--outdir", f"{name}/resume")
+    (root / "free.cfg").write_text(FREE)
+    decwt(root, "free-run", "run", "--config", "free.cfg", "--routes", ROUTES,
+          "--outdir", "free/run")
+    decwt(root, "free-verify", "verify", "--config", "free.cfg")
     for f in sorted(q for q in root.rglob("*") if q.is_file()):
         print(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.relative_to(root).as_posix()}")
     return 0
