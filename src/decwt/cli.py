@@ -553,6 +553,9 @@ def main(argv=None) -> int:
         parser.error("--checkpoint-every needs master-eq in --routes")
     try:
         bundle = _bundle_of(args)
+        if args.command == "run" and args.checkpoint_every % bundle.numerics.sample_every:
+            parser.error(f"--checkpoint-every must be a multiple of sample_every = "
+                         f"{bundle.numerics.sample_every}")
         if args.command == "run":
             return cmd_run(bundle, args.routes, args.outdir, args.checkpoint_every)
         if args.command == "figures":

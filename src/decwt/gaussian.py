@@ -39,15 +39,18 @@ class GaussianParams:
     delta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
-            raise InvalidParameterError("alpha", "must be positive")
-        if self.gamma < 0.0:
-            raise InvalidParameterError("gamma", "must be >= 0")
+        if not (0.0 < self.alpha < math.inf):
+            raise InvalidParameterError("alpha", "must be positive and finite")
+        if not (0.0 <= self.gamma < math.inf):
+            raise InvalidParameterError("gamma", "must be finite and >= 0")
+        for name in ("beta", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(name, "must be finite")
 
     @classmethod
     def pure(cls, alpha: float) -> GaussianParams:
         """The normalised, unchirped packet a(tau) = exp(delta/2 - alpha tau^2)."""
-        if not (0.0 < alpha < math.inf):
+        if not (0.0 < alpha < math.inf):  # before the log sees it
             raise InvalidParameterError("alpha", "must be positive and finite")
         return cls(alpha, 0.0, 0.0, 0.5 * math.log(2.0 * alpha / math.pi))
 

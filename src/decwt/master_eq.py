@@ -29,11 +29,9 @@ n_z // 2 + 1 rows with k_z >= 0; the k_z Nyquist row is one of them and
 evolves as it would in the full spectrum. The open is fft2's own pair of
 1-D transforms in fft2's order, a z-FFT on the contiguous axis and then a
 y-FFT on the k_z >= 0 half only, so the half equals fft2's columns bit for
-bit. The close and a copy left inside a segment are one expression
-(_to_real): the k_z < 0 columns are rebuilt in (k_z, y) as conjugates of
+bit. The close rebuilds the k_z < 0 columns in (k_z, y) as conjugates of
 their mirrors, where the mirror also reflects y, and a z-iFFT returns to
-real space. A copy left after step j is thus the j-step segment's result
-bit for bit. No rfft/irfft pair is used: irfft projects the Nyquist row onto
+real space. No rfft/irfft pair is used: irfft projects the Nyquist row onto
 its Hermitian part, a change of scheme rather than round-off.
 
 Threads. Every full-grid pass of a segment splits its rows into contiguous
@@ -44,24 +42,21 @@ per point-step at 512^2 on a 2-vCPU Xeon), and a block carries ten times
 that. run_blocks runs each block on a thread of its own; numpy's FFT and
 ufunc loops release the GIL. The passes are the open of a multi-step
 segment, whose decay half-step and z-FFT act along y rows; the interior;
-and the close and each copy (_to_real), whose mirror rebuild and z-iFFT act
-along y rows of the real-space array. Between the open and the close, every
-k_z row of the half spectrum evolves on its own: the kinetic multiplier is
-diagonal, the decay factor acts along the row and the y-transforms run along
-it, so each block runs its y-FFT and interior steps in place and the blocks
-never meet inside a run of steps. Worker threads allocate no array of the
-grid's size: each block writes with out= into arrays the calling thread
-allocated, since every thread's malloc arena keeps what it frees and the
-process would grow. A block function calls private helpers, never the public
-decwt functions that a profiler may wrap with a single-threaded span stack.
-The gain has been measured on 2 cores only.
-A segment with copies to leave runs in stretches that end at each such step:
-the blocks join there, the copy is made from the joined rows, and the next
-stretch goes on from them. Each element sees the same operations on the same
-operands whatever the block it falls in, so the segment, its copies and
-every output byte do not depend on the number of blocks. The initial state
-(init_gaussian_rho, one outer product) and _sample, which reads |rho| once
-for the leak and the purity, run on the calling thread.
+and the close, whose mirror rebuild and z-iFFT act along y rows of the
+real-space array. Between the open and the close, every k_z row of the half
+spectrum evolves on its own: the kinetic multiplier is diagonal, the decay
+factor acts along the row and the y-transforms run along it, so each block
+runs its y-FFT and interior steps in place and the blocks never meet.
+Worker threads allocate no array of the grid's size: each block writes with
+out= into arrays the calling thread allocated, since every thread's malloc
+arena keeps what it frees and the process would grow. A block function calls
+private helpers, never the public decwt functions that a profiler may wrap
+with a single-threaded span stack. The gain has been measured on 2 cores
+only. Each element sees the same operations on the same operands whatever the
+block it falls in, so the segment and every output byte do not depend on the
+number of blocks. The initial state (init_gaussian_rho, one outer product)
+and _sample, which reads |rho| once for the leak and the purity, run on the
+calling thread.
 
 Buffers. A one-step segment works in one complex (y, z) array w that its
 stepper allocates on first use, and the only full-grid array it allocates is
@@ -77,11 +72,9 @@ sample's |rho| reuses.
 
 Resume contract. Segments end only at sample steps and at the final step,
 and the field leaves a segment C-contiguous (the observables sum in memory
-order). A checkpoint taken at a sample step is a segment boundary, so a run
-resumed from it reproduces the uninterrupted run's rows bit for bit, for any
-checkpoint cadence. A checkpoint inside a segment is a real-space copy of the
-segment's state; the segment goes on from its own state, so taking the copy
-does not perturb the run.
+order). Checkpoints fall on multiples of a cadence that is itself a multiple
+of sample_every, so each one is a segment boundary and a run resumed from it
+reproduces the uninterrupted run's rows bit for bit.
 """
 
 from __future__ import annotations
@@ -205,13 +198,8 @@ class MasterEqStepper:
         """The one-step segment's (y, z) work array, reused by every call."""
         return np.empty((self._grid.n_y, self._grid.n_z), dtype=np.complex128)
 
-    def step(self, f: ComplexField2D, n: int = 1, leave=None,
-             leave_at=()) -> ComplexField2D:
-        """Advance n Strang steps as one segment (see the module docstring).
-
-        leave(j, field) gets a real-space copy of the field after each step j
-        in leave_at (0 < j < n), stamped f.t + j * dt.
-        """
+    def step(self, f: ComplexField2D, n: int = 1) -> ComplexField2D:
+        """Advance n Strang steps as one segment (see the module docstring)."""
         if n < 1:
             raise ValueError("n must be >= 1")
         dh = self._decay_half
@@ -230,29 +218,23 @@ class MasterEqStepper:
         # fft2's two transforms in its order: z on the contiguous axis, then
         # y on the k_z >= 0 half only, held as (k_z, k_y); each row block
         # runs its own y-transforms (see Threads in the module docstring).
-        # The open's full-size scratch o also takes the close
+        # The open's full-size scratch o also takes the close, C-contiguous:
+        # the observables sum in memory order, so a resumed run reproduces
+        # the rows bit for bit only in a fixed layout
         shape, h = f.values.shape, self._kinetic_t.shape[0]
         o = np.empty(shape, dtype=np.complex128)
         w = np.empty((h, shape[0]), dtype=np.complex128)
-        run_blocks(_open_rows, [(f.values, dh, o, w, r)
-                                for r in row_blocks(shape[0], o.size)])
-        stops = sorted(j for j in set(leave_at) if 0 < j < n) + [n]
-        j0 = 0
-        for j1 in stops:
-            run_blocks(self._stretch, [(w, r, j0, j1) for r in
-                                       row_blocks(h, (j1 - j0) * w.size)])
-            if j1 < n:
-                c = _to_real(w, dh, np.empty(shape, dtype=np.complex128))
-                leave(j1, ComplexField2D(c, f.grid, f.t + j1 * self.dt))
-            j0 = j1
-        return ComplexField2D(_to_real(w, dh, o), f.grid, f.t + n * self.dt)
+        y_rows = row_blocks(shape[0], o.size)
+        run_blocks(_open_rows, [(f.values, dh, o, w, r) for r in y_rows])
+        run_blocks(self._stretch, [(w, r, n) for r in row_blocks(h, n * w.size)])
+        run_blocks(_close_rows, [(w, dh, o, r) for r in y_rows])
+        return ComplexField2D(o, f.grid, f.t + n * self.dt)
 
-    def _stretch(self, w: np.ndarray, r: slice, j0: int, j1: int) -> None:
-        """Steps j0 + 1 .. j1 on the rows r of w, in place: from (k_z, y)
-        after step j0's y-iFFT (j0 = 0: after the open's z-FFT) to (k_z, y)
-        after step j1's."""
+    def _stretch(self, w: np.ndarray, r: slice, n: int) -> None:
+        """Steps 1 .. n on the rows r of w, in place: from (k_z, y) after the
+        open's z-FFT to (k_z, y) after step n's y-iFFT."""
         b, kin = w[r], self._kinetic_t[r]
-        for j in range(j0, j1):
+        for j in range(n):
             if j:  # the open applied step 1's decay half-step
                 b *= self._decay
             np.fft.fft(b, axis=1, out=b)  # out= needs numpy >= 2.0
@@ -277,18 +259,9 @@ def _open_rows(v: np.ndarray, dh: np.ndarray, o: np.ndarray, w: np.ndarray,
     w[:, r] = b[:, :w.shape[0]].T
 
 
-def _to_real(w: np.ndarray, dh: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Decay half-step of the (k_z >= 0, y) half w, then back to real space
-    in g, a C-contiguous (y, z) array: the observables sum in memory order,
-    so a resumed run reproduces the rows bit for bit only in a fixed layout.
-    Runs in blocks of y rows."""
-    run_blocks(_close_rows, [(w, dh, g, r)
-                             for r in row_blocks(g.shape[0], g.size)])
-    return g
-
-
 def _close_rows(w: np.ndarray, dh: np.ndarray, g: np.ndarray, r: slice) -> None:
-    """_to_real on the y rows r. The k_z < 0 columns are the conjugates of
+    """The close on the y rows r: decay half-step of the (k_z >= 0, y) half w,
+    then back to real space in g[r]. The k_z < 0 columns are the conjugates of
     the mirrored k_z rows taken at -y, the periodic reflection
     i -> (n - i) mod n of hermiticity_defect: row 0 is its own mirror, and
     rows a .. e - 1 with a >= 1 mirror the columns n - a down to n - e + 1."""
@@ -354,12 +327,13 @@ def evolve_master_eq(
     hermiticity_defect(f) with HERMITICITY_BOUND first.
 
     observers: optional iterable of callables, each called with the field at
-    every sample, after it is sampled. checkpoint_every > 0 hands the field
-    to checkpoint_sink (callable, gets the current ComplexField2D) every that
-    many steps; checkpoint_every > 0 without a checkpoint_sink raises
-    ValueError. Each sample interval is one stepper segment; the finite check
-    runs at its end and before each checkpoint, so no non-finite field
-    reaches the sink.
+    every sample, after it is sampled. checkpoint_every > 0 hands the sampled
+    field to checkpoint_sink (callable, gets the current ComplexField2D) every
+    that many steps; a checkpoint_every > 0 without a checkpoint_sink, or one
+    that is not a multiple of numerics.sample_every, raises ValueError. Each
+    sample interval is one stepper segment; the finite check runs at its end,
+    before the sample and the checkpoint, so no non-finite field reaches the
+    sink.
     """
     if checkpoint_every < 0:
         raise ValueError("checkpoint_every must be >= 0")
@@ -367,6 +341,9 @@ def evolve_master_eq(
         raise ValueError("checkpoint_every > 0 needs a checkpoint_sink")
     stepper = MasterEqStepper(s, f.grid, numerics.dt)
     ks = sample_grid(f.t, numerics.t_end, numerics.dt, numerics.sample_every)
+    if checkpoint_every % numerics.sample_every:
+        raise ValueError(f"checkpoint_every = {checkpoint_every} is not a multiple "
+                         f"of sample_every = {numerics.sample_every}")
     amp = np.empty((f.grid.n_y, f.grid.n_z))  # every sample's |rho|
 
     def observe(fld: ComplexField2D) -> ObservableSample:
@@ -376,26 +353,11 @@ def evolve_master_eq(
         return smp
 
     samples = [observe(f)]
-
-    def stamp(c: ComplexField2D, step: int) -> None:
-        c.t = step * numerics.dt  # from the step count, no drift
-        if not np.isfinite(c.values[0, 0]):  # the transforms spread a blow-up to every cell
-            raise IntegrationError(c.t, "field blew up")
-
-    def leave(first: int, j: int, c: ComplexField2D) -> None:
-        stamp(c, first + j)
-        checkpoint_sink(c)
-
-    for k, stop in zip(ks, ks[1:]):
-        # one segment per sample interval; checkpoints inside it get copies
-        n = stop - k
-        inner = [j for j in range(1, n)
-                 if checkpoint_every and (k + j) % checkpoint_every == 0]
-        # a callback only for a segment that leaves copies: one made for
-        # every segment raised the grid-dense benchmark's peak RSS by 3.7 MB
-        # and cut its work_per_s by 4% (2-core host)
-        f = stepper.step(f, n, functools.partial(leave, k) if inner else None, inner)
-        stamp(f, stop)
+    for k, stop in zip(ks, ks[1:]):  # one segment per sample interval
+        f = stepper.step(f, stop - k)
+        f.t = stop * numerics.dt  # from the step count, no drift
+        if not np.isfinite(f.values[0, 0]):  # the transforms spread a blow-up to every cell
+            raise IntegrationError(f.t, "field blew up")
         samples.append(observe(f))
         if checkpoint_every and stop % checkpoint_every == 0:
             checkpoint_sink(f)

@@ -408,6 +408,20 @@ def test_checkpoint_every_without_master_eq_usage_error(tmp_path, capsys):
                      "--outdir", str(out)]) == 0
 
 
+def test_checkpoint_every_off_the_sample_grid_usage_error(tmp_path, capsys):
+    # checkpoints fall only on sample steps, where a segment ends
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("sample_every = 10", "sample_every = 5"))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", cfg, "--routes", "master-eq",
+                  "--checkpoint-every", "7", "--outdir", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--checkpoint-every" in captured.err and "sample_every = 5" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_verify_passes_on_moderate(tmp_path, capsys):
     assert cli.main(["verify", "--preset", "moderate"]) == 0
     out = capsys.readouterr().out
@@ -559,21 +573,23 @@ def test_master_eq_artifacts_do_not_depend_on_the_core_count(tmp_path, monkeypat
         monkeypatch.setattr(master_eq, "WORKERS", workers)
         out = tmp_path / f"w{workers}"
         assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
-                         "--checkpoint-every", "3", "--outdir", str(out)]) == 0
+                         "--checkpoint-every", "5", "--outdir", str(out)]) == 0
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
                      if p.suffix in (".csv", ".ckpt")})
-    assert len([n for n in outs[0] if n.endswith(".ckpt")]) == 16
+    assert len([n for n in outs[0] if n.endswith(".ckpt")]) == 10
     assert outs[0] == outs[1]
 
 
 def test_checkpoint_resume_at_misaligned_step_keeps_the_time_grid(tmp_path):
     # step 7 is not a multiple of sample_every = 5: the resumed run still
-    # samples on 0.01, 0.015, ... like the run it continues
-    cfg = write_cfg(tmp_path, SMALL_CFG.replace("t_end = 0.05",
-                                                "t_end = 0.03")
-                    .replace("sample_every = 10", "sample_every = 5"))
+    # samples on 0.01, 0.015, ... like a run from t = 0. The checkpoint
+    # comes from a run on the same grid sampled every step
+    text = SMALL_CFG.replace("t_end = 0.05", "t_end = 0.03")
+    every_step = write_cfg(tmp_path, text.replace("sample_every = 10", "sample_every = 1"),
+                           "every-step.cfg")
+    cfg = write_cfg(tmp_path, text.replace("sample_every = 10", "sample_every = 5"))
     full, res = tmp_path / "full", tmp_path / "res"
-    assert cli.main(["run", "--config", cfg, "--routes", "master-eq",
+    assert cli.main(["run", "--config", every_step, "--routes", "master-eq",
                      "--checkpoint-every", "7", "--outdir", str(full)]) == 0
     assert cli.main(["checkpoint-resume", "--config", cfg, "--checkpoint",
                      str(full / "master-eq-step000007.ckpt"),
@@ -582,8 +598,8 @@ def test_checkpoint_resume_at_misaligned_step_keeps_the_time_grid(tmp_path):
     _, rows_res = read_csv(res / "master-eq.csv")
     assert [float(r["t"]) for r in rows_res] == pytest.approx(
         [0.007, 0.01, 0.015, 0.02, 0.025, 0.03], rel=0, abs=1e-15)
-    # not bitwise: the resumed run restarts from the checkpoint's real-space
-    # copy, the uninterrupted one goes on from its own spectral state
+    # not bitwise: the resumed run steps in segments 7-10, 10-15, ..., the
+    # run it continues one step at a time
     by_t = {round(float(r["t"]), 9): r for r in rows_full}
     for row in rows_res[1:]:
         want = by_t[round(float(row["t"]), 9)]

@@ -179,6 +179,15 @@ def test_pure_packet_refuses_alpha_out_of_range(alpha):
         GaussianParams.pure(alpha)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "delta"])
+def test_params_refuse_a_non_finite_field(field, value):
+    # a NaN passes a bare "< 0.0" guard; every field is refused by name
+    fields = {"alpha": 0.5, "beta": 0.3, "gamma": 0.2, "delta": -0.7, field: value}
+    with pytest.raises(InvalidParameterError, match=f"^{field}: must be .*finite"):
+        GaussianParams(**fields)
+
+
 def test_sigma_profile():
     p = GaussianParams(alpha=0.25, beta=0.0, gamma=1.0, delta=0.0)
     off_diag, diag = sigma_profile(p)

@@ -239,16 +239,16 @@ def test_checkpoint_sink_cadence():
     s = moderate()
     f, _ = initial_state(s, n=128)
     seen = []
-    num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
-    evolve_master_eq(f, s, num, checkpoint_every=7, checkpoint_sink=seen.append)
-    assert [round(c.t / 1e-3) for c in seen] == [7, 14]
+    num = NumericsSpec(dt=1e-3, t_end=0.04, sample_every=5)
+    evolve_master_eq(f, s, num, checkpoint_every=20, checkpoint_sink=seen.append)
+    assert [round(c.t / 1e-3) for c in seen] == [20, 40]
     # a call starting at step 30 checkpoints where a run from t = 0 does
     f, _ = initial_state(s, n=128)
     f.t = 30 * 1e-3
     seen.clear()
     num = NumericsSpec(dt=1e-3, t_end=0.06, sample_every=5)
-    evolve_master_eq(f, s, num, checkpoint_every=7, checkpoint_sink=seen.append)
-    assert [round(c.t / 1e-3) for c in seen] == [35, 42, 49, 56]
+    evolve_master_eq(f, s, num, checkpoint_every=20, checkpoint_sink=seen.append)
+    assert [round(c.t / 1e-3) for c in seen] == [40, 60]
 
 
 def test_observers_see_every_sample_field_in_order():
@@ -305,6 +305,16 @@ def test_checkpoint_cadence_without_a_sink_refused():
         evolve_master_eq(f, s, num, checkpoint_every=2)
 
 
+def test_checkpoint_cadence_off_the_sample_grid_refused():
+    # a checkpoint between two samples would fall inside a segment
+    s = moderate()
+    f, _ = initial_state(s, n=64)
+    num = NumericsSpec(dt=1e-3, t_end=0.01, sample_every=5)
+    with pytest.raises(ValueError, match="^checkpoint_every = 7 is not a multiple "
+                                         "of sample_every = 5$"):
+        evolve_master_eq(f, s, num, checkpoint_every=7, checkpoint_sink=[].append)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_stepper_rejects_an_empty_segment(n):
     s = moderate()
@@ -328,7 +338,8 @@ def _row(smp):
     return (smp.coherence_length, smp.ensemble_width, smp.purity, smp.norm)
 
 
-def test_resume_bit_identical_at_unaligned_checkpoint_cadence(tmp_path):
+def test_resume_bit_identical_from_every_checkpoint(tmp_path):
+    # a cadence of two sample intervals: each checkpoint ends a segment
     s = moderate()
     f, _ = initial_state(s, n=128)
     num = NumericsSpec(dt=1e-3, t_end=0.06, sample_every=5)
@@ -339,11 +350,15 @@ def test_resume_bit_identical_at_unaligned_checkpoint_cadence(tmp_path):
     def rows(samples):  # t too: a resumed run stamps from the step index
         return {round(smp.t / num.dt): (smp.t, *_row(smp)) for smp in samples}
 
-    full, _ = evolve_master_eq(f, s, num, checkpoint_every=7, checkpoint_sink=sink)
-    resumed, _ = evolve_master_eq(load_field_2d(tmp_path / "35.ckpt"), s, num)
-    got = rows(resumed)
-    assert sorted(got) == [35, 40, 45, 50, 55, 60]
-    assert got == {k: r for k, r in rows(full).items() if k >= 35}
+    full, _ = evolve_master_eq(f, s, num, checkpoint_every=10, checkpoint_sink=sink)
+    full = rows(full)
+    steps = sorted(int(p.stem) for p in tmp_path.glob("*.ckpt"))
+    assert steps == [10, 20, 30, 40, 50, 60]
+    for k0 in steps:
+        resumed, _ = evolve_master_eq(load_field_2d(tmp_path / f"{k0}.ckpt"), s, num)
+        got = rows(resumed)
+        assert sorted(got) == list(range(k0, 61, 5))
+        assert got == {k: r for k, r in full.items() if k >= k0}, k0
 
 
 def test_start_off_the_dt_grid_is_refused():
@@ -376,16 +391,16 @@ def test_segment_matches_per_step_strang_reference(scenario, n_y, n_z, n):
     ref, v = {}, f.values
     for k in range(1, n + 1):
         v = ref[k] = strang(v)
-    mid = min(20, n // 2)  # an interior step, left as a copy; none when n = 1
-    left = {}
-    out = MasterEqStepper(s, grid, dt).step(
-        f, n, leave=lambda j, c: left.setdefault(j, c), leave_at=(mid,))
+    stepper = MasterEqStepper(s, grid, dt)
+    out = stepper.step(f, n)
     if n == 1:  # the plain 2-D Strang step, equal by value (zero signs aside)
-        assert np.array_equal(out.values, ref[1]) and not left
+        assert np.array_equal(out.values, ref[1])
     else:
-        for got, want in ((out.values, ref[n]), (left[mid].values, ref[mid])):
+        mid = min(20, n // 2)  # a shorter segment from the same start
+        part = stepper.step(f, mid)
+        for got, want in ((out.values, ref[n]), (part.values, ref[mid])):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert left[mid].t == pytest.approx(mid * dt)
+        assert part.t == pytest.approx(mid * dt)
     assert out.values.flags["C_CONTIGUOUS"]
     assert out.t == pytest.approx(n * dt)
 
@@ -397,58 +412,53 @@ def test_segment_does_not_depend_on_the_worker_count(monkeypatch, scenario,
                                                      n_y, n_z, n):
     # each k_z row evolves on its own, so how the rows are split into
     # blocks (16: more blocks than cores, up to one row each) must not move
-    # a bit of the segment or of its copies
+    # a bit of the segment or of a shorter one
     s = scenario()
     f, grid = initial_state(s, n=n_y, n_z=n_z)
     stepper = MasterEqStepper(s, grid, 1e-3)
     monkeypatch.setattr(master_eq, "MIN_BLOCK_WORK", 1)
-    leave_at = sorted({1, min(20, n // 2), n - 1})
     runs = []
     for workers in (1, 2, 3, 16):
         monkeypatch.setattr(master_eq, "WORKERS", workers)
-        left = {}
-        out = stepper.step(f, n, leave=lambda j, c: left.setdefault(j, c),
-                           leave_at=leave_at)
-        runs.append([out.values] + [left[j].values for j in leave_at])
+        runs.append([stepper.step(f, m).values for m in (min(20, n // 2), n)])
     for run in runs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
 
 
 def test_small_stretches_run_on_the_calling_thread(monkeypatch):
-    # a block must carry enough work to pay for its thread: the one-step
-    # stretches that copies every step make start no thread at all
+    # a block must carry enough work to pay for its thread: a two-step
+    # segment's interior starts no thread at all
     monkeypatch.setattr(master_eq, "WORKERS", 4)
     s = moderate()
     f, grid = initial_state(s, n=64)
     stepper, names = MasterEqStepper(s, grid, 1e-3), set()
     stretch = MasterEqStepper._stretch
 
-    def watched(self, w, r, j0, j1):
+    def watched(self, w, r, n):
         names.add(threading.current_thread().name)
-        stretch(self, w, r, j0, j1)
+        stretch(self, w, r, n)
 
     monkeypatch.setattr(MasterEqStepper, "_stretch", watched)
     # two steps of all 33 rows of the 64 x 64 half per block
     monkeypatch.setattr(master_eq, "MIN_BLOCK_WORK", 2 * 33 * 64)
-    stepper.step(f, 5, leave=lambda j, c: None, leave_at=(1, 2, 3, 4))
+    stepper.step(f, 2)
     assert names == {threading.current_thread().name}
-    stepper.step(f, 8)  # one stretch of eight steps: four blocks
+    stepper.step(f, 8)  # eight steps of work: four blocks
     assert len(names) == 4
 
 
 @pytest.mark.parametrize("failing", [None, 0, 2])
 def test_no_thread_outlives_a_segment(monkeypatch, failing):
-    # three row blocks on the 33 rows of a 64 x 64 half spectrum; the
-    # checkpoints split segments into stretches, each joined on its own
+    # three row blocks on the 33 rows of a 64 x 64 half spectrum
     monkeypatch.setattr(master_eq, "WORKERS", 3)
     monkeypatch.setattr(master_eq, "MIN_BLOCK_WORK", 1)
     stretch, seen = MasterEqStepper._stretch, []
 
-    def watched(self, w, r, j0, j1):
+    def watched(self, w, r, n):
         seen.append(threading.active_count())
         if failing is not None and r.start == 33 * failing // 3:
             raise RuntimeError("row block failed")
-        stretch(self, w, r, j0, j1)
+        stretch(self, w, r, n)
 
     monkeypatch.setattr(MasterEqStepper, "_stretch", watched)
     s = moderate()
@@ -456,7 +466,7 @@ def test_no_thread_outlives_a_segment(monkeypatch, failing):
     num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
     before = threading.active_count()
     if failing is None:
-        evolve_master_eq(f, s, num, checkpoint_every=3, checkpoint_sink=[].append)
+        evolve_master_eq(f, s, num, checkpoint_every=10, checkpoint_sink=[].append)
     else:
         with pytest.raises(RuntimeError, match="row block failed"):
             evolve_master_eq(f, s, num)
@@ -512,9 +522,9 @@ def test_init_open_and_close_run_on_threads_of_their_own(monkeypatch):
     monkeypatch.setattr(master_eq, "run_blocks", watched)
     s = moderate()
     f, grid = initial_state(s, n=32, n_z=64)
-    MasterEqStepper(s, grid, 1e-3).step(f, 4, leave=lambda j, c: None, leave_at=(2,))
-    calls = {"_open_rows": 1, "_close_rows": 2, "_stretch": 2}  # a copy at step 2, then the close
-    assert {fn: len(c) for fn, c in names.items()} == calls
+    MasterEqStepper(s, grid, 1e-3).step(f, 4)
+    assert {fn: len(c) for fn, c in names.items()} == {
+        "_open_rows": 1, "_stretch": 1, "_close_rows": 1}
     assert all(len(call) == 3 for c in names.values() for call in c)
 
 
@@ -542,22 +552,6 @@ def test_an_open_or_close_block_error_reaches_the_caller(monkeypatch, stage, blo
     assert len(seen) == 3 and max(seen) > before
 
 
-@pytest.mark.parametrize("n_y, n_z", [(32, 64), (64, 32)])
-@pytest.mark.parametrize("scenario", [moderate, strong])
-def test_in_segment_copy_is_the_shorter_segment_bit_for_bit(scenario, n_y, n_z):
-    # a segment's close and its in-segment copies are one expression, so a
-    # copy at step j is the j-step segment's result; j = 1 is the 2-D step
-    s = scenario()
-    f, grid = initial_state(s, n=n_y, n_z=n_z)
-    stepper = MasterEqStepper(s, grid, 1e-3)
-    n, left = 7, {}
-    stepper.step(f, n, leave=lambda j, c: left.setdefault(j, c),
-                 leave_at=range(2, n))
-    assert sorted(left) == list(range(2, n))
-    for j, c in left.items():
-        assert np.array_equal(c.values, stepper.step(f, j).values), f"j={j}"
-
-
 @pytest.mark.parametrize("n_y, n_z", [(64, 64), (32, 64), (64, 32)])
 def test_half_kinetic_multiplier_is_the_full_ones_half(n_y, n_z):
     # __init__ evaluates the (k_z >= 0, k_y) half directly; it must be the
@@ -570,7 +564,7 @@ def test_half_kinetic_multiplier_is_the_full_ones_half(n_y, n_z):
     assert np.array_equal(stepper._kinetic_t, half)
 
 
-@pytest.mark.parametrize("sample_every, checkpoint_every", [(1, 0), (5, 0), (5, 3)])
+@pytest.mark.parametrize("sample_every, checkpoint_every", [(1, 0), (5, 0), (5, 5)])
 def test_nan_in_field_stops_run(sample_every, checkpoint_every):
     s = moderate()
     f, _ = initial_state(s, n=64)
@@ -580,5 +574,5 @@ def test_nan_in_field_stops_run(sample_every, checkpoint_every):
     with pytest.raises(IntegrationError) as err:
         evolve_master_eq(f, s, num, checkpoint_every=checkpoint_every,
                          checkpoint_sink=saved.append)
-    assert saved == []  # the step-3 checkpoint inside the segment is refused
-    assert err.value.t == pytest.approx((checkpoint_every or sample_every) * num.dt)
+    assert saved == []  # the finite check refuses the first segment's end
+    assert err.value.t == pytest.approx(sample_every * num.dt)

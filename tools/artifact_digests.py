@@ -6,15 +6,15 @@ For each preset (moderate, strong) it runs, each in a fresh interpreter of
 the decwt under src/ with RuntimeWarning raised as an error: `run` on all
 six routes with a checkpoint every 700 steps, `verify`, `checkpoint-resume`
 from the run's first checkpoint and `figures`. Two small master-eq runs
-follow, each resumed from its first checkpoint: DENSE (128^2, t_end = 0.05)
-samples every step with a checkpoint every 10 steps, so the one-step
-segments are covered, and STRIDE, DENSE sampled every 5 steps with a
-checkpoint every 7, takes checkpoints inside a segment and resumes from
-step 7, off the sample grid. Last, FREE, STRIDE at Lambda = 0, runs all six
-routes and `verify`, so the g-table at gamma_k = 0 and verify's SKIP rows
-are hashed too. Every command runs in OUTDIR
-with relative paths and leaves its stdout, stderr and exit code as files of
-their own. Then one `sha256  path` line is printed per file under OUTDIR,
+follow, each with a checkpoint every 10 steps and resumed from step 10:
+DENSE (128^2, t_end = 0.05) samples every step, so the one-step segments
+are covered, and STRIDE, DENSE sampled every 5 steps, runs two-sample
+checkpoint intervals of multi-step segments. STRIDE is then run once more
+with a checkpoint every 7 steps, which `run` refuses (exit 2). Last, FREE,
+STRIDE at Lambda = 0, runs all six routes and `verify`, so the g-table at
+gamma_k = 0 and verify's SKIP rows are hashed too. Every command runs in
+OUTDIR with relative paths and leaves its stdout, stderr and exit code as
+files of their own. Then one `sha256  path` line is printed per file under OUTDIR,
 sorted by path, so the artifacts of two checkouts compare with diff.
 """
 
@@ -60,13 +60,15 @@ def main(argv: list[str]) -> int:
             decwt(root, f"{p}-resume", "checkpoint-resume", "--preset", p,
                   "--checkpoint", f"{p}/run/{ckpt.name}", "--outdir", f"{p}/resume")
         decwt(root, f"{p}-figures", "figures", "--preset", p, "--outdir", f"{p}/figures")
-    for name, text, every in (("dense", DENSE, "10"), ("stride", STRIDE, "7")):
+    for name, text in (("dense", DENSE), ("stride", STRIDE)):
         (root / f"{name}.cfg").write_text(text)
         decwt(root, f"{name}-run", "run", "--config", f"{name}.cfg", "--routes",
-              "master-eq", "--checkpoint-every", every, "--outdir", f"{name}/run")
+              "master-eq", "--checkpoint-every", "10", "--outdir", f"{name}/run")
         for ckpt in sorted((root / name / "run").glob("*.ckpt"))[:1]:
             decwt(root, f"{name}-resume", "checkpoint-resume", "--config", f"{name}.cfg",
                   "--checkpoint", f"{name}/run/{ckpt.name}", "--outdir", f"{name}/resume")
+    decwt(root, "stride-refused", "run", "--config", "stride.cfg", "--routes",
+          "master-eq", "--checkpoint-every", "7", "--outdir", "stride/refused")
     (root / "free.cfg").write_text(FREE)
     decwt(root, "free-run", "run", "--config", "free.cfg", "--routes", ROUTES,
           "--outdir", "free/run")
