@@ -158,7 +158,7 @@ def run_master_eq(bundle: ConfigBundle, checkpoint_every: int = 0,
 def run_lse(bundle: ConfigBundle) -> list[ObservableSample]:
     s, num = bundle.scenario, bundle.numerics
     grid = bundle.grid.axis_z  # the tau axis reuses the spread-sized z axis
-    return evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)[0]
+    return evolve_lse(init_gaussian_a(s.alpha0, grid), linear_short(s), num)[0]
 
 
 GFUNC_HEADER = ("name", "value", "threshold", "status")
@@ -299,18 +299,15 @@ def cmd_run(bundle: ConfigBundle, routes: list, outdir,
 # --- figures command ------------------------------------------------------
 
 
-def _model_curves(s, t_end: float, short: bool = True):
-    """Exact and prescribed-model trajectories on [0, t_end], 5000 RK4 steps
-    sampled every 25th; the linear-short one only when short."""
+def _model_curves(s, t_end: float, models: dict):
+    """The exact curves and one trajectory per prescribed coupling of models
+    (name -> gamma_l) on [0, t_end], 5000 RK4 steps sampled every 25th."""
     dt = t_end / 5000.0
     g = build_cubic(s, s.alpha0, 0.0)
-    models = {"linear-long": linear_long(s)}
-    if short:
-        models["linear-short"] = linear_short(s)
     out = {name: integrate_prescribed_gamma(s, gamma_l, dt=dt, t_end=t_end,
                                             sample_every=25)
            for name, gamma_l in models.items()}
-    out["t"] = t = out["linear-long"].t
+    out["t"] = t = out[next(iter(models))].t
     out["exact-gamma"] = np.asarray(gamma_exact(g, s, t))
     out["exact-coherence"] = np.asarray(coherence_exact(g, s, t))
     out["exact-width"] = np.asarray(ensemble_width_exact(g, t))
@@ -323,7 +320,8 @@ def cmd_figures(bundle: ConfigBundle, outdir) -> int:
     t_b = characteristic_time(s)
 
     # fig 1: gamma models and their coherence lengths, one scenario, [0, 5 t_b]
-    c = _model_curves(s, 5.0 * t_b)
+    c = _model_curves(s, 5.0 * t_b, {"linear-long": linear_long(s),
+                                     "linear-short": linear_short(s)})
     t = c["t"]
     fig1a = render_plot(
         [
@@ -356,7 +354,7 @@ def cmd_figures(bundle: ConfigBundle, outdir) -> int:
     curves_l, curves_w = [], []
     for sp in (preset_bundle(p).scenario for p in ("moderate", "strong")):
         tb = characteristic_time(sp)
-        c = _model_curves(sp, 10.0 * tb, short=False)
+        c = _model_curves(sp, 10.0 * tb, {"linear-long": linear_long(sp)})
         tt = c["t"] / tb
         long_traj = c["linear-long"]
         curves_l.append(Curve.of(f"{sp.label} exact", tt, c["exact-coherence"]))
@@ -413,13 +411,16 @@ def cmd_verify(bundle: ConfigBundle) -> int:
         # (2 b^2, the packet's doubling time), so the 16 b box holds it
         t_b = characteristic_time(s)
         horizon = min(num.t_end, 0.1 * min(t_b, 2.0 * s.b ** 2))
+        if not math.isfinite(horizon / num.dt):
+            raise ValueError(f"verify horizon {horizon!r} is not a finite number "
+                             f"of dt = {num.dt!r} steps")
         n_steps = max(8, int(round(horizon / num.dt)))
-        grid = GridSpec1D(n_points=512, extent=16.0 * s.b)
+        grid, gamma_l = GridSpec1D(n_points=512, extent=16.0 * s.b), linear_short(s)
         # the last three steps, so the time difference spans 2 dt
-        stepper = LseStepper(s, grid, num.dt)
+        stepper = LseStepper(gamma_l, grid, num.dt)
         a_m = stepper.step(init_gaussian_a(s.alpha0, grid), n_steps - 2)
         a_c = stepper.step(a_m)
-        res = marginalme_residual([a_m, a_c, stepper.step(a_c)], s)
+        res = marginalme_residual([a_m, a_c, stepper.step(a_c)], gamma_l)
         add("marginal-equation residual", res, 1e-3,
             note="converges as dt^2; reduce dt if this fails")
 
@@ -553,6 +554,8 @@ def main(argv=None) -> int:
         parser.error("--checkpoint-every needs master-eq in --routes")
     try:
         bundle = _bundle_of(args)
+        if args.command in ("run", "checkpoint-resume"):  # refused before any write
+            sample_grid(0.0, **dataclasses.asdict(bundle.numerics))
         if args.command == "run" and args.checkpoint_every % bundle.numerics.sample_every:
             parser.error(f"--checkpoint-every must be a multiple of sample_every = "
                          f"{bundle.numerics.sample_every}")

@@ -4,9 +4,9 @@ time-dependent logarithmic self-coupling:
     i da/dt = -(1/2) d^2 a / d tau^2 + gamma_l(t) ln|a|^2 a
 
 in the fixed natural units hbar = m = 1, where gamma_l is a prescribed
-decoherence coupling, the same callable that integrate_prescribed_gamma
-integrates (marginal_dynamics; linear_short by default). The potential is
-eps = gamma_l ln|a|^2.
+decoherence coupling that every entry point takes from its caller, with no
+default, as integrate_prescribed_gamma (marginal_dynamics) does. The
+potential is eps = gamma_l ln|a|^2.
 Both Strang factors preserve the L2 norm exactly: the kinetic factor is a
 unimodular Fourier multiplier and the potential factor is a pure local phase,
 |a| being invariant under it. The potential half-steps evaluate gamma_l at
@@ -36,9 +36,10 @@ on the calling thread: its arrays hold one tau axis, far below a row block's
 work minimum (master_eq.MIN_BLOCK_WORK).
 
 Residual. marginalme_residual checks the marginal equation of motion on
-rho_m = a conj(a)^T. Its lhs - rhs is a sum of six outer products
-u_k conj(v_k)^T of tau vectors (see its docstring), so the n x n residual
-is one (n x 6) @ (6 x n) matrix product on the calling thread.
+rho_m = a conj(a)^T under the coupling it is given. Its lhs - rhs is a sum
+of six outer products u_k conj(v_k)^T of tau vectors (see its docstring), so
+the n x n residual is one (n x 6) @ (6 x n) matrix product on the calling
+thread.
 
 A positive gamma_l is unbounded (the effective potential deepens with time
 and the packet spreads without limit); only a negative constant gamma_l
@@ -54,9 +55,9 @@ import numpy as np
 
 from .fields import ComplexField1D
 from .gaussian import GaussianParams
-from .marginal_dynamics import IntegrationError, linear_short, sample_grid
+from .marginal_dynamics import IntegrationError, sample_grid
 from .observables import ObservableSample, ensemble_width_from_a, fit_gaussian_alpha_beta
-from .scenario import GridSpec1D, InvalidParameterError, NumericsSpec, Scenario
+from .scenario import GridSpec1D, InvalidParameterError, NumericsSpec
 
 LN_FLOOR = 1e-15  # amplitude floor of the logarithm, relative to max|a|
 
@@ -84,22 +85,20 @@ def floored_log_density(values: np.ndarray, out: np.ndarray | None = None) -> np
     return np.log(amp2, out=amp2)
 
 
-def epsilon_of(a: ComplexField1D, s: Scenario) -> np.ndarray:
-    """eps(tau) = gamma_l(t) ln max(|a|^2, floor^2) at t = a.t,
-    gamma_l = linear_short(s)."""
-    return linear_short(s)(a.t) * floored_log_density(a.values)
+def epsilon_of(a: ComplexField1D, gamma_l: Callable[[float], float]) -> np.ndarray:
+    """eps(tau) = gamma_l(t) ln max(|a|^2, floor^2) at t = a.t."""
+    return gamma_l(a.t) * floored_log_density(a.values)
 
 
 class LseStepper:
-    """Strang stepper under a prescribed gamma_l(t), linear_short(s) by
-    default (e.g. a negative constant for the stationary-Gaussian check)."""
+    """Strang stepper under a prescribed gamma_l(t) (e.g. a negative constant
+    for the stationary-Gaussian check)."""
 
-    def __init__(self, s: Scenario, grid: GridSpec1D, dt: float,
-                 gamma_l: Callable[[float], float] | None = None):
+    def __init__(self, gamma_l: Callable[[float], float], grid: GridSpec1D, dt: float):
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError("dt must be positive and finite")
         self.dt = dt
-        self.gamma_l = gamma_l if gamma_l is not None else linear_short(s)
+        self.gamma_l = gamma_l
         k = grid.wavenumbers()
         self._kinetic = np.exp(-1j * 0.5 * k * k * dt)
 
@@ -156,13 +155,10 @@ def _sample(a: ComplexField1D, gamma_l: float) -> ObservableSample:
     )
 
 
-def evolve_lse(
-    a: ComplexField1D,
-    s: Scenario,
-    numerics: NumericsSpec,
-    gamma_l: Callable[[float], float] | None = None,
-) -> tuple[list[ObservableSample], list[ComplexField1D]]:
-    """Evolve to numerics.t_end under gamma_l (linear_short(s) by default),
+def evolve_lse(a: ComplexField1D, gamma_l: Callable[[float], float],
+               numerics: NumericsSpec
+               ) -> tuple[list[ObservableSample], list[ComplexField1D]]:
+    """Evolve to numerics.t_end under the prescribed coupling gamma_l,
     sampling the steps of sample_grid from a.t, each stamped step * dt (an
     a.t off the dt grid raises ValueError there). Returns (samples, fields),
     one field per sample; each sample reports the gamma_l it ran with. A
@@ -170,24 +166,22 @@ def evolve_lse(
     any sample is taken."""
     if not np.isfinite(a.values).all():
         raise IntegrationError(a.t, "initial field is not finite")
-    stepper = LseStepper(s, a.grid, numerics.dt, gamma_l)
+    stepper = LseStepper(gamma_l, a.grid, numerics.dt)
     ks = sample_grid(a.t, numerics.t_end, numerics.dt, numerics.sample_every)
 
-    samples = [_sample(a, stepper.gamma_l(a.t))]
+    samples = [_sample(a, gamma_l(a.t))]
     fields = [a]
     for k, stop in zip(ks, ks[1:]):
         # one segment per sample interval
         a = stepper.step(a, stop - k)
         a.t = stop * numerics.dt  # stamp from the step count, no drift
-        samples.append(_sample(a, stepper.gamma_l(a.t)))
+        samples.append(_sample(a, gamma_l(a.t)))
         fields.append(a)
     return samples, fields
 
 
-def marginalme_residual(
-    a_series: Sequence[ComplexField1D],
-    s: Scenario,
-) -> float:
+def marginalme_residual(a_series: Sequence[ComplexField1D],
+                        gamma_l: Callable[[float], float]) -> float:
     """Residual of the marginal-density-matrix equation of motion on a sampled
     wavefunction trajectory.
 
@@ -195,9 +189,10 @@ def marginalme_residual(
     of a_series, differences its neighbors m and p for d rho_m/dt, and
     evaluates the right-hand side on c: the spectral kinetic term
     (i/2) [c'' conj(c)^T - c conj(c'')^T] plus the potential difference
-    -i [eps(tau) - eps(tau')] rho_m, which is how the prescribed linear
-    coupling acts on the marginal. With span the time between m and p and
-    e = i eps c, lhs - rhs is the sum of six outer products u_k conj(v_k)^T:
+    -i [eps(tau) - eps(tau')] rho_m with eps = epsilon_of(c, gamma_l), which
+    is how the prescribed coupling acts on the marginal. With span the time
+    between m and p and e = i eps c, lhs - rhs is the sum of six outer
+    products u_k conj(v_k)^T:
 
         u = [p/span, -m/span, -(i/2) c'', (i/2) c, e, c]
         v = [p,       m,       c,         c'',     c, e]
@@ -215,7 +210,7 @@ def marginalme_residual(
     m, c, p = am.values, ac.values, ap.values
     k = ac.grid.wavenumbers()
     a2 = np.fft.ifft(-(k * k) * np.fft.fft(c))
-    ieps = 1j * epsilon_of(ac, s) * c
+    ieps = 1j * epsilon_of(ac, gamma_l) * c
     span = dt_p + dt_m
     u = np.stack([p / span, -m / span, -0.5j * a2, 0.5j * c, ieps, c])
     v = np.stack([p, m, c, a2, c, ieps])

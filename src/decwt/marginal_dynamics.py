@@ -40,8 +40,8 @@ def sample_grid(t_start: float, t_end: float, dt: float,
     Step k lies at k * dt. The samples are the start step, every later step
     on a multiple of sample_every and the last step, so a run resumed from
     any step shares the time grid of the run that started at t = 0. A
-    t_start that is not finite, below 0 or more than 4 ulps off the dt grid
-    raises ValueError.
+    t_start not finite or below 0, a t_end / dt not finite and either end
+    more than 4 ulps off the dt grid raise ValueError.
     """
     if sample_every < 1:
         raise InvalidParameterError("sample_every", "must be >= 1")
@@ -49,13 +49,14 @@ def sample_grid(t_start: float, t_end: float, dt: float,
         raise ValueError(f"field time {t_start!r} is not finite")
     if t_start < 0.0:
         raise ValueError(f"field time {t_start!r} is before t = 0")
-    k0 = int(round(t_start / dt))
-    last = k0 + int(round((t_end - t_start) / dt))
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end = {t_end!r} is not a finite number of dt = {dt!r} steps")
+    k0, last = int(round(t_start / dt)), int(round(t_end / dt))
     if last < k0:
         raise IntegrationError(t_start, "t_end precedes the start time")
-    if abs(t_start - k0 * dt) > 4 * math.ulp(t_start):
-        raise ValueError(f"field time {t_start!r} is not on the dt = "
-                         f"{dt!r} grid; the stamps would move")
+    for name, t, k in (("field time", t_start, k0), ("t_end =", t_end, last)):
+        if abs(t - k * dt) > 4 * math.ulp(t):  # else the stamps or the end would move
+            raise ValueError(f"{name} {t!r} is not on the dt = {dt!r} grid")
     first = (k0 // sample_every + 1) * sample_every  # the first multiple past k0
     ks = [k0, *range(first, last + 1, sample_every)]
     if ks[-1] != last:

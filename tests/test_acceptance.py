@@ -112,9 +112,9 @@ def test_ac3_wavefunction_route_matches_prescribed_ode():
     s = bundle.scenario
 
     a0 = init_gaussian_a(s.alpha0, GridSpec1D(1024, 24.0))
-    samples, _ = evolve_lse(a0, s, NumericsSpec(dt=1e-4, t_end=1.0,
-                                                sample_every=1000))
     gm = linear_short(s)
+    samples, _ = evolve_lse(a0, gm, NumericsSpec(dt=1e-4, t_end=1.0,
+                                                 sample_every=1000))
     ref = integrate_prescribed_gamma(s, gm, dt=1e-5,
                                      t_end=1.0, sample_every=10000)
     worst_a = worst_b = 0.0
@@ -132,10 +132,10 @@ def test_ac3_wavefunction_route_matches_prescribed_ode():
     def series(stride):
         a = init_gaussian_a(s.alpha0, grid_r)
         num = NumericsSpec(dt=1e-4, t_end=0.1, sample_every=stride)
-        return evolve_lse(a, s, num)[1]
+        return evolve_lse(a, gm, num)[1]
 
-    r_coarse = marginalme_residual(series(100), s)
-    r_fine = marginalme_residual(series(50), s)
+    r_coarse = marginalme_residual(series(100), gm)
+    r_fine = marginalme_residual(series(50), gm)
     ratio = r_coarse / r_fine
 
     ok = worst_a <= 1e-4 and worst_b <= 1e-4 and r_coarse < 1e-3 and 3.0 <= ratio <= 5.0
@@ -437,7 +437,7 @@ def test_ac7_convergence_orders():
     def lse_err(dt, n_points=1024):
         a = init_gaussian_a(s.alpha0, GridSpec1D(n_points, 24.0))
         num = NumericsSpec(dt=dt, t_end=t_end, sample_every=round(t_end / dt))
-        samples, _ = evolve_lse(a, s, num)
+        samples, _ = evolve_lse(a, gm, num)
         return abs(samples[-1].alpha - a_ref)
 
     e_lse = [lse_err(dt) for dt in (4e-4, 2e-4, 1e-4)]

@@ -514,6 +514,27 @@ def test_verify_refuses_a_coupling_that_overflows(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "checkpoint-resume"])
+def test_an_end_off_the_dt_grid_is_refused_before_any_write(tmp_path, capsys, command):
+    # t_end = 0.0035 once ran to 0.004 with exit 0 and a MANIFEST naming 0.0035
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("t_end = 0.05", "t_end = 0.0035"))
+    out = tmp_path / "out"
+    args = ["--checkpoint", "missing.ckpt"] if command == "checkpoint-resume" else []
+    assert cli.main([command, "--config", cfg, *args, "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: t_end = 0.0035 is not on the dt = 0.001 grid\n")
+    assert not out.exists()
+
+
+def test_verify_names_a_step_count_that_is_not_finite(tmp_path, capsys):
+    # a subnormal dt once stopped verify on "cannot convert float infinity"
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("dt = 0.001", "dt = 1e-320"))
+    assert cli.main(["verify", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: verify horizon 0.05 is not a finite number of dt = 1e-320 steps\n"
+
+
 def test_verify_skips_decoherence_checks_at_zero_coupling(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "Lambda = 0.0\n", name="free.cfg")
     assert cli.main(["verify", "--config", cfg]) == 0

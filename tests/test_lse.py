@@ -22,7 +22,12 @@ from decwt.lse import (
     init_gaussian_a,
     marginalme_residual,
 )
-from decwt.marginal_dynamics import IntegrationError, integrate_prescribed_gamma, linear_short
+from decwt.marginal_dynamics import (
+    IntegrationError,
+    integrate_prescribed_gamma,
+    linear_long,
+    linear_short,
+)
 from decwt.scenario import (
     GridSpec1D,
     InvalidParameterError,
@@ -40,7 +45,7 @@ def test_norm_conserved_exactly():
     s = moderate()
     grid = GridSpec1D(n_points=512, extent=16.0)
     a = init_gaussian_a(s.alpha0, grid)
-    stepper = LseStepper(s, grid, 1e-3)
+    stepper = LseStepper(linear_short(s), grid, 1e-3)
     for _ in range(200):
         a = stepper.step(a)
         assert abs(a.norm() - 1.0) < 1e-12
@@ -52,7 +57,7 @@ def test_matches_prescribed_gamma_ode():
     s = moderate()
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-4, t_end=0.5, sample_every=1000)
-    samples, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
+    samples, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), linear_short(s), num)
     traj = integrate_prescribed_gamma(s, linear_short(s),
                                       dt=1e-5, t_end=0.5, sample_every=10000)
     t_ode = np.asarray(traj.t)
@@ -67,7 +72,7 @@ def test_zero_coupling_is_free_particle():
     s0 = moderate(lam=0.0)
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-3, t_end=2.0, sample_every=2000)
-    samples, _ = evolve_lse(init_gaussian_a(s0.alpha0, grid), s0, num)
+    samples, _ = evolve_lse(init_gaussian_a(s0.alpha0, grid), linear_short(s0), num)
     t = samples[-1].t
     alpha_free = s0.alpha0 / (1.0 + (2.0 * s0.alpha0 * t) ** 2)
     assert abs(samples[-1].ensemble_width - 0.5 / math.sqrt(alpha_free)) < 1e-10
@@ -77,7 +82,7 @@ def test_positive_coupling_spreads_faster_than_free():
     s = moderate()
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-3, t_end=2.0, sample_every=2000)
-    coupled, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
+    coupled, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), linear_short(s), num)
     free_width = 0.5 / math.sqrt(s.alpha0 / (1.0 + (2.0 * s.alpha0 * 2.0) ** 2))
     assert coupled[-1].ensemble_width > 2.0 * free_width
 
@@ -85,20 +90,19 @@ def test_positive_coupling_spreads_faster_than_free():
 def test_gausson_is_stationary():
     # static phase rate -kappa, i.e. gamma_l = -kappa, admits
     # a = exp(-alpha* tau^2), alpha* = kappa
-    s = moderate()
     kappa = 1.0
     alpha_star = kappa
     grid = GridSpec1D(n_points=512, extent=12.0)
     a = init_gaussian_a(alpha_star, grid)
     num = NumericsSpec(dt=1e-3, t_end=1.0, sample_every=200)
-    samples, _ = evolve_lse(a, s, num, gamma_l=lambda t: -kappa)
+    samples, _ = evolve_lse(a, lambda t: -kappa, num)
     w0 = 0.5 / math.sqrt(alpha_star)
     for smp in samples:
         assert abs(smp.ensemble_width - w0) / w0 < 0.01, f"t={smp.t}"
 
 
 def test_gamma_l_override_is_reported_and_sets_coherence():
-    # an overridden gamma_l is the one the samples report, the one their
+    # the gamma_l passed in is the one the samples report, the one their
     # coherence length is built from, and the one the field evolved under
     s = moderate()
 
@@ -107,8 +111,7 @@ def test_gamma_l_override_is_reported_and_sets_coherence():
 
     grid = GridSpec1D(n_points=1024, extent=24.0)
     num = NumericsSpec(dt=1e-4, t_end=0.2, sample_every=500)
-    samples, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num,
-                            gamma_l=gamma_l)
+    samples, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), gamma_l, num)
     traj = integrate_prescribed_gamma(s, gamma_l,
                                       dt=1e-5, t_end=0.2, sample_every=5000)
     assert [smp.t for smp in samples] == pytest.approx(list(traj.t), abs=1e-12)
@@ -117,9 +120,9 @@ def test_gamma_l_override_is_reported_and_sets_coherence():
         assert smp.coherence_length == 1.0 / math.sqrt(smp.alpha + gamma_l(smp.t))
         assert abs(smp.alpha - traj.alpha[i]) < 1e-8, f"t={smp.t}"
         assert abs(smp.beta - traj.beta[i]) < 1e-8, f"t={smp.t}"
-    # the default gamma_l would have evolved a different packet
-    default, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
-    assert abs(default[-1].alpha - samples[-1].alpha) > 1e-3
+    # linear_short(s) evolves a different packet
+    short, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), linear_short(s), num)
+    assert abs(short[-1].alpha - samples[-1].alpha) > 1e-3
 
 
 def test_marginal_equation_residual_converges():
@@ -128,19 +131,32 @@ def test_marginal_equation_residual_converges():
 
     def run(stride):
         num = NumericsSpec(dt=1e-4, t_end=0.1, sample_every=stride)
-        _, fields = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
+        _, fields = evolve_lse(init_gaussian_a(s.alpha0, grid), linear_short(s), num)
         return fields
 
     f100, f50 = run(100), run(50)
-    r100 = marginalme_residual(f100, s)
-    r50 = marginalme_residual(f50, s)
+    r100 = marginalme_residual(f100, linear_short(s))
+    r50 = marginalme_residual(f50, linear_short(s))
     assert r100 < 1e-4  # measured 6.2e-5
     assert 3.8 < r100 / r50 < 4.2  # second-order central difference
 
     # negative control: evaluating with the wrong coupling must blow the
     # residual up by orders of magnitude
-    r_bad = marginalme_residual(f100, replace(s, lam=2.0 * s.lam))
+    r_bad = marginalme_residual(f100, linear_short(replace(s, lam=2.0 * s.lam)))
     assert r_bad / r100 > 500.0
+
+
+def test_marginal_residual_checks_the_coupling_it_is_given():
+    # a linear-long trajectory on AC3's box and dt passes AC3's bound under
+    # its own coupling and fails it under linear-short, which the residual
+    # once used whatever coupling had evolved the field
+    s = moderate()
+    grid = GridSpec1D(n_points=512, extent=16.0)
+    num = NumericsSpec(dt=1e-4, t_end=0.1, sample_every=100)
+    _, fields = evolve_lse(init_gaussian_a(s.alpha0, grid), linear_long(s), num)
+    r_long = marginalme_residual(fields, linear_long(s))
+    assert r_long < 1e-3  # measured 1.5e-5
+    assert marginalme_residual(fields, linear_short(s)) / r_long > 500.0  # measured 626
 
 
 def test_marginal_residual_input_validation():
@@ -148,11 +164,11 @@ def test_marginal_residual_input_validation():
     grid = GridSpec1D(n_points=64, extent=8.0)
     a = init_gaussian_a(1.0, grid)
     with pytest.raises(InvalidParameterError):
-        marginalme_residual([a, a], s)
+        marginalme_residual([a, a], linear_short(s))
     b = ComplexField1D(a.values.copy(), grid, t=0.1)
     c = ComplexField1D(a.values.copy(), grid, t=0.15)  # unequal spacing
     with pytest.raises(InvalidParameterError):
-        marginalme_residual([a, b, c], s)
+        marginalme_residual([a, b, c], linear_short(s))
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
@@ -168,7 +184,7 @@ def test_ln_floor_keeps_nodes_finite():
     vals = tau * np.exp(-0.25 * tau * tau)  # node at tau = 0
     a = ComplexField1D(vals.astype(complex), grid, t=0.0)
     a.values /= a.norm()
-    out = LseStepper(s, grid, 1e-3).step(a)
+    out = LseStepper(linear_short(s), grid, 1e-3).step(a)
     assert np.all(np.isfinite(out.values))
     ln_d = floored_log_density(a.values)
     assert np.all(np.isfinite(ln_d))
@@ -186,20 +202,20 @@ def test_epsilon_of_known_profile():
     grid = GridSpec1D(n_points=64, extent=8.0)
     tau = grid.points()
     a = ComplexField1D(np.exp(-0.5 * tau * tau).astype(complex), grid, t=2.0)
-    eps = epsilon_of(a, s)
+    eps = epsilon_of(a, linear_short(s))
     assert np.allclose(eps, -4.0 * tau * tau, atol=1e-12)
     # the coupling is read at the field's own time stamp
-    eps1 = epsilon_of(ComplexField1D(a.values, grid, t=1.0), s)
+    eps1 = epsilon_of(ComplexField1D(a.values, grid, t=1.0), linear_short(s))
     assert np.allclose(eps1, -2.0 * tau * tau, atol=1e-12)
 
 
-def test_default_phase_rate_is_hbar_over_m_times_linear_short():
+def test_phase_rate_is_hbar_over_m_times_linear_short():
     # a uniform field sees no kinetic term, only the log phase: one step
-    # from t - dt/2 turns it by gamma_l(t) ln|a|^2 dt (hbar / m = 1), and the
-    # default linear_short is 2 Lambda t, the tangent at t = 0
+    # from t - dt/2 turns it by gamma_l(t) ln|a|^2 dt (hbar / m = 1), and
+    # linear_short is 2 Lambda t, the tangent at t = 0
     grid = GridSpec1D(n_points=64, extent=8.0)
     dt = 1e-3
-    stepper = LseStepper(Scenario(lam=3.0, b=1.0, label="x"), grid, dt)
+    stepper = LseStepper(linear_short(Scenario(lam=3.0, b=1.0, label="x")), grid, dt)
     for t_mid, rate in [(0.0, 0.0), (1.5, 2.0 * 3.0 * 1.5)]:
         a = ComplexField1D(np.full(64, math.exp(-0.5), dtype=complex), grid,
                            t=t_mid - 0.5 * dt)  # ln|a|^2 = -1
@@ -214,7 +230,7 @@ def test_negative_span_raises():
     a = init_gaussian_a(1.0, grid)
     a.t = 1.0
     with pytest.raises(IntegrationError):
-        evolve_lse(a, s, NumericsSpec(dt=1e-3, t_end=0.5, sample_every=5))
+        evolve_lse(a, linear_short(s), NumericsSpec(dt=1e-3, t_end=0.5, sample_every=5))
 
 
 @pytest.mark.parametrize("preset", ["moderate", "strong"])
@@ -241,7 +257,7 @@ def test_segment_matches_per_step_strang_reference(preset, n):
         ref = np.fft.ifft(kinetic * np.fft.fft(ref))
         ref = phase_half(ref, t + 0.75 * dt)
 
-    out = LseStepper(s, grid, dt).step(a, n)
+    out = LseStepper(gamma_l, grid, dt).step(a, n)
     assert out.t == a.t + n * dt
     if n == 1:
         assert np.array_equal(out.values, ref)
@@ -271,7 +287,7 @@ def test_buffered_segment_is_the_fused_expression_bit_for_bit(preset):
         ref = np.fft.ifft(kinetic * np.fft.fft(ref))
         rate = g(t + 0.75 * dt)
         ref = phase(ref, rate + g(t + 1.25 * dt) if j < n else rate)
-    assert np.array_equal(LseStepper(s, grid, dt).step(a, n).values, ref)
+    assert np.array_equal(LseStepper(g, grid, dt).step(a, n).values, ref)
 
 
 @pytest.mark.parametrize("t_nan, t_stamp", [(0.0026, 0.003), (0.0032, 0.004)])
@@ -290,7 +306,7 @@ def test_blow_up_inside_a_segment_is_stamped_at_its_step(t_nan, t_stamp):
     a = init_gaussian_a(s.alpha0, bundle.grid.axis_z)
     num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
     with pytest.raises(IntegrationError, match="field blew up") as err:
-        evolve_lse(a, s, num, gamma_l=gamma_l)
+        evolve_lse(a, gamma_l, num)
     assert err.value.t == t_stamp
 
 
@@ -298,14 +314,14 @@ def test_blow_up_inside_a_segment_is_stamped_at_its_step(t_nan, t_stamp):
 def test_stepper_refuses_bad_dt(dt):
     grid = GridSpec1D(n_points=64, extent=8.0)
     with pytest.raises(ValueError):
-        LseStepper(moderate(), grid, dt)
+        LseStepper(linear_short(moderate()), grid, dt)
 
 
 def test_step_refuses_fewer_than_one_step():
     s = moderate()
     grid = GridSpec1D(n_points=64, extent=8.0)
     a = init_gaussian_a(1.0, grid)
-    stepper = LseStepper(s, grid, 1e-3)
+    stepper = LseStepper(linear_short(s), grid, 1e-3)
     for n in (0, -1):
         with pytest.raises(ValueError):
             stepper.step(a, n)
@@ -321,7 +337,7 @@ def test_non_finite_initial_field_fails_at_start(index):
     a.t = 0.5
     a.values[index] = np.nan
     with pytest.raises(IntegrationError, match="not finite") as err:
-        evolve_lse(a, s, NumericsSpec(dt=1e-3, t_end=0.51, sample_every=5))
+        evolve_lse(a, linear_short(s), NumericsSpec(dt=1e-3, t_end=0.51, sample_every=5))
     assert err.value.t == 0.5
 
 
@@ -338,7 +354,7 @@ def test_one_stepper_call_per_sample_interval(monkeypatch):
     s = moderate()
     grid = GridSpec1D(n_points=512, extent=16.0)
     num = NumericsSpec(dt=1e-3, t_end=0.023, sample_every=5)
-    samples, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
+    samples, _ = evolve_lse(init_gaussian_a(s.alpha0, grid), linear_short(s), num)
     assert [smp.t for smp in samples] == [0.0, 0.005, 0.01, 0.015, 0.02, 0.023]
     assert calls == [5, 5, 5, 5, 3]
 
@@ -365,18 +381,18 @@ def residual_series(n=64):
     s = moderate()
     grid = GridSpec1D(n_points=n, extent=8.0)
     num = NumericsSpec(dt=1e-3, t_end=0.02, sample_every=5)
-    _, fields = evolve_lse(init_gaussian_a(s.alpha0, grid), s, num)
-    return fields, s
+    _, fields = evolve_lse(init_gaussian_a(s.alpha0, grid), linear_short(s), num)
+    return fields, linear_short(s)
 
 
 @pytest.mark.parametrize("n", [16, 64, 512])
 def test_residual_equals_the_explicit_outer_product_formula(n):
     # the n x n products of the equation of motion, formed entry by entry
-    fields, s = residual_series(n)
+    fields, gamma_l = residual_series(n)
     am, ac, ap = fields[1], fields[2], fields[3]
     k = ac.grid.wavenumbers()
     a2 = np.fft.ifft(-(k * k) * np.fft.fft(ac.values))
-    eps = epsilon_of(ac, s)
+    eps = epsilon_of(ac, gamma_l)
 
     def outer(x, y):
         return x[:, None] * np.conj(y)[None, :]
@@ -387,7 +403,7 @@ def test_residual_equals_the_explicit_outer_product_formula(n):
     pot = -1j * (eps[:, None] - eps[None, :]) * rho
     want = np.max(np.abs(rho_dot - kin - pot)) / np.max(np.abs(rho))
     assert want > 0.0
-    assert marginalme_residual(fields, s) == pytest.approx(want, rel=1e-9)
+    assert marginalme_residual(fields, gamma_l) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
@@ -396,10 +412,10 @@ def test_step_leaves_its_input_and_returns_a_field_it_owns(n):
     grid = GridSpec1D(n_points=64, extent=8.0)
     a = init_gaussian_a(s.alpha0, grid)
     before = a.values.copy()
-    out = LseStepper(s, grid, 1e-3).step(a, n)
+    out = LseStepper(linear_short(s), grid, 1e-3).step(a, n)
     assert np.array_equal(a.values, before) and a.t == 0.0
     assert not np.shares_memory(out.values, a.values)
-    again = LseStepper(s, grid, 1e-3).step(a, n)
+    again = LseStepper(linear_short(s), grid, 1e-3).step(a, n)
     assert np.array_equal(again.values, out.values)
     assert not np.shares_memory(again.values, out.values)
 
@@ -423,9 +439,9 @@ def test_start_off_the_dt_grid_is_refused():
     num = NumericsSpec(dt=2e-3, t_end=0.05, sample_every=5)
     a.t = 0.035
     with pytest.raises(ValueError, match="not on the dt"):
-        evolve_lse(a, s, num)
+        evolve_lse(a, linear_short(s), num)
     a.t = math.nextafter(18 * num.dt, 1.0)  # an ulp off, as sums round
-    samples, _ = evolve_lse(a, s, num)
+    samples, _ = evolve_lse(a, linear_short(s), num)
     assert [smp.t for smp in samples] == [a.t, 20 * num.dt, 25 * num.dt]
 
 
@@ -436,4 +452,4 @@ def test_start_before_t0_is_refused():
     a = init_gaussian_a(s.alpha0, grid)
     a.t = -0.02
     with pytest.raises(ValueError, match="^field time -0.02 is before t = 0$"):
-        evolve_lse(a, s, NumericsSpec(dt=1e-3, t_end=0.05, sample_every=5))
+        evolve_lse(a, linear_short(s), NumericsSpec(dt=1e-3, t_end=0.05, sample_every=5))

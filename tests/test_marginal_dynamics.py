@@ -113,7 +113,8 @@ def test_sample_every_below_one_is_refused(drive):
         else:
             grid = GridSpec1D(n_points=64, extent=8.0)
             a = ComplexField1D(np.exp(-s.alpha0 * grid.points() ** 2), grid, t=0.0)
-            evolve_lse(a, s, SimpleNamespace(dt=1e-3, t_end=0.01, sample_every=0))
+            evolve_lse(a, linear_short(s), SimpleNamespace(dt=1e-3, t_end=0.01,
+                                                           sample_every=0))
 
 
 def test_sample_grid_counts_steps_from_zero():
@@ -123,6 +124,22 @@ def test_sample_grid_counts_steps_from_zero():
     assert sample_grid(math.nextafter(7 * dt, 1.0), 0.05, dt, 5) == [7, 10, 15, 20, 25]
     with pytest.raises(ValueError, match="^field time 0.035 is not on the dt = 0.002 grid"):
         sample_grid(0.035, 0.05, dt, 5)
+
+
+@pytest.mark.parametrize("t_end, dt, reason", [
+    (0.0035, 1e-3, "is not on the dt = 0.001 grid"),  # once ended at 0.004
+    (0.0025, 1e-3, "is not on the dt = 0.001 grid"),  # once ended at 0.002
+    (0.0005, 1e-3, "is not on the dt = 0.001 grid"),  # once took no step
+    (0.05, 1e-320, "is not a finite number of dt = 1e-320 steps"),  # once overflowed
+])
+def test_sample_grid_refuses_an_end_off_the_dt_grid(t_end, dt, reason):
+    with pytest.raises(ValueError, match=f"^t_end = {t_end!r} {reason}$"):
+        sample_grid(0.0, t_end, dt, 1)
+
+
+def test_sample_grid_takes_an_end_within_4_ulps_of_the_grid():
+    assert sample_grid(0.0, math.nextafter(0.05, 1.0), 1e-3, 10)[-1] == 50
+    assert sample_grid(0.0, math.nextafter(0.05, 0.0), 1e-3, 10)[-1] == 50
 
 
 # --- the inlined loop against a per-stage reference -------------------------

@@ -10,12 +10,14 @@ follow, each with a checkpoint every 10 steps and resumed from step 10:
 DENSE (128^2, t_end = 0.05) samples every step, so the one-step segments
 are covered, and STRIDE, DENSE sampled every 5 steps, runs two-sample
 checkpoint intervals of multi-step segments. STRIDE is then run once more
-with a checkpoint every 7 steps, which `run` refuses (exit 2). Last, FREE,
-STRIDE at Lambda = 0, runs all six routes and `verify`, so the g-table at
-gamma_k = 0 and verify's SKIP rows are hashed too. Every command runs in
-OUTDIR with relative paths and leaves its stdout, stderr and exit code as
-files of their own. Then one `sha256  path` line is printed per file under OUTDIR,
-sorted by path, so the artifacts of two checkouts compare with diff.
+with a checkpoint every 7 steps, which `run` refuses (exit 2), and OFFGRID,
+DENSE with t_end = 0.0035 between two dt steps, is run once, which `run`
+refuses (exit 1) before it writes a file. Last, FREE, STRIDE at Lambda = 0,
+runs all six routes and `verify`, so the g-table at gamma_k = 0 and
+verify's SKIP rows are hashed too. Every command runs in OUTDIR with
+relative paths and leaves its stdout, stderr and exit code as files of their
+own. Then one `sha256  path` line is printed per file under OUTDIR, sorted by
+path, so the artifacts of two checkouts compare with diff.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ DENSE = ("label = dense\nLambda = 10.0\nn_y = 128\nn_z = 128\n"
          "t_end = 0.05\nsample_every = 1\n")
 STRIDE = DENSE.replace("= dense", "= stride").replace("sample_every = 1\n",
                                                      "sample_every = 5\n")
+OFFGRID = DENSE.replace("= dense", "= offgrid").replace("t_end = 0.05",
+                                                       "t_end = 0.0035")
 FREE = STRIDE.replace("= stride", "= free").replace("Lambda = 10.0", "Lambda = 0.0")
 
 
@@ -69,6 +73,9 @@ def main(argv: list[str]) -> int:
                   "--checkpoint", f"{name}/run/{ckpt.name}", "--outdir", f"{name}/resume")
     decwt(root, "stride-refused", "run", "--config", "stride.cfg", "--routes",
           "master-eq", "--checkpoint-every", "7", "--outdir", "stride/refused")
+    (root / "offgrid.cfg").write_text(OFFGRID)
+    decwt(root, "offgrid-refused", "run", "--config", "offgrid.cfg", "--routes",
+          "master-eq", "--outdir", "offgrid/run")
     (root / "free.cfg").write_text(FREE)
     decwt(root, "free-run", "run", "--config", "free.cfg", "--routes", ROUTES,
           "--outdir", "free/run")
